@@ -5,12 +5,11 @@
 ///
 /// Real Charm++/Projections logs are dirty: per-PE files truncate on
 /// crash, tracing-buffer overflow drops send/recv partners, clock skew
-/// reorders records. The readers used to throw std::runtime_error at the
-/// first malformed line; now every problem becomes a Diagnostic — a
-/// machine-readable (code, severity, location) record — collected into a
-/// RecoveryReport, and the readers salvage what they can (strict mode is
-/// still available through ReadOptions). See docs/ROBUSTNESS.md for the
-/// full taxonomy and the repair semantics.
+/// reorders records. Every problem a reader finds becomes a Diagnostic —
+/// a machine-readable (code, severity, location) record — collected into
+/// a RecoveryReport, and the readers salvage what they can; strict reads
+/// (ReadOptions) reject any input whose report is non-empty. See
+/// docs/ROBUSTNESS.md for the full taxonomy and the repair semantics.
 
 #include <cstdint>
 #include <iosfwd>
@@ -154,12 +153,14 @@ class RecoveryReport {
 
 /// How a reader should treat malformed input.
 struct ReadOptions {
-  /// false (default): strict — throw std::runtime_error at the first
-  /// malformed record, exactly like the historical readers.
-  /// true: recover — skip garbled lines, tolerate truncated tails, run
-  /// trace::repair() on the salvage, and return a best-effort Trace plus
-  /// the report; recovering reads never throw on malformed *content*
-  /// (a Fatal report and an empty Trace is the worst case).
+  /// Both modes run the same parse and trace::repair(); they differ in
+  /// what a non-empty report means.
+  /// false (default): strict — the first diagnostic is an error: an
+  /// empty Trace with a Fatal report, or a std::runtime_error from the
+  /// report-less overloads.
+  /// true: recover — return the best-effort Trace plus the report;
+  /// recovering reads never throw on malformed *content* (a Fatal report
+  /// and an empty Trace is the worst case).
   bool recover = false;
 
   /// Cap on stored diagnostics (counts stay exact past it).

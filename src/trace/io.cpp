@@ -1,11 +1,8 @@
 #include "trace/io.hpp"
 
 #include <fstream>
-#include <sstream>
-#include <stdexcept>
 
-#include "trace/repair.hpp"
-#include "util/check.hpp"
+#include "trace/text_reader.hpp"
 
 namespace logstruct::trace {
 
@@ -13,42 +10,6 @@ namespace {
 
 constexpr const char* kMagic = "lstrace";
 constexpr int kVersion = 1;
-
-/// A list-length field larger than this is garbage, not data; parsing it
-/// verbatim would let one garbled digit drive a multi-gigabyte resize.
-constexpr std::int64_t kMaxListLen = 1 << 20;
-
-// Names may contain spaces; they are always the last field and written
-// after a '|' sentinel.
-std::string read_name(std::istringstream& line) {
-  std::string sep;
-  line >> sep;
-  if (sep != "|") throw std::runtime_error("lstrace: expected '|' before name");
-  std::string name;
-  std::getline(line, name);
-  if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-  return name;
-}
-
-// Tolerant variant: false instead of throwing.
-bool try_read_name(std::istringstream& line, std::string* out) {
-  std::string sep;
-  line >> sep;
-  if (sep != "|") return false;
-  std::string name;
-  std::getline(line, name);
-  if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-  *out = std::move(name);
-  return true;
-}
-
-/// Narrow an int64 field into an int32 id slot; out-of-range values become
-/// kNone so they surface as dangling references instead of wrapping into
-/// accidentally-valid ids.
-std::int32_t narrow_id(std::int64_t v) {
-  if (v < INT32_MIN || v > INT32_MAX) return kNone;
-  return static_cast<std::int32_t>(v);
-}
 
 }  // namespace
 
@@ -105,325 +66,108 @@ void write_trace(const Trace& trace, std::ostream& out) {
   out << "end\n";
 }
 
-Trace read_trace(std::istream& in) {
-  Trace trace;
-  std::string word;
-  int version = 0;
-  in >> word >> version;
-  if (word != kMagic || version != kVersion)
-    throw std::runtime_error("lstrace: bad header");
-  in.ignore();  // trailing newline
-
-  std::string line;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "procs") {
-      ls >> trace.num_procs_;
-    } else if (tag == "array") {
-      std::size_t id;
-      int runtime;
-      ls >> id >> runtime;
-      ArrayInfo a;
-      a.runtime = runtime != 0;
-      a.name = read_name(ls);
-      if (id != trace.arrays_.size())
-        throw std::runtime_error("lstrace: non-sequential array id");
-      trace.arrays_.push_back(std::move(a));
-    } else if (tag == "chare") {
-      std::size_t id;
-      ChareInfo c;
-      int runtime;
-      ls >> id >> c.array >> c.index >> c.home >> runtime;
-      c.runtime = runtime != 0;
-      c.name = read_name(ls);
-      if (id != trace.chares_.size())
-        throw std::runtime_error("lstrace: non-sequential chare id");
-      trace.chares_.push_back(std::move(c));
-    } else if (tag == "entry") {
-      std::size_t id;
-      int runtime;
-      std::size_t nwhen;
-      EntryInfo e;
-      ls >> id >> runtime >> e.sdag_serial >> nwhen;
-      e.runtime = runtime != 0;
-      if (nwhen > static_cast<std::size_t>(kMaxListLen))
-        throw std::runtime_error("lstrace: implausible when-list length");
-      e.when_entries.resize(nwhen);
-      for (auto& w : e.when_entries) ls >> w;
-      e.name = read_name(ls);
-      if (id != trace.entries_.size())
-        throw std::runtime_error("lstrace: non-sequential entry id");
-      trace.entries_.push_back(std::move(e));
-    } else if (tag == "block") {
-      std::size_t id;
-      SerialBlock b;
-      ls >> id >> b.chare >> b.proc >> b.entry >> b.begin >> b.end;
-      if (id != trace.blocks_.size())
-        throw std::runtime_error("lstrace: non-sequential block id");
-      trace.blocks_.push_back(std::move(b));
-    } else if (tag == "event") {
-      std::size_t id;
-      char kind;
-      Event e;
-      ls >> id >> kind >> e.time >> e.block >> e.partner;
-      e.kind = kind == 'S' ? EventKind::Send : EventKind::Recv;
-      if (id != trace.events_.size())
-        throw std::runtime_error("lstrace: non-sequential event id");
-      if (e.block < 0 ||
-          static_cast<std::size_t>(e.block) >= trace.blocks_.size())
-        throw std::runtime_error("lstrace: event references unknown block");
-      SerialBlock& blk = trace.blocks_[static_cast<std::size_t>(e.block)];
-      e.chare = blk.chare;
-      e.proc = blk.proc;
-      trace.events_.push_back(e);
-      if (e.kind == EventKind::Recv && blk.trigger == kNone)
-        blk.trigger = static_cast<EventId>(id);
-    } else if (tag == "idle") {
-      IdleSpan s;
-      ls >> s.proc >> s.begin >> s.end;
-      trace.idles_.push_back(s);
-    } else if (tag == "coll") {
-      Collective coll;
-      std::size_t n;
-      ls >> n;
-      if (n > static_cast<std::size_t>(kMaxListLen))
-        throw std::runtime_error("lstrace: implausible collective size");
-      coll.sends.resize(n);
-      for (auto& s : coll.sends) ls >> s;
-      ls >> n;
-      if (n > static_cast<std::size_t>(kMaxListLen))
-        throw std::runtime_error("lstrace: implausible collective size");
-      coll.recvs.resize(n);
-      for (auto& r : coll.recvs) ls >> r;
-      trace.collectives_.push_back(std::move(coll));
-    } else if (tag == "degraded") {
-      std::size_t n;
-      ls >> n;
-      if (n > trace.chares_.size())
-        throw std::runtime_error("lstrace: implausible degraded count");
-      trace.degraded_chare_.assign(trace.chares_.size(), 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        ChareId c;
-        ls >> c;
-        if (c < 0 || static_cast<std::size_t>(c) >= trace.chares_.size())
-          throw std::runtime_error("lstrace: degraded id out of range");
-        trace.degraded_chare_[static_cast<std::size_t>(c)] = 1;
-      }
-    } else if (tag == "end") {
-      saw_end = true;
-      break;
-    } else {
-      throw std::runtime_error("lstrace: unknown record '" + tag + "'");
-    }
-    if (!ls && !ls.eof()) throw std::runtime_error("lstrace: parse error");
-  }
-  if (!saw_end) throw std::runtime_error("lstrace: truncated file");
-
-  // Rebuild send-side matching: partners were written from the recv side.
-  for (EventId id = 0; id < static_cast<EventId>(trace.events_.size()); ++id) {
-    Event& e = trace.events_[static_cast<std::size_t>(id)];
-    if (e.kind != EventKind::Recv || e.partner == kNone) continue;
-    if (e.partner < 0 ||
-        static_cast<std::size_t>(e.partner) >= trace.events_.size())
-      throw std::runtime_error("lstrace: recv has out-of-range partner");
-    Event& s = trace.events_[static_cast<std::size_t>(e.partner)];
-    if (s.kind != EventKind::Send)
-      throw std::runtime_error("lstrace: recv partnered with a recv");
-    if (s.partner == kNone) s.partner = id;
-    // Later receivers of a broadcast keep their own partner field; the
-    // freeze rebuilds the fan-out rows from the recv side.
-  }
-  // Send partners as written are recomputed above; clear stale values for
-  // sends whose recv list was empty (they keep kNone naturally) — nothing
-  // further needed.
-
-  trace.freeze();
-  return trace;
-}
-
 namespace {
 
-/// Recovering lstrace parse: salvage whatever lines survive into a
-/// RawTrace, then repair + freeze. Never throws on malformed content.
-Trace read_trace_recovering(std::istream& in, RecoveryReport& report) {
-  RawTrace raw;
-  std::int64_t lineno = 1;
-  std::string header;
-  if (!std::getline(in, header)) {
+/// The one .lstrace parser: every line that parses becomes a RawTrace
+/// record under the id the file claimed; garbled lines, unknown tags and
+/// a missing end marker become diagnostics. Returns the bytes consumed.
+std::size_t parse_lstrace(std::string_view text, RawTrace& raw,
+                          RecoveryReport& report) {
+  detail::LineCursor cur(text);
+  if (!cur.next_line()) {
     report.add(DiagCode::BadHeader, Severity::Fatal, "empty stream");
-    return build_trace(std::move(raw), 0);
+    return text.size();
   }
-  {
-    std::istringstream hs(header);
-    std::string word;
-    int version = 0;
-    hs >> word >> version;
-    if (word != kMagic || version != kVersion) {
-      report.add(DiagCode::BadHeader, Severity::Fatal,
-                 "not an lstrace stream (or unsupported version)", -1, 1);
-      return build_trace(std::move(raw), 0);
-    }
+  const std::string_view magic = cur.word();
+  int version = 0;
+  cur >> version;
+  if (magic != kMagic || cur.fail() || version != kVersion) {
+    report.add(DiagCode::BadHeader, Severity::Fatal,
+               "not an lstrace stream (or unsupported version)", -1, 1);
+    return text.size();
   }
 
   bool saw_end = false;
-  std::string line;
-  while (!saw_end && std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    auto parse_error = [&](const char* what) {
-      report.add(DiagCode::ParseError, Severity::Warning,
-                 std::string("garbled ") + what + " record skipped", -1,
-                 lineno);
-    };
-    if (tag == "procs") {
-      std::int64_t n = 0;
-      ls >> n;
-      if (ls.fail() || n < 0 || n > INT32_MAX) {
-        parse_error("procs");
-      } else {
-        raw.num_procs = static_cast<std::int32_t>(n);
-      }
-    } else if (tag == "array") {
-      RawRecord<ArrayInfo> r;
-      int runtime = 0;
-      ls >> r.id >> runtime;
-      if (ls.fail() || !try_read_name(ls, &r.info.name)) {
-        parse_error("array");
-        continue;
-      }
-      r.info.runtime = runtime != 0;
-      raw.arrays.push_back(std::move(r));
-    } else if (tag == "chare") {
-      RawRecord<ChareInfo> r;
-      std::int64_t array = 0, index = 0, home = 0;
-      int runtime = 0;
-      ls >> r.id >> array >> index >> home >> runtime;
-      if (ls.fail() || !try_read_name(ls, &r.info.name)) {
-        parse_error("chare");
-        continue;
-      }
-      r.info.array = narrow_id(array);
-      r.info.index = narrow_id(index);
-      r.info.home = narrow_id(home);
-      r.info.runtime = runtime != 0;
-      raw.chares.push_back(std::move(r));
-    } else if (tag == "entry") {
-      RawRecord<EntryInfo> r;
-      std::int64_t sdag = 0, nwhen = 0;
-      int runtime = 0;
-      ls >> r.id >> runtime >> sdag >> nwhen;
-      if (ls.fail() || nwhen < 0 || nwhen > kMaxListLen) {
-        parse_error("entry");
-        continue;
-      }
-      r.info.runtime = runtime != 0;
-      r.info.sdag_serial = narrow_id(sdag);
-      r.info.when_entries.resize(static_cast<std::size_t>(nwhen));
-      std::int64_t w = 0;
-      for (auto& we : r.info.when_entries) {
-        ls >> w;
-        we = narrow_id(w);
-      }
-      if (ls.fail() || !try_read_name(ls, &r.info.name)) {
-        parse_error("entry");
-        continue;
-      }
-      raw.entries.push_back(std::move(r));
-    } else if (tag == "block") {
-      RawBlock b;
-      std::int64_t proc = 0;
-      ls >> b.id >> b.chare >> proc >> b.entry >> b.begin >> b.end;
-      if (ls.fail()) {
-        parse_error("block");
-        continue;
-      }
-      b.proc = narrow_id(proc);
-      raw.blocks.push_back(b);
-    } else if (tag == "event") {
+  while (!saw_end && cur.next_line()) {
+    if (cur.blank_line()) continue;
+    const std::string_view tag = cur.word();
+    bool garbled = false;
+    if (tag == "event") {
       RawEvent e;
       char kind = 0;
-      ls >> e.id >> kind >> e.time >> e.block >> e.partner;
-      if (ls.fail() || (kind != 'S' && kind != 'R')) {
-        parse_error("event");
-        continue;
-      }
+      cur >> e.id >> kind >> e.time >> e.block >> e.partner;
       e.kind = kind == 'S' ? EventKind::Send : EventKind::Recv;
-      raw.events.push_back(e);
+      garbled = cur.fail() || (kind != 'S' && kind != 'R');
+      if (!garbled) raw.events.push_back(e);
+    } else if (tag == "block") {
+      RawBlock b;
+      garbled =
+          (cur >> b.id >> b.chare >> b.proc >> b.entry >> b.begin >> b.end)
+              .fail();
+      if (!garbled) raw.blocks.push_back(b);
     } else if (tag == "idle") {
       IdleSpan s;
-      std::int64_t proc = 0;
-      ls >> proc >> s.begin >> s.end;
-      if (ls.fail()) {
-        parse_error("idle");
-        continue;
-      }
-      s.proc = narrow_id(proc);
-      raw.idles.push_back(s);
+      garbled = (cur >> s.proc >> s.begin >> s.end).fail();
+      if (!garbled) raw.idles.push_back(s);
+    } else if (tag == "procs") {
+      std::int32_t n = 0;
+      garbled = (cur >> n).fail() || n < 0;
+      if (!garbled) raw.num_procs = n;
+    } else if (tag == "array") {
+      garbled = !detail::read_array(cur, raw);
+    } else if (tag == "chare") {
+      garbled = !detail::read_chare(cur, raw);
+    } else if (tag == "entry") {
+      garbled = !detail::read_entry(cur, raw);
     } else if (tag == "coll") {
       RawCollective coll;
-      std::int64_t n = 0;
-      ls >> n;
-      if (ls.fail() || n < 0 || n > kMaxListLen) {
-        parse_error("coll");
-        continue;
-      }
-      coll.sends.resize(static_cast<std::size_t>(n));
-      for (auto& s : coll.sends) ls >> s;
-      ls >> n;
-      if (ls.fail() || n < 0 || n > kMaxListLen) {
-        parse_error("coll");
-        continue;
-      }
-      coll.recvs.resize(static_cast<std::size_t>(n));
-      for (auto& r : coll.recvs) ls >> r;
-      if (ls.fail()) {
-        parse_error("coll");
-        continue;
-      }
-      raw.collectives.push_back(std::move(coll));
+      garbled = cur.list(coll.sends).list(coll.recvs).fail();
+      if (!garbled) raw.collectives.push_back(std::move(coll));
     } else if (tag == "degraded") {
-      std::int64_t n = 0;
-      ls >> n;
-      if (ls.fail() || n < 0 || n > kMaxListLen) {
-        parse_error("degraded");
-        continue;
-      }
-      std::vector<std::int64_t> ids(static_cast<std::size_t>(n));
-      for (auto& c : ids) ls >> c;
-      if (ls.fail()) {
-        parse_error("degraded");
-        continue;
-      }
-      raw.degraded_chares.insert(raw.degraded_chares.end(), ids.begin(),
-                                 ids.end());
+      std::vector<std::int64_t> ids;
+      garbled = cur.list(ids).fail();
+      if (!garbled)
+        raw.degraded_chares.insert(raw.degraded_chares.end(), ids.begin(),
+                                   ids.end());
     } else if (tag == "end") {
       saw_end = true;
     } else {
       report.add(DiagCode::UnknownRecord, Severity::Warning,
-                 "unknown record '" + tag + "' skipped", -1, lineno);
+                 "unknown record '" + std::string(tag) + "' skipped", -1,
+                 cur.lineno());
     }
+    if (garbled)
+      report.add(DiagCode::ParseError, Severity::Warning,
+                 "garbled " + std::string(tag) + " record skipped", -1,
+                 cur.lineno());
   }
   if (!saw_end)
     report.add(DiagCode::TruncatedFile, Severity::Warning,
-               "stream ended before the end marker", -1, lineno);
+               "stream ended before the end marker", -1, cur.lineno());
+  return text.size();
+}
 
-  repair(raw, report);
-  return build_trace(std::move(raw), 0);
+Trace read_lstrace(std::istream& in, const ReadOptions& options,
+                   RecoveryReport& report) {
+  return detail::read_text(options, report,
+                           [&](RawTrace& raw, RecoveryReport& r) {
+                             return parse_lstrace(detail::read_all(in), raw,
+                                                  r);
+                           });
 }
 
 }  // namespace
 
+Trace read_trace(std::istream& in) {
+  RecoveryReport report;
+  Trace trace = read_lstrace(in, ReadOptions::strict(), report);
+  detail::throw_if_rejected(report);
+  return trace;
+}
+
 Trace read_trace(std::istream& in, const ReadOptions& options,
                  RecoveryReport& report) {
-  if (options.recover) return read_trace_recovering(in, report);
-  return read_trace(in);
+  return read_lstrace(in, options, report);
 }
 
 bool save_trace(const Trace& trace, const std::string& path,
@@ -446,19 +190,16 @@ bool save_trace(const Trace& trace, const std::string& path,
 
 Trace load_trace(const std::string& path, const ReadOptions& options,
                  RecoveryReport& report) {
-  std::ifstream f(path);
-  if (!f) {
-    report.add(DiagCode::IoError, Severity::Fatal,
-               "cannot open trace file: " + path);
-    return build_trace(RawTrace{}, 0);
-  }
-  if (options.recover) return read_trace_recovering(f, report);
-  try {
-    return read_trace(f);
-  } catch (const std::exception& e) {
-    report.add(DiagCode::ParseError, Severity::Fatal, e.what());
-    return build_trace(RawTrace{}, 0);
-  }
+  return detail::read_text(
+      options, report, [&](RawTrace& raw, RecoveryReport& r) {
+        std::string text;
+        if (!detail::read_file(path, &text)) {
+          r.add(DiagCode::IoError, Severity::Fatal,
+                "cannot open trace file: " + path);
+          return std::size_t{0};
+        }
+        return parse_lstrace(text, raw, r);
+      });
 }
 
 bool save_trace(const Trace& trace, const std::string& path) {
@@ -467,9 +208,10 @@ bool save_trace(const Trace& trace, const std::string& path) {
 }
 
 Trace load_trace(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open trace file: " + path);
-  return read_trace(f);
+  RecoveryReport report;
+  Trace trace = load_trace(path, ReadOptions::strict(), report);
+  detail::throw_if_rejected(report);
+  return trace;
 }
 
 }  // namespace logstruct::trace

@@ -7,13 +7,17 @@
 /// record per line, fully self-contained, diff-friendly. Used by the
 /// trace_inspect example and to archive simulator outputs.
 ///
-/// Two reading modes (see docs/ROBUSTNESS.md):
-///  - strict (default): throw std::runtime_error at the first malformed
-///    record — right for archived traces that are supposed to be clean.
-///  - recovering (ReadOptions::recovering()): skip garbled lines, tolerate
-///    a truncated tail, run trace::repair() on the salvage, and return a
-///    best-effort Trace plus a RecoveryReport. Never throws on malformed
-///    content; the worst case is a Fatal report with an empty Trace.
+/// There is one parser. It skips garbled lines, tolerates a truncated tail
+/// and runs trace::repair() on the salvage, recording every problem in a
+/// RecoveryReport. The two reading modes (see docs/ROBUSTNESS.md) differ
+/// only in what happens when that report is non-empty:
+///  - recovering (ReadOptions::recovering()): return the best-effort
+///    Trace plus the report. Never throws on malformed content; the worst
+///    case is a Fatal report with an empty Trace.
+///  - strict (default): the first diagnostic is an error — right for
+///    archived traces that are supposed to be clean. The report overloads
+///    return an empty Trace with report.fatal() set; the report-less
+///    overloads throw std::runtime_error carrying that diagnostic.
 
 #include <iosfwd>
 #include <string>
@@ -26,30 +30,30 @@ namespace logstruct::trace {
 /// Serialize a trace; deterministic byte-for-byte for a given trace.
 void write_trace(const Trace& trace, std::ostream& out);
 
-/// Parse a trace written by write_trace. Throws std::runtime_error on
-/// malformed input (strict mode; equivalent to ReadOptions::strict()).
+/// Parse a trace written by write_trace, strictly: throws
+/// std::runtime_error with the first diagnostic of a malformed input.
 Trace read_trace(std::istream& in);
 
-/// Parse with explicit options. In recover mode, problems land in
-/// `report` instead of being thrown; see the file comment. In strict
-/// mode this behaves exactly like read_trace(std::istream&) and `report`
-/// stays empty on success.
+/// Parse with explicit options; never throws on malformed content. Every
+/// problem lands in `report`. In strict mode any problem makes the
+/// result an empty Trace with report.fatal() set, so `report` stays
+/// empty exactly when the read succeeded.
 Trace read_trace(std::istream& in, const ReadOptions& options,
                  RecoveryReport& report);
 
 /// File wrappers. Both report failure the same way: a structured
 /// DiagCode::IoError (or reader diagnostics) in `report`, never an
 /// exception. save_trace returns false iff the file could not be written;
-/// load_trace returns an empty Trace with report.fatal() set when the
-/// file is missing or (in strict-as-recover terms) unreadable.
+/// load_trace reads exactly like read_trace, and a missing file is a
+/// Fatal IoError with an empty Trace in either mode.
 bool save_trace(const Trace& trace, const std::string& path,
                 RecoveryReport& report);
 Trace load_trace(const std::string& path, const ReadOptions& options,
                  RecoveryReport& report);
 
-/// Historical conveniences: save_trace returns false on I/O failure
-/// (dropping the diagnostics); load_trace throws std::runtime_error when
-/// the file is missing or malformed.
+/// Conveniences: save_trace returns false on I/O failure (dropping the
+/// diagnostics); load_trace reads strictly and throws std::runtime_error
+/// with the first diagnostic when the file is missing or malformed.
 bool save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
 

@@ -1,15 +1,11 @@
 #include "trace/projections.hpp"
 
-#include "trace/builder.hpp"
-#include "trace/repair.hpp"
-
 #include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
-#include "util/check.hpp"
+#include "trace/text_reader.hpp"
 
 namespace logstruct::trace {
 
@@ -21,33 +17,6 @@ constexpr std::int64_t kMaxPes = 1 << 16;
 
 std::string log_path(const std::string& prefix, ProcId pe) {
   return prefix + "." + std::to_string(pe) + ".log";
-}
-
-std::string read_trailing_name(std::istringstream& line) {
-  std::string sep;
-  line >> sep;
-  if (sep != "|")
-    throw std::runtime_error("projections: expected '|' before name");
-  std::string name;
-  std::getline(line, name);
-  if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-  return name;
-}
-
-bool try_read_trailing_name(std::istringstream& line, std::string* out) {
-  std::string sep;
-  line >> sep;
-  if (sep != "|") return false;
-  std::string name;
-  std::getline(line, name);
-  if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-  *out = std::move(name);
-  return true;
-}
-
-std::int32_t narrow_or_none(std::int64_t v) {
-  if (v < INT32_MIN || v > INT32_MAX) return kNone;
-  return static_cast<std::int32_t>(v);
 }
 
 }  // namespace
@@ -135,295 +104,69 @@ bool write_projections(const Trace& trace, const std::string& prefix) {
   return true;
 }
 
-Trace read_projections(const std::string& prefix) {
-  TraceBuilder tb;
-  std::int32_t num_pes = 0;
-
-  {
-    std::ifstream sts(prefix + ".sts");
-    if (!sts)
-      throw std::runtime_error("projections: cannot open " + prefix +
-                               ".sts");
-    std::string line;
-    std::getline(sts, line);
-    if (line.rfind("PROJECTIONS-STS", 0) != 0)
-      throw std::runtime_error("projections: bad sts header");
-    bool saw_end = false;
-    while (std::getline(sts, line)) {
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      if (tag == "PES") {
-        ls >> num_pes;
-      } else if (tag == "ARRAY") {
-        std::size_t id;
-        int runtime;
-        ls >> id >> runtime;
-        std::string name = read_trailing_name(ls);
-        if (tb.add_array(name, runtime != 0) != static_cast<ArrayId>(id))
-          throw std::runtime_error("projections: non-sequential array id");
-      } else if (tag == "CHARE") {
-        std::size_t id;
-        ArrayId array;
-        std::int32_t index;
-        ProcId home;
-        int runtime;
-        ls >> id >> array >> index >> home >> runtime;
-        std::string name = read_trailing_name(ls);
-        if (tb.add_chare(name, array, index, home, runtime != 0) !=
-            static_cast<ChareId>(id))
-          throw std::runtime_error("projections: non-sequential chare id");
-      } else if (tag == "ENTRY") {
-        std::size_t id;
-        int runtime;
-        std::int32_t sdag;
-        std::size_t nwhen;
-        ls >> id >> runtime >> sdag >> nwhen;
-        std::vector<EntryId> when(nwhen);
-        for (auto& w : when) ls >> w;
-        std::string name = read_trailing_name(ls);
-        if (tb.add_entry(name, runtime != 0, sdag, std::move(when)) !=
-            static_cast<EntryId>(id))
-          throw std::runtime_error("projections: non-sequential entry id");
-      } else if (tag == "END") {
-        saw_end = true;
-        break;
-      } else {
-        throw std::runtime_error("projections: unknown sts record " + tag);
-      }
-    }
-    if (!saw_end) throw std::runtime_error("projections: truncated sts");
-  }
-
-  // Pass A: create every block and its sends (keeping blocks open), and
-  // remember triggers + end times. File send ids map to fresh event ids.
-  struct PendingBlock {
-    BlockId block;
-    TimeNs end;
-    bool has_recv;
-    TimeNs begin;
-    std::int64_t src_event;  // file id of the matching creation, or -1
-  };
-  std::vector<PendingBlock> pending;
-  std::map<std::int64_t, EventId> send_of_file_id;
-
-  for (ProcId pe = 0; pe < num_pes; ++pe) {
-    std::ifstream log(log_path(prefix, pe));
-    if (!log)
-      throw std::runtime_error("projections: missing log for PE " +
-                               std::to_string(pe));
-    std::string line;
-    std::getline(log, line);
-    if (line.rfind("PROJECTIONS", 0) != 0)
-      throw std::runtime_error("projections: bad log header");
-
-    BlockId open = kNone;
-    bool saw_end = false;
-    PendingBlock current{};
-    while (std::getline(log, line)) {
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      if (tag == "BEGIN_PROCESSING") {
-        if (open != kNone)
-          throw std::runtime_error("projections: nested BEGIN_PROCESSING");
-        EntryId entry;
-        TimeNs time;
-        ChareId chare;
-        int has_recv;
-        std::int64_t src;
-        ls >> entry >> time >> chare >> has_recv >> src;
-        open = tb.begin_block(chare, pe, entry, time);
-        current = PendingBlock{open, time, has_recv != 0, time, src};
-      } else if (tag == "CREATION") {
-        if (open == kNone)
-          throw std::runtime_error("projections: CREATION outside block");
-        std::int64_t file_id;
-        EntryId entry;
-        TimeNs time;
-        ls >> file_id >> entry >> time;
-        (void)entry;  // the destination entry is re-derived on the recv side
-        EventId ev = tb.add_send(open, time);
-        if (!send_of_file_id.emplace(file_id, ev).second)
-          throw std::runtime_error("projections: duplicate creation id");
-      } else if (tag == "END_PROCESSING") {
-        if (open == kNone)
-          throw std::runtime_error("projections: unmatched END_PROCESSING");
-        ls >> current.end;
-        pending.push_back(current);
-        open = kNone;
-      } else if (tag == "BEGIN_IDLE" || tag == "END_IDLE") {
-        // Idle pairs handled in a second scan below (they need no block
-        // context, but we must pair BEGIN with END).
-      } else if (tag == "END") {
-        saw_end = true;
-        break;
-      } else {
-        throw std::runtime_error("projections: unknown log record " + tag);
-      }
-      if (!ls && !ls.eof())
-        throw std::runtime_error("projections: parse error: " + line);
-    }
-    if (open != kNone || !saw_end)
-      throw std::runtime_error("projections: truncated log for PE " +
-                               std::to_string(pe));
-  }
-
-  // Pass B: triggers (every send now exists), then close the blocks.
-  for (const PendingBlock& pb : pending) {
-    if (!pb.has_recv) continue;
-    EventId send = kNone;
-    if (pb.src_event >= 0) {
-      auto it = send_of_file_id.find(pb.src_event);
-      if (it == send_of_file_id.end())
-        throw std::runtime_error("projections: recv references unknown "
-                                 "creation");
-      send = it->second;
-    }
-    tb.add_recv(pb.block, pb.begin, send);
-  }
-  for (const PendingBlock& pb : pending) tb.end_block(pb.block, pb.end);
-
-  // Idle spans: second scan of the logs.
-  for (ProcId pe = 0; pe < num_pes; ++pe) {
-    std::ifstream log(log_path(prefix, pe));
-    std::string line;
-    TimeNs idle_begin = -1;
-    while (std::getline(log, line)) {
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      if (tag == "BEGIN_IDLE") {
-        ls >> idle_begin;
-      } else if (tag == "END_IDLE") {
-        TimeNs idle_end;
-        ls >> idle_end;
-        if (idle_begin < 0)
-          throw std::runtime_error("projections: unmatched END_IDLE");
-        tb.add_idle(pe, idle_begin, idle_end);
-        idle_begin = -1;
-      }
-    }
-    if (idle_begin >= 0)
-      throw std::runtime_error("projections: unmatched BEGIN_IDLE");
-  }
-
-  return tb.finish(num_pes);
-}
-
 namespace {
 
-/// Recovering Projections parse: salvage into a RawTrace (synthetic
-/// sequential block/event ids, like the strict reader's two passes), then
-/// repair + freeze. Never throws on malformed content.
-Trace read_projections_recovering(const std::string& prefix,
-                                  RecoveryReport& report) {
-  RawTrace raw;
+/// The one Projections parser: the .sts tables and every per-PE log go
+/// into a RawTrace with synthetic, gap-free block and event ids (sends in
+/// log order, then receives in block order). Missing logs, truncated
+/// tails, garbled lines and dangling creation references become
+/// diagnostics. Returns the bytes consumed.
+std::size_t parse_projections(const std::string& prefix, RawTrace& raw,
+                              RecoveryReport& report) {
+  std::size_t bytes = 0;
+  std::string text;
+  if (!detail::read_file(prefix + ".sts", &text)) {
+    report.add(DiagCode::IoError, Severity::Fatal,
+               "cannot open " + prefix + ".sts");
+    return bytes;
+  }
+  bytes += text.size();
   std::int64_t num_pes = 0;
-
   {
-    std::ifstream sts(prefix + ".sts");
-    if (!sts) {
-      report.add(DiagCode::IoError, Severity::Fatal,
-                 "cannot open " + prefix + ".sts");
-      return build_trace(std::move(raw), 0);
-    }
-    std::string line;
-    std::int64_t lineno = 1;
-    std::getline(sts, line);
-    if (line.rfind("PROJECTIONS-STS", 0) != 0) {
+    detail::LineCursor cur(text);
+    if (!cur.next_line() || !cur.line().starts_with("PROJECTIONS-STS")) {
       report.add(DiagCode::BadHeader, Severity::Fatal,
                  "not a Projections sts file", -1, 1);
-      return build_trace(std::move(raw), 0);
+      return bytes;
     }
     bool saw_end = false;
-    while (!saw_end && std::getline(sts, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      auto parse_error = [&](const char* what) {
-        report.add(DiagCode::ParseError, Severity::Warning,
-                   std::string("garbled sts ") + what + " record skipped",
-                   -1, lineno);
-      };
+    while (!saw_end && cur.next_line()) {
+      if (cur.blank_line()) continue;
+      const std::string_view tag = cur.word();
+      bool garbled = false;
       if (tag == "PES") {
         std::int64_t n = 0;
-        ls >> n;
-        if (ls.fail() || n < 0) {
-          parse_error("PES");
-        } else if (n > kMaxPes) {
+        garbled = (cur >> n).fail() || n < 0;
+        if (!garbled && n > kMaxPes)
           report.add(DiagCode::ParseError, Severity::Warning,
-                     "implausible PE count clamped", -1, lineno);
-          num_pes = kMaxPes;
-        } else {
-          num_pes = n;
-        }
+                     "implausible PE count clamped", -1, cur.lineno());
+        if (!garbled) num_pes = std::min(n, kMaxPes);
       } else if (tag == "ARRAY") {
-        RawRecord<ArrayInfo> r;
-        int runtime = 0;
-        ls >> r.id >> runtime;
-        if (ls.fail() || !try_read_trailing_name(ls, &r.info.name)) {
-          parse_error("ARRAY");
-          continue;
-        }
-        r.info.runtime = runtime != 0;
-        raw.arrays.push_back(std::move(r));
+        garbled = !detail::read_array(cur, raw);
       } else if (tag == "CHARE") {
-        RawRecord<ChareInfo> r;
-        std::int64_t array = 0, index = 0, home = 0;
-        int runtime = 0;
-        ls >> r.id >> array >> index >> home >> runtime;
-        if (ls.fail() || !try_read_trailing_name(ls, &r.info.name)) {
-          parse_error("CHARE");
-          continue;
-        }
-        r.info.array = narrow_or_none(array);
-        r.info.index = narrow_or_none(index);
-        r.info.home = narrow_or_none(home);
-        r.info.runtime = runtime != 0;
-        raw.chares.push_back(std::move(r));
+        garbled = !detail::read_chare(cur, raw);
       } else if (tag == "ENTRY") {
-        RawRecord<EntryInfo> r;
-        std::int64_t sdag = 0, nwhen = 0;
-        int runtime = 0;
-        ls >> r.id >> runtime >> sdag >> nwhen;
-        if (ls.fail() || nwhen < 0 || nwhen > kMaxPes) {
-          parse_error("ENTRY");
-          continue;
-        }
-        r.info.runtime = runtime != 0;
-        r.info.sdag_serial = narrow_or_none(sdag);
-        r.info.when_entries.resize(static_cast<std::size_t>(nwhen));
-        std::int64_t w = 0;
-        for (auto& we : r.info.when_entries) {
-          ls >> w;
-          we = narrow_or_none(w);
-        }
-        if (ls.fail() || !try_read_trailing_name(ls, &r.info.name)) {
-          parse_error("ENTRY");
-          continue;
-        }
-        raw.entries.push_back(std::move(r));
+        garbled = !detail::read_entry(cur, raw);
       } else if (tag == "END") {
         saw_end = true;
       } else {
         report.add(DiagCode::UnknownRecord, Severity::Warning,
-                   "unknown sts record '" + tag + "' skipped", -1, lineno);
+                   "unknown sts record '" + std::string(tag) + "' skipped",
+                   -1, cur.lineno());
       }
+      if (garbled)
+        report.add(DiagCode::ParseError, Severity::Warning,
+                   "garbled sts " + std::string(tag) + " record skipped", -1,
+                   cur.lineno());
     }
     if (!saw_end)
       report.add(DiagCode::TruncatedFile, Severity::Warning,
-                 "sts ended before END", -1, lineno);
+                 "sts ended before END", -1, cur.lineno());
   }
   raw.num_procs = static_cast<std::int32_t>(num_pes);
 
-  // Pass A: blocks and their CREATIONs, tolerating truncated/garbled
-  // logs. Block and event ids are synthetic and gap-free; file creation
-  // ids resolve through a map in pass B.
+  // Pass A: blocks and their CREATIONs. File creation ids resolve through
+  // a map in pass B, once every log has been read.
   struct PendingRecv {
     std::size_t block;       // index into raw.blocks
     TimeNs begin;
@@ -433,16 +176,14 @@ Trace read_projections_recovering(const std::string& prefix,
   std::map<std::int64_t, std::int64_t> send_of_file_id;
 
   for (ProcId pe = 0; pe < static_cast<ProcId>(num_pes); ++pe) {
-    std::ifstream log(log_path(prefix, pe));
-    if (!log) {
+    if (!detail::read_file(log_path(prefix, pe), &text)) {
       report.add(DiagCode::MissingLog, Severity::Error,
                  "missing log for PE " + std::to_string(pe), pe);
       continue;
     }
-    std::string line;
-    std::int64_t lineno = 1;
-    std::getline(log, line);
-    if (line.rfind("PROJECTIONS", 0) != 0) {
+    bytes += text.size();
+    detail::LineCursor cur(text);
+    if (!cur.next_line() || !cur.line().starts_with("PROJECTIONS")) {
       report.add(DiagCode::BadHeader, Severity::Error,
                  "log for PE " + std::to_string(pe) +
                      " has no PROJECTIONS header; file skipped",
@@ -453,84 +194,66 @@ Trace read_projections_recovering(const std::string& prefix,
     std::ptrdiff_t open = -1;  // index into raw.blocks, -1 when closed
     TimeNs idle_begin = -1;
     bool saw_end = false;
-    while (!saw_end && std::getline(log, line)) {
-      ++lineno;
-      if (line.empty()) continue;
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag;
-      auto parse_error = [&](const char* what) {
+    while (!saw_end && cur.next_line()) {
+      if (cur.blank_line()) continue;
+      const std::string_view tag = cur.word();
+      auto garbled = [&] {
         report.add(DiagCode::ParseError, Severity::Warning,
-                   std::string("garbled ") + what + " record skipped", pe,
-                   lineno);
+                   "garbled " + std::string(tag) + " record skipped", pe,
+                   cur.lineno());
       };
       if (tag == "BEGIN_PROCESSING") {
         std::int64_t entry = 0, chare = 0, src = 0;
         TimeNs time = 0;
         int has_recv = 0;
-        ls >> entry >> time >> chare >> has_recv >> src;
-        if (ls.fail()) {
-          parse_error("BEGIN_PROCESSING");
+        if ((cur >> entry >> time >> chare >> has_recv >> src).fail()) {
+          garbled();
           continue;
         }
         if (open >= 0) {
           // The previous block never saw its END_PROCESSING; leave it
           // end-less for repair() to close.
           report.add(DiagCode::UnmatchedScope, Severity::Warning,
-                     "BEGIN_PROCESSING while a block is open", pe, lineno);
+                     "BEGIN_PROCESSING while a block is open", pe,
+                     cur.lineno());
         }
-        RawBlock b;
-        b.id = static_cast<std::int64_t>(raw.blocks.size());
-        b.chare = chare;
-        b.proc = pe;
-        b.entry = entry;
-        b.begin = time;
-        b.end = time;
-        b.has_end = false;
         open = static_cast<std::ptrdiff_t>(raw.blocks.size());
-        raw.blocks.push_back(b);
+        raw.blocks.push_back({open, chare, pe, entry, time, time,
+                              /*has_end=*/false});
         if (has_recv != 0)
-          pending.push_back(
-              {static_cast<std::size_t>(open), time, src});
+          pending.push_back({static_cast<std::size_t>(open), time, src});
       } else if (tag == "CREATION") {
         std::int64_t file_id = 0, entry = 0;
         TimeNs time = 0;
-        ls >> file_id >> entry >> time;
-        (void)entry;
-        if (ls.fail()) {
-          parse_error("CREATION");
+        // The destination entry is re-derived on the receive side.
+        if ((cur >> file_id >> entry >> time).fail()) {
+          garbled();
           continue;
         }
         if (open < 0) {
           report.add(DiagCode::UnmatchedScope, Severity::Warning,
-                     "CREATION outside any block; dropped", pe, lineno);
+                     "CREATION outside any block; dropped", pe,
+                     cur.lineno());
           continue;
         }
-        const std::int64_t ev = static_cast<std::int64_t>(raw.events.size());
+        const auto ev = static_cast<std::int64_t>(raw.events.size());
         if (!send_of_file_id.emplace(file_id, ev).second) {
           report.add(DiagCode::DuplicateRecord, Severity::Warning,
                      "duplicate creation id " + std::to_string(file_id) +
                          "; later copy dropped",
-                     pe, lineno);
+                     pe, cur.lineno());
           continue;
         }
-        RawEvent e;
-        e.id = ev;
-        e.kind = EventKind::Send;
-        e.time = time;
-        e.block = static_cast<std::int64_t>(open);
-        e.partner = kNone;
-        raw.events.push_back(e);
+        raw.events.push_back({ev, EventKind::Send, time, open, kNone});
       } else if (tag == "END_PROCESSING") {
         if (open < 0) {
           report.add(DiagCode::UnmatchedScope, Severity::Warning,
-                     "END_PROCESSING with no open block", pe, lineno);
+                     "END_PROCESSING with no open block", pe, cur.lineno());
           continue;
         }
         TimeNs end = 0;
-        ls >> end;
-        if (ls.fail()) {
-          parse_error("END_PROCESSING");
+        if ((cur >> end).fail()) {
+          garbled();
         } else {
           raw.blocks[static_cast<std::size_t>(open)].end = end;
           raw.blocks[static_cast<std::size_t>(open)].has_end = true;
@@ -538,26 +261,24 @@ Trace read_projections_recovering(const std::string& prefix,
         open = -1;
       } else if (tag == "BEGIN_IDLE") {
         TimeNs t = 0;
-        ls >> t;
-        if (ls.fail()) {
-          parse_error("BEGIN_IDLE");
+        if ((cur >> t).fail()) {
+          garbled();
           continue;
         }
         if (idle_begin >= 0)
           report.add(DiagCode::UnmatchedScope, Severity::Warning,
                      "BEGIN_IDLE while idle; earlier span dropped", pe,
-                     lineno);
+                     cur.lineno());
         idle_begin = t;
       } else if (tag == "END_IDLE") {
         TimeNs t = 0;
-        ls >> t;
-        if (ls.fail()) {
-          parse_error("END_IDLE");
+        if ((cur >> t).fail()) {
+          garbled();
           continue;
         }
         if (idle_begin < 0) {
           report.add(DiagCode::UnmatchedScope, Severity::Warning,
-                     "END_IDLE with no open idle span", pe, lineno);
+                     "END_IDLE with no open idle span", pe, cur.lineno());
           continue;
         }
         raw.idles.push_back(IdleSpan{pe, idle_begin, t});
@@ -566,22 +287,23 @@ Trace read_projections_recovering(const std::string& prefix,
         saw_end = true;
       } else {
         report.add(DiagCode::UnknownRecord, Severity::Warning,
-                   "unknown log record '" + tag + "' skipped", pe, lineno);
+                   "unknown log record '" + std::string(tag) + "' skipped",
+                   pe, cur.lineno());
       }
     }
     if (!saw_end)
       report.add(DiagCode::TruncatedFile, Severity::Warning,
                  "log for PE " + std::to_string(pe) +
                      " ended before END (crashed run?)",
-                 pe, lineno);
+                 pe, cur.lineno());
     if (idle_begin >= 0)
       report.add(DiagCode::UnmatchedScope, Severity::Warning,
-                 "BEGIN_IDLE never closed; span dropped", pe, lineno);
+                 "BEGIN_IDLE never closed; span dropped", pe, cur.lineno());
     // An end-less open block is expected after truncation; repair()
     // synthesizes its end from its events.
   }
 
-  // Pass B: receives, in the order the strict reader emits them.
+  // Pass B: receives, one per receiving block, in block order.
   for (const PendingRecv& pr : pending) {
     std::int64_t send = kNone;
     if (pr.src_event >= 0) {
@@ -596,25 +318,28 @@ Trace read_projections_recovering(const std::string& prefix,
         send = it->second;
       }
     }
-    RawEvent e;
-    e.id = static_cast<std::int64_t>(raw.events.size());
-    e.kind = EventKind::Recv;
-    e.time = pr.begin;
-    e.block = static_cast<std::int64_t>(pr.block);
-    e.partner = send;
-    raw.events.push_back(e);
+    raw.events.push_back({static_cast<std::int64_t>(raw.events.size()),
+                          EventKind::Recv, pr.begin,
+                          static_cast<std::int64_t>(pr.block), send});
   }
-
-  repair(raw, report);
-  return build_trace(std::move(raw), 0);
+  return bytes;
 }
 
 }  // namespace
 
+Trace read_projections(const std::string& prefix) {
+  RecoveryReport report;
+  Trace trace = read_projections(prefix, ReadOptions::strict(), report);
+  detail::throw_if_rejected(report);
+  return trace;
+}
+
 Trace read_projections(const std::string& prefix,
                        const ReadOptions& options, RecoveryReport& report) {
-  if (options.recover) return read_projections_recovering(prefix, report);
-  return read_projections(prefix);
+  return detail::read_text(options, report,
+                           [&](RawTrace& raw, RecoveryReport& r) {
+                             return parse_projections(prefix, raw, r);
+                           });
 }
 
 }  // namespace logstruct::trace

@@ -35,17 +35,19 @@ namespace logstruct::trace {
 /// Returns false on I/O failure or if the trace holds collectives.
 bool write_projections(const Trace& trace, const std::string& prefix);
 
-/// Read logs written by write_projections. Throws std::runtime_error on
-/// malformed input or missing files.
+/// Read logs written by write_projections, strictly: throws
+/// std::runtime_error with the first diagnostic of malformed input or
+/// missing files.
 Trace read_projections(const std::string& prefix);
 
-/// Read with explicit options. In ReadOptions::recovering() mode missing
-/// PE logs, truncated tails (crashed runs), garbled lines, and dangling
-/// creation references become diagnostics in `report` instead of
-/// exceptions; the salvage goes through trace::repair(). Never throws on
-/// malformed content — an unreadable/foreign .sts yields a Fatal report
-/// and an empty Trace. Strict mode behaves exactly like
-/// read_projections(prefix). See docs/ROBUSTNESS.md.
+/// Read with explicit options; never throws on malformed content. The
+/// one parser turns missing PE logs, truncated tails (crashed runs),
+/// garbled lines, and dangling creation references into diagnostics in
+/// `report`, and the salvage goes through trace::repair(). An
+/// unreadable/foreign .sts yields a Fatal report and an empty Trace. In
+/// ReadOptions::recovering() mode the salvage is returned; in strict
+/// mode any diagnostic makes the result an empty Trace with
+/// report.fatal() set. See docs/ROBUSTNESS.md.
 Trace read_projections(const std::string& prefix,
                        const ReadOptions& options, RecoveryReport& report);
 

@@ -1,8 +1,8 @@
 #include "trace/repair.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -43,52 +43,59 @@ TimeNs clamp_time(TimeNs t, std::int64_t* clamped) {
 }
 
 /// Sort a raw table by claimed id (file order preserved within one id),
-/// drop duplicates and out-of-cap ids, and report gaps. Returns the
-/// number of distinct valid ids; `remap` (when non-null) receives
-/// claimed id -> dense index.
+/// drop duplicates and out-of-cap ids, and report gaps. Surviving ids
+/// stay below the table's original size + kIdSlack.
 template <typename Rec>
-std::int64_t normalize_ids(
-    std::vector<Rec>& recs, const char* what, RecoveryReport& report,
-    std::unordered_map<std::int64_t, std::int32_t>* remap) {
+void normalize_ids(std::vector<Rec>& recs, const char* what,
+                   RecoveryReport& report) {
   const std::int64_t cap =
       static_cast<std::int64_t>(recs.size()) + kIdSlack;
-  std::vector<Rec> kept;
-  kept.reserve(recs.size());
-  for (Rec& r : recs) {
-    if (r.id < 0 || r.id >= cap) {
-      report.add(DiagCode::DroppedRecord, Severity::Warning,
-                 cat(what, " id ", r.id, " out of plausible range"));
-      continue;
-    }
-    kept.push_back(std::move(r));
-  }
-  std::stable_sort(kept.begin(), kept.end(),
-                   [](const Rec& a, const Rec& b) { return a.id < b.id; });
-  std::vector<Rec> out;
-  out.reserve(kept.size());
-  std::int64_t prev = -1;
-  for (Rec& r : kept) {
-    if (r.id == prev) {
+  std::erase_if(recs, [&](const Rec& r) {
+    if (r.id >= 0 && r.id < cap) return false;
+    report.add(DiagCode::DroppedRecord, Severity::Warning,
+               cat(what, " id ", r.id, " out of plausible range"));
+    return true;
+  });
+  const auto by_id = [](const Rec& a, const Rec& b) { return a.id < b.id; };
+  if (!std::is_sorted(recs.begin(), recs.end(), by_id))
+    std::stable_sort(recs.begin(), recs.end(), by_id);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const std::int64_t id = recs[i].id;
+    if (kept > 0 && id == recs[kept - 1].id) {
       report.add(DiagCode::DeduplicatedRecord, Severity::Warning,
-                 cat("duplicate ", what, " id ", r.id, " dropped"));
+                 cat("duplicate ", what, " id ", id, " dropped"));
       continue;
     }
-    if (prev >= 0 && r.id != prev + 1) {
+    if (kept > 0 && id != recs[kept - 1].id + 1) {
       report.add(DiagCode::NonSequentialId, Severity::Warning,
-                 cat(what, " ids skip from ", prev, " to ", r.id,
+                 cat(what, " ids skip from ", recs[kept - 1].id, " to ", id,
                      " (lines lost)"));
     }
-    prev = r.id;
-    out.push_back(std::move(r));
+    if (i != kept) recs[kept] = std::move(recs[i]);
+    ++kept;
   }
-  if (remap) {
-    remap->clear();
-    remap->reserve(out.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      (*remap)[out[i].id] = static_cast<std::int32_t>(i);
-  }
-  recs = std::move(out);
-  return static_cast<std::int64_t>(recs.size());
+  recs.resize(kept);
+}
+
+/// Claimed id -> dense index over id-sorted records (kNone for ids that
+/// did not survive). Ids are bounded by normalize_ids, so a flat table
+/// replaces a hash map.
+template <typename Rec>
+std::vector<std::int32_t> dense_remap(const std::vector<Rec>& recs) {
+  std::vector<std::int32_t> remap(
+      recs.empty() ? 0 : static_cast<std::size_t>(recs.back().id) + 1,
+      kNone);
+  for (std::size_t i = 0; i < recs.size(); ++i)
+    remap[static_cast<std::size_t>(recs[i].id)] = static_cast<std::int32_t>(i);
+  return remap;
+}
+
+/// remap[id], or kNone when `id` is outside the table.
+std::int32_t lookup(const std::vector<std::int32_t>& remap, std::int64_t id) {
+  return id >= 0 && static_cast<std::size_t>(id) < remap.size()
+             ? remap[static_cast<std::size_t>(id)]
+             : kNone;
 }
 
 /// Densify a metadata table, synthesizing placeholder records for gaps so
@@ -123,10 +130,10 @@ void repair(RawTrace& raw, RecoveryReport& report) {
   std::int64_t clamped = 0;
 
   // --- metadata tables: dedup, then densify with stubs -----------------
-  normalize_ids(raw.arrays, "array", report, nullptr);
-  normalize_ids(raw.chares, "chare", report, nullptr);
-  normalize_ids(raw.entries, "entry", report, nullptr);
-  normalize_ids(raw.blocks, "block", report, nullptr);
+  normalize_ids(raw.arrays, "array", report);
+  normalize_ids(raw.chares, "chare", report);
+  normalize_ids(raw.entries, "entry", report);
+  normalize_ids(raw.blocks, "block", report);
 
   // References may name metadata ids whose defining lines were lost; the
   // reference proves the record existed, so extend the stub range to
@@ -193,10 +200,9 @@ void repair(RawTrace& raw, RecoveryReport& report) {
 
   // --- blocks: drop unusable ones, clamp spans --------------------------
   const std::int32_t proc_cap = std::max(raw.num_procs, kMaxProcs);
-  std::unordered_map<std::int64_t, std::int32_t> block_remap;
+  std::vector<std::int32_t> block_remap;
   {
-    std::vector<RawBlock> kept;
-    kept.reserve(raw.blocks.size());
+    std::size_t kept = 0;  // compacted in place
     for (RawBlock& b : raw.blocks) {
       const bool bad_chare =
           b.chare < 0 || static_cast<std::size_t>(b.chare) >= chares.size();
@@ -219,39 +225,34 @@ void repair(RawTrace& raw, RecoveryReport& report) {
         b.has_end = false;
         b.end = b.begin;
       }
-      kept.push_back(std::move(b));
+      raw.blocks[kept++] = b;
     }
-    raw.blocks = std::move(kept);
-    block_remap.reserve(raw.blocks.size());
-    for (std::size_t i = 0; i < raw.blocks.size(); ++i)
-      block_remap[raw.blocks[i].id] = static_cast<std::int32_t>(i);
+    raw.blocks.resize(kept);
+    block_remap = dense_remap(raw.blocks);
     raw.num_procs = std::max(raw.num_procs, 0);
     for (const RawBlock& b : raw.blocks)
       raw.num_procs = std::max(raw.num_procs, b.proc + 1);
   }
 
   // --- events: dedup/densify, remap block refs, clamp times ------------
-  std::unordered_map<std::int64_t, std::int32_t> event_remap;
-  normalize_ids(raw.events, "event", report, nullptr);
+  std::vector<std::int32_t> event_remap;
+  normalize_ids(raw.events, "event", report);
   {
-    std::vector<RawEvent> kept;
-    kept.reserve(raw.events.size());
+    std::size_t kept = 0;  // compacted in place
     for (RawEvent& e : raw.events) {
-      auto it = block_remap.find(e.block);
-      if (it == block_remap.end()) {
+      const std::int32_t block = lookup(block_remap, e.block);
+      if (block == kNone) {
         report.add(DiagCode::DanglingReference, Severity::Error,
                    cat("event ", e.id, " dropped: its block ", e.block,
                        " was lost"));
         continue;
       }
-      e.block = it->second;
+      e.block = block;
       e.time = clamp_time(e.time, &clamped);
-      kept.push_back(std::move(e));
+      raw.events[kept++] = e;
     }
-    raw.events = std::move(kept);
-    event_remap.reserve(raw.events.size());
-    for (std::size_t i = 0; i < raw.events.size(); ++i)
-      event_remap[raw.events[i].id] = static_cast<std::int32_t>(i);
+    raw.events.resize(kept);
+    event_remap = dense_remap(raw.events);
   }
 
   auto mark_degraded = [&](std::int64_t chare) {
@@ -270,19 +271,19 @@ void repair(RawTrace& raw, RecoveryReport& report) {
       continue;
     }
     if (e.partner == kNone) continue;
-    auto it = event_remap.find(e.partner);
+    const std::int32_t partner = lookup(event_remap, e.partner);
     const std::int64_t recv_chare =
         raw.blocks[static_cast<std::size_t>(e.block)].chare;
-    if (it == event_remap.end()) {
+    if (partner == kNone) {
       report.add(DiagCode::DroppedDanglingPartner, Severity::Warning,
                  cat("recv ", e.id, " lost its matching send ", e.partner));
       e.partner = kNone;
       mark_degraded(recv_chare);
       continue;
     }
-    const RawEvent& s = raw.events[static_cast<std::size_t>(it->second)];
+    const RawEvent& s = raw.events[static_cast<std::size_t>(partner)];
     if (s.kind != EventKind::Send ||
-        it->second == static_cast<std::int32_t>(i)) {
+        partner == static_cast<std::int32_t>(i)) {
       report.add(DiagCode::DroppedDanglingPartner, Severity::Warning,
                  cat("recv ", e.id, " partnered with a non-send; match "
                      "dropped"));
@@ -290,21 +291,33 @@ void repair(RawTrace& raw, RecoveryReport& report) {
       mark_degraded(recv_chare);
       continue;
     }
-    e.partner = it->second;
+    e.partner = partner;
   }
 
   // --- per-block event containment and block-end synthesis -------------
   {
-    std::vector<std::vector<std::int32_t>> events_of_block(
-        raw.blocks.size());
-    for (std::size_t i = 0; i < raw.events.size(); ++i)
-      events_of_block[static_cast<std::size_t>(raw.events[i].block)]
-          .push_back(static_cast<std::int32_t>(i));
+    // CSR of event indices per block, in event order.
+    std::vector<std::int32_t> first(raw.blocks.size() + 1, 0);
+    for (const RawEvent& e : raw.events)
+      ++first[static_cast<std::size_t>(e.block) + 1];
+    for (std::size_t b = 0; b < raw.blocks.size(); ++b)
+      first[b + 1] += first[b];
+    std::vector<std::int32_t> events_of_block(raw.events.size());
+    {
+      std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
+      for (std::size_t i = 0; i < raw.events.size(); ++i)
+        events_of_block[static_cast<std::size_t>(
+            fill[static_cast<std::size_t>(raw.events[i].block)]++)] =
+            static_cast<std::int32_t>(i);
+    }
     for (std::size_t b = 0; b < raw.blocks.size(); ++b) {
       RawBlock& blk = raw.blocks[b];
+      const std::span<const std::int32_t> evs(
+          events_of_block.data() + first[b],
+          static_cast<std::size_t>(first[b + 1] - first[b]));
       if (!blk.has_end) {
         TimeNs end = blk.begin;
-        for (std::int32_t ei : events_of_block[b])
+        for (std::int32_t ei : evs)
           end = std::max(end, raw.events[static_cast<std::size_t>(ei)].time);
         blk.end = end;
         blk.has_end = true;
@@ -312,7 +325,7 @@ void repair(RawTrace& raw, RecoveryReport& report) {
                    cat("block ", blk.id, " end synthesized at t=", end,
                        " (log truncated)"));
       }
-      for (std::int32_t ei : events_of_block[b]) {
+      for (std::int32_t ei : evs) {
         RawEvent& e = raw.events[static_cast<std::size_t>(ei)];
         const TimeNs fixed = std::clamp(e.time, blk.begin, blk.end);
         if (fixed != e.time) {
@@ -471,16 +484,15 @@ void repair(RawTrace& raw, RecoveryReport& report) {
                                EventKind want,
                                std::vector<std::int64_t>& out) {
         for (std::int64_t m : in) {
-          auto it = event_remap.find(m);
-          if (it == event_remap.end() ||
-              raw.events[static_cast<std::size_t>(it->second)].kind !=
-                  want) {
+          const std::int32_t member = lookup(event_remap, m);
+          if (member == kNone ||
+              raw.events[static_cast<std::size_t>(member)].kind != want) {
             report.add(DiagCode::DanglingReference, Severity::Warning,
                        cat("collective member ", m,
                            " lost or wrong kind; dropped"));
             continue;
           }
-          out.push_back(it->second);
+          out.push_back(member);
         }
       };
       remap_members(coll.sends, EventKind::Send, fixed.sends);
@@ -516,7 +528,14 @@ void repair(RawTrace& raw, RecoveryReport& report) {
     raw.entries.push_back({static_cast<std::int64_t>(i),
                            std::move(entries[i])});
 
-  // Degraded set: dedup, bound-check.
+  // Degraded set: bound-check, dedup.
+  std::erase_if(raw.degraded_chares, [&](std::int64_t c) {
+    if (c >= 0 && static_cast<std::size_t>(c) < raw.chares.size())
+      return false;
+    report.add(DiagCode::DanglingReference, Severity::Warning,
+               cat("degraded flag for unknown chare ", c, " dropped"));
+    return true;
+  });
   std::sort(raw.degraded_chares.begin(), raw.degraded_chares.end());
   raw.degraded_chares.erase(std::unique(raw.degraded_chares.begin(),
                                         raw.degraded_chares.end()),
@@ -582,8 +601,8 @@ Trace build_trace(RawTrace&& raw, int threads) {
       blk.trigger = static_cast<EventId>(i);
   }
 
-  // Send-side matching rebuilt from the recv side, in recv id order (the
-  // same order the strict reader produces).
+  // Send-side matching rebuilt from the recv side, in recv id order: a
+  // send's partner is its first receiver.
   for (EventId id = 0; id < static_cast<EventId>(trace.events_.size());
        ++id) {
     Event& e = trace.events_[static_cast<std::size_t>(id)];

@@ -3,11 +3,11 @@
 /// \file repair.hpp
 /// Salvage-to-well-formedness: the RawTrace intermediate and repair().
 ///
-/// A recovering reader (io.hpp, projections.hpp in ReadOptions::recover
-/// mode) parses whatever lines survive into a RawTrace — records keep the
-/// ids the file claimed, so dropped/duplicated/reordered lines are visible
-/// as gaps and collisions. repair() then turns that salvage into data the
-/// strict pipeline can trust:
+/// Every text reader (io.hpp, projections.hpp, in either ReadOptions mode)
+/// parses whatever lines survive into a RawTrace — records keep the ids
+/// the file claimed, so dropped/duplicated/reordered lines are visible as
+/// gaps and collisions. repair() then turns that salvage into data the
+/// pipeline can trust:
 ///
 ///   - duplicate ids            -> later copies dropped (first one wins)
 ///   - gaps in metadata tables  -> placeholder arrays/chares/entries so
@@ -17,7 +17,8 @@
 ///                                 send/recv partners become kNone (the
 ///                                 untraced-dependency case the pipeline
 ///                                 already handles); the affected chares
-///                                 are flagged degraded
+///                                 are flagged degraded; degraded flags
+///                                 naming unknown chares are dropped
 ///   - missing/invalid block end-> synthesized from the block's events
 ///   - out-of-order timestamps  -> clamped into the block span / after
 ///                                 the matching send
@@ -25,8 +26,9 @@
 ///
 /// Every fix is counted in the RecoveryReport (and, via
 /// RecoveryReport::export_counters, in the `trace/recovery/*` obs
-/// counters). For well-formed input repair() is the identity and
-/// build_trace() reproduces the strict reader's Trace bit-for-bit.
+/// counters). For well-formed input repair() is the identity and records
+/// nothing, which is what lets a strict read succeed; build_trace() then
+/// freezes exactly the Trace that was written.
 
 #include <cstdint>
 #include <vector>

@@ -51,6 +51,7 @@ class ByteReader {
   void raw(void* data, std::size_t bytes) {
     if (static_cast<std::size_t>(end_ - p_) < bytes)
       throw std::runtime_error("lsblk: truncated trace metadata");
+    if (bytes == 0) return;  // empty vectors have a null data()
     std::memcpy(data, p_, bytes);
     p_ += bytes;
   }

@@ -3,9 +3,9 @@
 /// \file trace.hpp
 /// Immutable event trace container over a pluggable storage backend.
 ///
-/// A Trace is produced by a TraceBuilder (fed by the simulators or the
-/// reader) and then frozen; the ordering pipeline and metrics only read
-/// it. Freezing materializes flat columnar tables — events, blocks,
+/// A Trace is produced by a TraceBuilder (fed by the simulators) or by
+/// build_trace() (fed by the readers) and then frozen; the ordering
+/// pipeline and metrics only read it. Freezing materializes flat columnar tables — events, blocks,
 /// idles, the SoA dependency table with its CSR `dep_begin_` index, and
 /// CSR groupings per block / chare / processor — behind one of two
 /// backends (trace/storage/options.hpp):
@@ -20,7 +20,6 @@
 /// structure-hash suite runs the matrix.
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <vector>
@@ -36,9 +35,8 @@ class TraceBuilder;
 class Trace;
 struct RawTrace;
 
-/// Declared here for friendship; see skew.hpp / io.hpp / repair.hpp.
+/// Declared here for friendship; see skew.hpp / repair.hpp.
 Trace apply_clock_skew(const Trace& trace, std::span<const TimeNs> delta);
-Trace read_trace(std::istream& in);
 Trace build_trace(RawTrace&& raw, int threads);
 
 namespace storage {
@@ -246,7 +244,6 @@ class Trace {
   friend class TraceBuilder;
   friend Trace apply_clock_skew(const Trace& trace,
                                 std::span<const TimeNs> delta);
-  friend Trace read_trace(std::istream& in);
   friend Trace build_trace(RawTrace&& raw, int threads);
   friend void storage::freeze_blocked(Trace& trace, int threads);
   friend Trace storage::open_blocked_trace(const std::string& path);

@@ -2,9 +2,10 @@
 /// the TraceCorruptor's fault matrix plus raw random bytes. The contract
 /// under test is narrow and absolute — the recovering reader NEVER
 /// throws on malformed content and always terminates; the strict reader
-/// either succeeds or throws std::runtime_error (never UB — the CI
-/// sanitizer job runs this same sweep under ASan+UBSan). Seeds are
-/// fixed, so a failure reproduces identically everywhere.
+/// succeeds exactly when recovery reports nothing and otherwise throws
+/// std::runtime_error (never UB — the CI sanitizer job runs this same
+/// sweep under ASan+UBSan). Seeds are fixed, so a failure reproduces
+/// identically everywhere.
 
 #include <gtest/gtest.h>
 
@@ -43,14 +44,19 @@ RecoveryReport recover_read(const std::string& text, Trace* out = nullptr) {
   return report;
 }
 
-/// Strict read: success or std::runtime_error are both fine; anything
-/// else (other exception types, crashes, sanitizer trips) is a bug.
+/// Strict read: it succeeds exactly when a recovering read of the same
+/// bytes reports nothing, and every success passes validate(); a
+/// rejection is a std::runtime_error. Anything else (other exception
+/// types, crashes, sanitizer trips) is a bug.
 void strict_read_is_contained(const std::string& text) {
+  const bool clean = recover_read(text).empty();
   std::istringstream in(text);
   try {
     Trace t = read_trace(in);
-    (void)t;
+    EXPECT_TRUE(clean) << "strict read accepted what recovery reports";
+    EXPECT_TRUE(validate(t).empty());
   } catch (const std::runtime_error&) {
+    EXPECT_FALSE(clean) << "strict read rejected a clean input";
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/builder.hpp"
 #include "trace/validate.hpp"
@@ -133,6 +135,44 @@ TEST(TraceIo, TruncatedFileThrows) {
 TEST(TraceIo, UnknownRecordThrows) {
   std::istringstream is("lstrace 1\nprocs 1\nbogus 1 2 3\nend\n");
   EXPECT_THROW(read_trace(is), std::runtime_error);
+}
+
+/// The mini trace serialized, with field `field` (1 = the one after the
+/// id) of the first `<tag> 0` record replaced by `value`.
+std::string mini_text_with(const std::string& tag, int field,
+                           const std::string& value) {
+  std::ostringstream os;
+  write_trace(testing::make_mini_trace().trace, os);
+  std::string text = os.str();
+  std::size_t p = text.find("\n" + tag + " 0 ") + tag.size() + 4;
+  for (int i = 1; i < field; ++i) p = text.find(' ', p) + 1;
+  text.replace(p, text.find_first_of(" \n", p) - p, value);
+  return text;
+}
+
+/// A malformed input must fail a strict read with std::runtime_error (no
+/// crash) and give a recovering read a non-empty report and a trace
+/// that passes validate().
+void expect_rejected_and_salvaged(const std::string& text) {
+  std::istringstream strict_in(text);
+  EXPECT_THROW(read_trace(strict_in), std::runtime_error);
+
+  std::istringstream recover_in(text);
+  RecoveryReport report;
+  Trace t = read_trace(recover_in, ReadOptions::recovering(), report);
+  EXPECT_FALSE(report.empty());
+  EXPECT_TRUE(validate(t).empty());
+}
+
+TEST(TraceIo, OutOfRangeBlockChareIsRejected) {
+  expect_rejected_and_salvaged(mini_text_with("block", 1, "99999"));
+}
+
+TEST(TraceIo, EventOutsideBlockSpanIsRejected) {
+  // Event 0 is a send at t=10 in block a0 = [0, 100].
+  const std::string text = mini_text_with("event", 2, "999999");
+  ASSERT_NE(text.find("\nevent 0 S 999999 "), std::string::npos) << text;
+  expect_rejected_and_salvaged(text);
 }
 
 TEST(TraceIo, LoadMissingFileThrows) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <fstream>
 #include <cstdio>
+#include <iterator>
+#include <stdexcept>
 
 #include "apps/jacobi2d.hpp"
 #include "apps/lassen.hpp"
@@ -12,6 +14,7 @@
 #include "apps/pdes.hpp"
 #include "order/stats.hpp"
 #include "order/stepping.hpp"
+#include "trace/diagnostics.hpp"
 #include "trace/validate.hpp"
 
 namespace logstruct::trace {
@@ -157,6 +160,39 @@ TEST(Projections, TruncatedLogThrows) {
     out << content.substr(0, content.size() / 2);
   }
   EXPECT_THROW(read_projections(prefix), std::runtime_error);
+  cleanup(prefix, t.num_procs());
+}
+
+TEST(Projections, OutOfRangeBeginProcessingChareIsRejected) {
+  apps::Jacobi2DConfig cfg;
+  cfg.chares_x = 2;
+  cfg.chares_y = 2;
+  cfg.num_pes = 2;
+  cfg.iterations = 1;
+  Trace t = apps::run_jacobi2d(cfg);
+  std::string prefix = ::testing::TempDir() + "/proj_bad_chare";
+  ASSERT_TRUE(write_projections(t, prefix));
+  {
+    // BEGIN_PROCESSING <entry> <time> <chare> ...: point the first block
+    // of PE 0 at a chare that does not exist.
+    const std::string path = prefix + ".0.log";
+    std::ifstream in(path);
+    std::string log((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+    std::size_t p = log.find("BEGIN_PROCESSING ");
+    ASSERT_NE(p, std::string::npos);
+    p = log.find(' ', log.find(' ', p + 17) + 1) + 1;
+    log.replace(p, log.find(' ', p) - p, "99999");
+    std::ofstream out(path, std::ios::trunc);
+    out << log;
+  }
+  EXPECT_THROW(read_projections(prefix), std::runtime_error);
+
+  RecoveryReport report;
+  Trace salvaged =
+      read_projections(prefix, ReadOptions::recovering(), report);
+  EXPECT_FALSE(report.empty());
+  EXPECT_TRUE(validate(salvaged).empty());
   cleanup(prefix, t.num_procs());
 }
 

@@ -8,10 +8,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/jacobi2d.hpp"
+#include "obs/obs.hpp"
 #include "order/stepping.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/io.hpp"
@@ -95,10 +98,18 @@ TEST(RecoverIo, StrictModeStillThrows) {
 
   std::istringstream a(text);
   EXPECT_THROW(read_trace(a), std::runtime_error);
+  // The report overload never throws: a strict rejection is an empty
+  // trace whose report keeps the reader's diagnostic and appends a Fatal
+  // copy of it.
   std::istringstream b(text);
   RecoveryReport report;
-  EXPECT_THROW(read_trace(b, ReadOptions::strict(), report),
-               std::runtime_error);
+  Trace t = read_trace(b, ReadOptions::strict(), report);
+  EXPECT_TRUE(report.fatal());
+  EXPECT_EQ(t.num_events(), 0);
+  ASSERT_EQ(report.diagnostics().size(), 2u);
+  EXPECT_EQ(report.diagnostics()[0].severity, Severity::Warning);
+  EXPECT_EQ(report.diagnostics()[1].severity, Severity::Fatal);
+  EXPECT_EQ(report.count(DiagCode::UnknownRecord), 2);
 }
 
 TEST(RecoverIo, BadHeaderIsFatalButDoesNotThrow) {
@@ -261,6 +272,46 @@ TEST(RecoverIo, ProjectionsMissingStsIsFatal) {
   EXPECT_GE(report.count(DiagCode::IoError), 1);
   EXPECT_EQ(t.num_events(), 0);
 }
+
+#if LOGSTRUCT_OBS
+
+// Every read, of either format, is one `trace/read` span carrying its
+// byte/event/diagnostic counts, with the repair pass nested inside it.
+TEST(RecoverIo, EachReadIsOneReadSpan) {
+  const Trace t = golden();
+  const std::string path = ::testing::TempDir() + "/recover_io_span.lstrace";
+  const std::string prefix = ::testing::TempDir() + "/recover_io_span";
+  ASSERT_TRUE(save_trace(t, path));
+  ASSERT_TRUE(write_projections(t, prefix));
+
+  for (int format = 0; format < 2; ++format) {
+    obs::PipelineTracer& tracer = obs::PipelineTracer::global();
+    tracer.reset();
+    const Trace back = format == 0 ? load_trace(path)
+                                   : read_projections(prefix);
+    const std::vector<obs::Span> spans = tracer.snapshot();
+    std::vector<std::size_t> reads;
+    for (std::size_t i = 0; i < spans.size(); ++i)
+      if (spans[i].name == "trace/read") reads.push_back(i);
+    ASSERT_EQ(reads.size(), 1u) << "format " << format;
+    const obs::Span& read = spans[reads[0]];
+    std::map<std::string, std::int64_t> attrs;
+    for (const obs::SpanAttr& a : read.attrs) attrs[a.key] = a.value;
+    EXPECT_GT(attrs["bytes"], 0);
+    EXPECT_EQ(attrs["events"], back.num_events());
+    EXPECT_EQ(attrs.count("diagnostics"), 1u);
+    EXPECT_EQ(attrs["diagnostics"], 0);
+    bool repair_nested = false;
+    for (const obs::Span& s : spans)
+      if (s.name == "trace/repair")
+        repair_nested = s.parent == static_cast<obs::SpanId>(reads[0]);
+    EXPECT_TRUE(repair_nested) << "format " << format;
+  }
+  std::remove(path.c_str());
+  cleanup(prefix, t.num_procs());
+}
+
+#endif  // LOGSTRUCT_OBS
 
 }  // namespace
 }  // namespace logstruct::trace

@@ -232,6 +232,30 @@ TEST(BlockedBackend, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Empty vector fields — no collectives, idles, degraded chares or
+/// when-lists — decode from the metadata blob without touching a null
+/// buffer (the asan-ubsan job runs this with -fno-sanitize-recover).
+TEST(BlockedBackend, EmptyVectorFieldsRoundTrip) {
+  TraceBuilder tb;
+  const ChareId c = tb.add_chare("solo");
+  const EntryId e = tb.add_entry("run");
+  const BlockId b = tb.begin_block(c, 0, e, 0);
+  tb.end_block(b, 10);
+  const Trace t = tb.finish(1);
+  ASSERT_TRUE(t.collectives().empty());
+  ASSERT_TRUE(t.idles().empty());
+  ASSERT_EQ(t.num_degraded_chares(), 0);
+
+  const std::string path = temp_path("empty_vecs");
+  write_blocked_file(t, path, 4096);
+  Trace back = open_blocked_trace(path);
+  EXPECT_EQ(trace_structure_hash(back), trace_structure_hash(t));
+  EXPECT_TRUE(back.collectives().empty());
+  EXPECT_TRUE(back.entry(e).when_entries.empty());
+  EXPECT_EQ(back.num_blocks(), 1);
+  std::remove(path.c_str());
+}
+
 /// Copies of a blocked Trace share the store; the copy stays readable
 /// after the original dies.
 TEST(BlockedBackend, CopyOutlivesOriginal) {

@@ -11,16 +11,17 @@
 ///   ./trace_convert --app=lulesh --out=lulesh.lsblk --block-kb=64
 ///
 /// Exit status: 0 when the conversion round-trips bit-identically
-/// (equal structure hashes), 1 on any I/O or verification failure.
+/// (equal structure hashes), 1 on any I/O or verification failure or on
+/// a malformed input (its first reader diagnostic goes to stderr).
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 
 #include "apps/jacobi2d.hpp"
 #include "apps/lassen.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/pdes.hpp"
+#include "trace/diagnostics.hpp"
 #include "trace/io.hpp"
 #include "trace/projections.hpp"
 #include "trace/storage/blocked_trace.hpp"
@@ -96,17 +97,20 @@ int main(int argc, char** argv) {
   }
 
   trace::Trace input;
-  if (!flags.get_string("in").empty()) {
-    const std::string& path = flags.get_string("in");
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "trace_convert: cannot open %s\n",
-                   path.c_str());
+  if (flags.get_string("app").empty()) {
+    // Strict reads: the first diagnostic rejects a malformed input.
+    trace::RecoveryReport report;
+    input = !flags.get_string("in").empty()
+                ? trace::load_trace(flags.get_string("in"),
+                                    trace::ReadOptions::strict(), report)
+                : trace::read_projections(flags.get_string("projections"),
+                                          trace::ReadOptions::strict(),
+                                          report);
+    if (!report.empty()) {
+      std::fprintf(stderr, "trace_convert: %s\n",
+                   report.diagnostics().front().to_string().c_str());
       return 1;
     }
-    input = trace::read_trace(in);
-  } else if (!flags.get_string("projections").empty()) {
-    input = trace::read_projections(flags.get_string("projections"));
   } else {
     input = generate(flags.get_string("app"),
                      static_cast<std::uint64_t>(flags.get_int("seed")));
