@@ -22,13 +22,12 @@
 #include "metrics/efficiency.hpp"
 #include "metrics/windows.hpp"
 #include "obs/memstats.hpp"
-#include "obs/sampler.hpp"
-#include "obs/serve.hpp"
 #include "order/initial.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
 #include "order/causality.hpp"
+#include "order/context.hpp"
 #include "order/merges.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
@@ -64,11 +63,12 @@ void BM_DependencyMerge(benchmark::State& state) {
   order::PartitionOptions opts;
   for (auto _ : state) {
     state.PauseTiming();
-    auto pg = order::build_initial_partitions(t, opts);
-    pg.cycle_merge();
+    order::OrderContext ctx(t, order::Options{});
+    ctx.set_pg(order::build_initial_partitions(t, opts));
+    ctx.pg().cycle_merge();
     state.ResumeTiming();
-    order::dependency_merge(pg);
-    benchmark::DoNotOptimize(pg.num_partitions());
+    order::dependency_merge(ctx);
+    benchmark::DoNotOptimize(ctx.pg().num_partitions());
   }
   state.SetItemsProcessed(state.iterations() * t.num_events());
 }
@@ -94,34 +94,6 @@ void BM_ExtractStructure(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.num_events());
 }
 BENCHMARK(BM_ExtractStructure)->Arg(2)->Arg(4)->Arg(6);
-
-/// BM_ExtractStructure with the live-telemetry layer on: the background
-/// obs::Sampler (5 ms period) and the /metrics HTTP exporter run for
-/// the duration of the benchmark. Compare against BM_ExtractStructure
-/// at the same grid, but note the raw pair conflates glibc malloc's
-/// lost single-thread fast path (this variant is the first benchmark
-/// to create a thread) with telemetry cost — the controlled number is
-/// the `obs/live_overhead` pseudo-pass in BENCH_pipeline.json, which
-/// interleaves dark/live reps in identical process state and must stay
-/// under the < 2% bar (docs/OBSERVABILITY.md).
-void BM_ExtractStructureLiveObs(benchmark::State& state) {
-  trace::Trace t = lulesh_trace(static_cast<std::int32_t>(state.range(0)));
-  obs::Sampler& sampler = obs::Sampler::global();
-  obs::MetricsServer server;
-  sampler.start(5);
-  server.start(0);  // ephemeral loopback port
-  for (auto _ : state) {
-    auto ls = order::extract_structure(t, order::Options::charm());
-    benchmark::DoNotOptimize(ls.max_step);
-  }
-  server.stop();
-  sampler.stop();
-  state.counters["obs_samples"] =
-      static_cast<double>(sampler.total_samples());
-  state.SetLabel("live-obs");
-  state.SetItemsProcessed(state.iterations() * t.num_events());
-}
-BENCHMARK(BM_ExtractStructureLiveObs)->Arg(6);
 
 /// End-to-end extraction on the largest LULESH grid at an explicit
 /// thread count (range(0) = grid, range(1) = threads); the threads=1 /
@@ -478,65 +450,6 @@ void emit_pipeline_trajectory() {
     rec.ran = true;
     w.passes.push_back(std::move(rec));
     traj.add_workload(std::move(w));
-  }
-  // Live-telemetry overhead probe: the large LULESH extraction dark vs
-  // with the background sampler + /metrics exporter live. Dark and
-  // live reps interleave (D L D L ...) so clock drift on shared hosts
-  // cancels instead of landing on one side, and both sides run after
-  // a thread has existed — comparing a never-threaded process to a
-  // threaded one would mis-bill glibc malloc's lost single-thread fast
-  // path (~10% on this workload) to the telemetry layer. Serial
-  // extraction to match BM_ExtractStructure (on a 1-core host an
-  // oversubscribed threads=4 run bills scheduler churn, not telemetry,
-  // to the delta). The best-of-reps delta lands as an
-  // `obs/live_overhead` pseudo-pass on a live_obs-flagged workload;
-  // tools/bench_gate.py diffs it across PRs like any other pass (below
-  // the 1 ms wall floor it is recorded but not judged).
-  {
-    trace::Trace t = lulesh_trace(6);
-    order::Options opts = order::Options::charm();
-    auto extract_seconds = [&t, &opts] {
-      util::Stopwatch sw;
-      order::LogicalStructure ls = order::extract_structure(t, opts);
-      benchmark::DoNotOptimize(ls.max_step);
-      return sw.seconds();
-    };
-    obs::Sampler& sampler = obs::Sampler::global();
-    obs::MetricsServer server;
-
-    // Put the process into the threaded-malloc state and warm caches
-    // before either side is timed.
-    sampler.start(5);
-    sampler.stop();
-    extract_seconds();
-    double dark = 0;
-    double live = 0;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double d = extract_seconds();
-      sampler.start(5);
-      server.start(0);
-      const double l = extract_seconds();
-      server.stop();
-      sampler.stop();
-      if (rep == 0 || d < dark) dark = d;
-      if (rep == 0 || l < live) live = l;
-    }
-
-    // Record the live side as a full workload too (per-pass records),
-    // with the telemetry running during the recorded pipeline.
-    sampler.start(5);
-    server.start(0);
-    order::LogicalStructure ls =
-        traj.run("lulesh/chares=216/live-obs", t, opts);
-    benchmark::DoNotOptimize(ls.max_step);
-    if (traj.workloads().back().total_seconds < live)
-      live = traj.workloads().back().total_seconds;
-    server.stop();
-    sampler.stop();
-
-    const double overhead = live > dark ? live - dark : 0.0;
-    traj.add_pass("obs/live_overhead", overhead, 0, opts.threads);
-    traj.mark_live_obs();
   }
   traj.save(/*path=*/{}, /*fallback=*/"BENCH_pipeline.json");
 }

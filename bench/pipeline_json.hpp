@@ -4,21 +4,17 @@
 /// BENCH_pipeline.json emitter: runs the extraction pipeline through the
 /// pass manager, captures the per-pass wall time and allocation bytes
 /// the PassManager already records, and writes one perf-trajectory
-/// document per harness run. Schema (`logstruct-bench-pipeline/v6`:
-/// workloads may carry a `live_obs` annotation (true when the workload
-/// ran with the background sampler + HTTP exporter live) and harness
-/// pseudo-passes such as `obs/live_overhead` — the wall-time delta the
-/// live-telemetry layer adds over a dark extraction, which
-/// tools/bench_gate.py gates at the same 1.30x threshold as real
-/// passes. v6 adds the bench-gated `order/check_causality` pseudo-pass
-/// (vector-clock oracle build + happened-before check over the
-/// recovered structure, timed by the micro_pipeline harness so checker
-/// cost regressions are caught like any pass). v5 kept v4's per-workload `peak_rss_kb` plus the
+/// document per harness run. Schema `logstruct-bench-pipeline/v6`
+/// (documented in docs/OBSERVABILITY.md): v6 adds the bench-gated
+/// `order/check_causality` pseudo-pass (vector-clock oracle build +
+/// happened-before check over the recovered structure, timed by the
+/// micro_pipeline harness so checker cost regressions are caught like
+/// any pass); v5 kept v4's per-workload `peak_rss_kb` plus the
 /// storage-backend annotation (`storage`, `cache_hits`,
 /// `cache_misses`, `cache_hit_rate`), v3's per-workload/per-pass
 /// `threads`, v2's per-pass `alloc_bytes`, and the run-level
-/// `peak_rss_kb`; older readers that ignore unknown keys keep
-/// working) is documented in docs/OBSERVABILITY.md. The committed BENCH_pipeline.json at the repo
+/// `peak_rss_kb`; older readers that ignore unknown keys keep working.
+/// The committed BENCH_pipeline.json at the repo
 /// root concatenates the `runs` arrays of historical runs so
 /// `tools/bench_gate.py` can diff per-pass timings and allocations
 /// across PRs — like-for-like per thread count, so a threads=8 run is
@@ -57,11 +53,6 @@ struct PipelineWorkload {
   std::string storage;
   std::int64_t cache_hits = -1;
   std::int64_t cache_misses = -1;
-  /// True when the workload ran with the live-telemetry layer on (the
-  /// background obs::Sampler plus the /metrics HTTP exporter); such
-  /// workloads also carry an `obs/live_overhead` pseudo-pass with the
-  /// wall-time delta over a dark run of the same extraction.
-  bool live_obs = false;
   std::vector<order::PassRecord> passes;
 };
 
@@ -117,13 +108,6 @@ class PipelineTrajectory {
     w.storage = std::move(storage);
     w.cache_hits = cache_hits;
     w.cache_misses = cache_misses;
-  }
-
-  /// Flag the most recently recorded workload as having run with the
-  /// live-telemetry layer on (sampler + /metrics exporter). No-op
-  /// before the first run().
-  void mark_live_obs() {
-    if (!workloads_.empty()) workloads_.back().live_obs = true;
   }
 
   /// Record a harness-built workload that did not go through run() —
@@ -189,7 +173,6 @@ class PipelineTrajectory {
                               static_cast<double>(lookups)
                         : 0.0);
       }
-      if (w.live_obs) std::fprintf(f, "         \"live_obs\": true,\n");
       std::fprintf(f, "         \"passes\": [\n");
       for (std::size_t p = 0; p < w.passes.size(); ++p) {
         const order::PassRecord& r = w.passes[p];

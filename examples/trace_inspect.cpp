@@ -127,10 +127,6 @@ int main(int argc, char** argv) {
                    "override the app's chare/rank grid size (0 = default)");
   flags.define_int("iterations", 0,
                    "override the app's iteration count (0 = default)");
-  flags.define_int("repeat", 1,
-                   "run the extraction pipeline this many times — keeps "
-                   "the process alive so a live /metrics scrape "
-                   "(--obs-port) lands mid-run");
   flags.define_bool("mpi", false, "analyze with the MPI-model options");
   flags.define_string("html", "",
                       "write an interactive structure viewer here");
@@ -211,10 +207,7 @@ int main(int argc, char** argv) {
     }
     std::printf("loaded structure: %s\n", sin.c_str());
   } else {
-    const std::int64_t repeat =
-        std::max<std::int64_t>(1, flags.get_int("repeat"));
-    for (std::int64_t r = 0; r < repeat; ++r)
-      ls = order::extract_structure(t, opts);
+    ls = order::extract_structure(t, opts);
   }
   order::StructureStats stats = order::compute_stats(t, ls);
 

@@ -47,10 +47,6 @@ namespace {
 inline void note(std::size_t n) {
   t_alloc_bytes += static_cast<std::int64_t>(n);
   ++t_alloc_count;
-  // Publish to the process-wide totals in batches so the hot path adds
-  // no shared-cacheline RMW (see memstats.hpp process_allocs()).
-  if (t_alloc_bytes - t_flushed_bytes >= kAllocFlushBytes)
-    flush_thread_allocs();
 }
 
 void* alloc_or_throw(std::size_t n) {

@@ -55,14 +55,6 @@ void counter_event(json::Writer& w, std::string_view name, double ts_us,
 std::string chrome_trace_json(const std::vector<Span>& spans,
                               const RegistrySnapshot& metrics,
                               std::string_view process_name) {
-  return chrome_trace_json(spans, metrics, std::vector<Sample>{},
-                           process_name);
-}
-
-std::string chrome_trace_json(const std::vector<Span>& spans,
-                              const RegistrySnapshot& metrics,
-                              const std::vector<Sample>& samples,
-                              std::string_view process_name) {
   std::int32_t max_thread = -1;
   std::int64_t last_ns = 0;
   for (const Span& s : spans) {
@@ -116,18 +108,6 @@ std::string chrome_trace_json(const std::vector<Span>& spans,
     counter_event(w, name, close_us, value);
   for (const auto& [name, value] : metrics.gauges)
     counter_event(w, name, close_us, value);
-
-  // Sampler time series: real counter tracks (one event per sample),
-  // drawn by Perfetto as line charts under the flame chart. Timestamps
-  // share the tracer epoch, so the series lines up with the spans.
-  for (const Sample& s : samples) {
-    const double ts_us = static_cast<double>(s.t_ms) * 1e3;
-    counter_event(w, "sampler/rss_kb", ts_us, s.rss_kb);
-    counter_event(w, "sampler/alloc_bytes", ts_us, s.alloc_bytes);
-    counter_event(w, "sampler/cache_hits", ts_us, s.cache_hits);
-    counter_event(w, "sampler/cache_misses", ts_us, s.cache_misses);
-    counter_event(w, "sampler/progress_done", ts_us, s.progress_done);
-  }
 
   w.end_array();
   w.end_object();

@@ -13,10 +13,6 @@
 ///  - counters and gauges become `ph:"C"` counter tracks sampled at the
 ///    final span timestamp (the registry keeps running totals, not a
 ///    time series — each track carries one closing sample);
-///  - obs::Sampler time series (when passed) become real `ph:"C"`
-///    counter tracks over time (`sampler/rss_kb`, `sampler/alloc_bytes`,
-///    cache hits/misses, pass progress), so Perfetto draws RSS-over-time
-///    under the span flame chart;
 ///  - `ph:"M"` metadata events name the process and the tracer's dense
 ///    thread indices.
 ///
@@ -29,7 +25,6 @@
 
 #include "obs/pipeline.hpp"
 #include "obs/registry.hpp"
-#include "obs/sampler.hpp"
 
 namespace logstruct::obs {
 
@@ -37,12 +32,6 @@ namespace logstruct::obs {
 /// {"displayTimeUnit":"ms","traceEvents":[...]}.
 [[nodiscard]] std::string chrome_trace_json(
     const std::vector<Span>& spans, const RegistrySnapshot& metrics,
-    std::string_view process_name = "logstruct");
-
-/// Same, plus the sampler time series as counter tracks over time.
-[[nodiscard]] std::string chrome_trace_json(
-    const std::vector<Span>& spans, const RegistrySnapshot& metrics,
-    const std::vector<Sample>& samples,
     std::string_view process_name = "logstruct");
 
 }  // namespace logstruct::obs

@@ -187,6 +187,7 @@ std::string FlightRecorder::path() const { return std::string(path_); }
 
 void FlightRecorder::refresh_metrics() {
   const Registry::RawMetrics raw = Registry::global().raw_metrics();
+  const std::lock_guard<std::mutex> lock(refresh_mu_);
   // Seqlock-style: epoch goes odd while the fixed table is rewritten;
   // a dump that observes an odd or changed epoch reports the metrics
   // section as truncated instead of reading torn entries.

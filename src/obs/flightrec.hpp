@@ -18,8 +18,9 @@
 /// async-signal-safe primitives — open/write/close, atomic loads, and
 /// hand-rolled integer formatting. Counter/gauge values come from a
 /// pointer table captured from the registry in normal context
-/// (refresh_metrics(), called at arm time and by the sampler tick);
-/// registry objects are never destroyed, so the pointers stay valid.
+/// (refresh_metrics(), called at arm time and at every PassManager pass
+/// boundary while armed); registry objects are never destroyed, so the
+/// pointers stay valid.
 /// Slots mutated mid-dump are detected via their sequence word and
 /// skipped. The handler then re-raises with the default disposition so
 /// exit codes and core dumps are unchanged.
@@ -27,6 +28,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -56,8 +58,9 @@ class FlightRecorder {
   [[nodiscard]] std::string path() const;
 
   /// Re-capture the registry's counter/gauge pointer table (normal
-  /// context only). Called by arm() and each sampler tick so metrics
-  /// created mid-run appear in a later crash dump.
+  /// context only; concurrent callers are serialised). Called by arm()
+  /// and by PassManager after each pass while armed, so metrics created
+  /// mid-run appear in a later crash dump.
   void refresh_metrics();
 
   /// Write the dump document to fd. Async-signal-safe. `sig` is the
@@ -102,6 +105,7 @@ class FlightRecorder {
   MetricRef metrics_[kMaxMetrics];
   std::atomic<std::uint32_t> metric_count_{0};
   std::atomic<std::uint32_t> metric_epoch_{0};  ///< odd while refreshing
+  std::mutex refresh_mu_;  ///< one refresher at a time; dump() never locks
 
   char path_[512] = {0};
   std::atomic<bool> armed_{false};

@@ -8,10 +8,6 @@ namespace logstruct::obs {
 namespace detail {
 thread_local std::int64_t t_alloc_bytes = 0;
 thread_local std::int64_t t_alloc_count = 0;
-thread_local std::int64_t t_flushed_bytes = 0;
-thread_local std::int64_t t_flushed_count = 0;
-std::atomic<std::int64_t> g_alloc_bytes{0};
-std::atomic<std::int64_t> g_alloc_count{0};
 }  // namespace detail
 
 MemStats read_mem_stats() {
@@ -57,14 +53,6 @@ bool reset_peak_rss() {
 
 AllocCounters thread_allocs() {
   return {detail::t_alloc_bytes, detail::t_alloc_count};
-}
-
-AllocCounters process_allocs() {
-  // Fold in the calling thread's unflushed tail so single-threaded
-  // callers see exact totals; other threads lag by at most one batch.
-  detail::flush_thread_allocs();
-  return {detail::g_alloc_bytes.load(std::memory_order_relaxed),
-          detail::g_alloc_count.load(std::memory_order_relaxed)};
 }
 
 bool alloc_hook_active() { return detail::hook_linked(); }

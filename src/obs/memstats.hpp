@@ -18,7 +18,6 @@
 /// callable under LOGSTRUCT_OBS=0 (only the OBS_ALLOC_SCOPE macro and
 /// the hook itself vanish).
 
-#include <atomic>
 #include <cstdint>
 
 namespace logstruct::obs {
@@ -50,14 +49,6 @@ struct AllocCounters {
 /// started (zeros without the counting hook).
 [[nodiscard]] AllocCounters thread_allocs();
 
-/// Approximate process-wide cumulative allocations: each thread flushes
-/// its counters into a shared pair of atomics every ~256 KiB allocated
-/// (alloc_hook.cpp), so the total lags per-thread truth by at most one
-/// flush batch per live thread. Zeros without the counting hook. Feeds
-/// the obs::Sampler time series; use thread_allocs()/AllocScope for
-/// exact per-scope accounting.
-[[nodiscard]] AllocCounters process_allocs();
-
 /// True when the counting operator-new replacement is linked in.
 [[nodiscard]] bool alloc_hook_active();
 
@@ -71,27 +62,6 @@ namespace detail {
 /// safe to bump during static initialization and thread start-up.
 extern thread_local std::int64_t t_alloc_bytes;
 extern thread_local std::int64_t t_alloc_count;
-
-/// Per-thread high-water marks of the last flush into the process-wide
-/// totals, and the shared totals themselves (see process_allocs()).
-extern thread_local std::int64_t t_flushed_bytes;
-extern thread_local std::int64_t t_flushed_count;
-extern std::atomic<std::int64_t> g_alloc_bytes;
-extern std::atomic<std::int64_t> g_alloc_count;
-
-/// Batch size: a thread publishes to the shared totals once this many
-/// bytes accumulate locally, keeping the hot path free of shared RMWs.
-inline constexpr std::int64_t kAllocFlushBytes = 256 * 1024;
-
-inline void flush_thread_allocs() {
-  const std::int64_t db = t_alloc_bytes - t_flushed_bytes;
-  const std::int64_t dc = t_alloc_count - t_flushed_count;
-  if (db == 0 && dc == 0) return;
-  t_flushed_bytes = t_alloc_bytes;
-  t_flushed_count = t_alloc_count;
-  g_alloc_bytes.fetch_add(db, std::memory_order_relaxed);
-  g_alloc_count.fetch_add(dc, std::memory_order_relaxed);
-}
 
 /// Defined in alloc_hook.cpp; referencing it from memstats.cpp forces
 /// the hook's object file (and with it the operator new replacement)

@@ -65,11 +65,6 @@ void PipelineTracer::set_capacity(std::size_t cap) {
   capacity_ = cap;
 }
 
-std::int64_t PipelineTracer::now_ns() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_set_ ? steady_ns() - epoch_ns_ : 0;
-}
-
 SpanId PipelineTracer::begin(std::string_view name) {
   // Capture before any of our own allocations so the span's delta is
   // dominated by the instrumented stage, not by the tracer.

@@ -82,9 +82,6 @@ class PipelineTracer {
   /// {"name","begin_ns","end_ns","dur_ns","thread","parent","attrs":{}}.
   [[nodiscard]] std::string to_json() const;
 
-  /// Steady-clock ns since this tracer's construction.
-  [[nodiscard]] std::int64_t now_ns() const;
-
  private:
   mutable std::mutex mu_;
   std::vector<Span> spans_;

@@ -9,8 +9,8 @@
 /// While it is open:
 ///  - tick()/set_done() update the global done counter and mirror
 ///    (done, total) into the registry gauges `obs/progress/done` and
-///    `obs/progress/total`, so the pair is scrapeable over /metrics and
-///    sampled by obs::Sampler;
+///    `obs/progress/total`, so the pair lands in the sidecar's metrics
+///    dump and the crash flight recorder's gauges;
 ///  - the pass name is published to a fixed global buffer the crash
 ///    flight recorder can read from a signal handler (current_pass());
 ///  - the optional --progress stderr ticker renders `pass done/total`.
@@ -55,7 +55,7 @@ class Progress {
     std::int64_t done = 0;
     std::int64_t total = 0;  ///< 0 = indeterminate
   };
-  /// Current (pass, done, total), for the sampler and tests.
+  /// Current (pass, done, total), for the ticker and tests.
   [[nodiscard]] static State current();
 
   /// Async-signal-safe copy of the in-flight pass name into buf

@@ -136,9 +136,6 @@ RegistrySnapshot Registry::snapshot() const {
         s.max = s.count > 0 ? h.max() : 0;
         s.p50 = h.approx_quantile(0.5);
         s.p99 = h.approx_quantile(0.99);
-        s.buckets.resize(Histogram::kBuckets);
-        for (int b = 0; b < Histogram::kBuckets; ++b)
-          s.buckets[static_cast<std::size_t>(b)] = h.bucket(b);
         out.histograms.push_back(std::move(s));
         break;
       }

@@ -105,10 +105,6 @@ struct RegistrySnapshot {
     std::int64_t max = 0;
     std::int64_t p50 = 0;
     std::int64_t p99 = 0;
-    /// Raw per-bucket counts (Histogram::kBuckets entries); bucket b
-    /// counts samples in [2^(b-1), 2^b). The OpenMetrics exposition
-    /// turns these into cumulative `le` buckets.
-    std::vector<std::int64_t> buckets;
   };
   std::vector<std::pair<std::string, std::int64_t>> counters;
   std::vector<std::pair<std::string, std::int64_t>> gauges;

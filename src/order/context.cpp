@@ -8,25 +8,17 @@
 namespace logstruct::order {
 
 PartitionGraph& OrderContext::pg() {
-  LS_CHECK_MSG(pg_ != nullptr, "pass needs a partition graph before initial");
+  LS_CHECK_MSG(pg_.has_value(), "pass needs a partition graph before initial");
   return *pg_;
 }
 
 const PartitionGraph& OrderContext::pg() const {
-  LS_CHECK_MSG(pg_ != nullptr, "pass needs a partition graph before initial");
+  LS_CHECK_MSG(pg_.has_value(), "pass needs a partition graph before initial");
   return *pg_;
 }
 
 void OrderContext::set_pg(PartitionGraph&& pg) {
-  pg_storage_.emplace(std::move(pg));
-  pg_ = &*pg_storage_;
-  leaps_epoch_ = 0;
-  groups_epoch_ = 0;
-}
-
-void OrderContext::attach_pg(PartitionGraph& pg) {
-  pg_storage_.reset();
-  pg_ = &pg;
+  pg_.emplace(std::move(pg));
   leaps_epoch_ = 0;
   groups_epoch_ = 0;
 }

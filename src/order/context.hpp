@@ -3,19 +3,16 @@
 /// \file context.hpp
 /// Shared state threaded through the extraction pipeline passes.
 ///
-/// The OrderContext owns (or borrows) the PartitionGraph and caches the
+/// The OrderContext owns the PartitionGraph and caches the
 /// derived values passes keep re-deriving — leaps, leap groups, serial
 /// block units — keyed on the graph's structural epoch so a cache entry
 /// survives exactly as long as no pass mutates the graph. It also holds
 /// arena-style scratch buffers (cleared, never freed, between passes) and
 /// the pipeline products (PhaseResult, LogicalStructure).
 ///
-/// Ownership rules:
-///  - set_pg() moves a graph into the context (the "initial" pass does
-///    this); the context owns it for the rest of the run.
-///  - attach_pg() borrows an externally owned graph — used by the legacy
-///    free-function pass wrappers; the caller keeps ownership and the
-///    graph must outlive the context.
+/// Ownership: set_pg() moves a graph into the context (the "initial"
+/// pass does this, and so do tests and benches that start from a
+/// hand-built graph); the context owns it for the rest of the run.
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
@@ -49,15 +46,12 @@ class OrderContext {
   [[nodiscard]] const Options& options() const { return opts_; }
 
   // --- partition graph ------------------------------------------------
-  [[nodiscard]] bool has_pg() const { return pg_ != nullptr; }
+  [[nodiscard]] bool has_pg() const { return pg_.has_value(); }
   [[nodiscard]] PartitionGraph& pg();
   [[nodiscard]] const PartitionGraph& pg() const;
 
   /// Take ownership of a freshly built graph (the "initial" pass).
   void set_pg(PartitionGraph&& pg);
-
-  /// Borrow an externally owned graph (legacy free-function wrappers).
-  void attach_pg(PartitionGraph& pg);
 
   // --- epoch-cached derived state --------------------------------------
   /// Leap of every partition; recomputed only when the graph epoch moved.
@@ -93,8 +87,7 @@ class OrderContext {
   const trace::Trace* trace_;
   Options opts_;
 
-  std::optional<PartitionGraph> pg_storage_;
-  PartitionGraph* pg_ = nullptr;
+  std::optional<PartitionGraph> pg_;
 
   std::vector<std::int32_t> leaps_;
   std::uint64_t leaps_epoch_ = 0;

@@ -169,12 +169,6 @@ void infer_source_order(OrderContext& ctx) {
   pg.cycle_merge();
 }
 
-void infer_source_order(PartitionGraph& pg) {
-  OrderContext ctx(pg.trace(), Options{});
-  ctx.attach_pg(pg);
-  infer_source_order(ctx);
-}
-
 void enforce_leap_property(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
   const PartitionOptions& opts = ctx.options().partition;
@@ -226,15 +220,6 @@ void enforce_leap_property(OrderContext& ctx) {
     if (!merges.empty()) pg.apply_merges(merges);
     pg.cycle_merge();
   }
-}
-
-void enforce_leap_property(PartitionGraph& pg,
-                           const PartitionOptions& opts) {
-  Options all;
-  all.partition = opts;
-  OrderContext ctx(pg.trace(), all);
-  ctx.attach_pg(pg);
-  enforce_leap_property(ctx);
 }
 
 void enforce_chare_paths(OrderContext& ctx) {
@@ -296,12 +281,6 @@ void enforce_chare_paths(OrderContext& ctx) {
     }
   }
   pg.add_edges_bulk(edges);
-}
-
-void enforce_chare_paths(PartitionGraph& pg) {
-  OrderContext ctx(pg.trace(), Options{});
-  ctx.attach_pg(pg);
-  enforce_chare_paths(ctx);
 }
 
 bool check_leap_property(OrderContext& ctx) {

@@ -16,12 +16,11 @@
 ///    by its successors, so no two events of one chare can land on the
 ///    same global step.
 ///
-/// The OrderContext overloads are the pipeline's pass bodies: they serve
+/// Each pass body runs on the graph the OrderContext owns and serves
 /// leaps and leap groups from the context's epoch-keyed cache instead of
-/// recomputing per call. The PartitionGraph overloads wrap them for
-/// standalone use (tests, external callers).
+/// recomputing per call. The property checks also take a bare graph, so
+/// PassManager::verify can run them on any pass's exit state.
 
-#include "order/options.hpp"
 #include "order/partition_graph.hpp"
 
 namespace logstruct::order {
@@ -30,19 +29,16 @@ class OrderContext;
 
 /// Algorithm 3 (+ cycle merge).
 void infer_source_order(OrderContext& ctx);
-void infer_source_order(PartitionGraph& pg);
 
 /// Fixpoint establishing property 1: no leap has two partitions sharing a
 /// chare. Same-kind overlaps merge when opts.leap_merge, otherwise they —
 /// like app/runtime overlaps always — get an inferred physical-time order
 /// edge.
 void enforce_leap_property(OrderContext& ctx);
-void enforce_leap_property(PartitionGraph& pg, const PartitionOptions& opts);
 
 /// Algorithm 5: add forward edges so each partition's chares appear in its
 /// successors (property 2). Requires property 1 to hold.
 void enforce_chare_paths(OrderContext& ctx);
-void enforce_chare_paths(PartitionGraph& pg);
 
 /// True iff no two partitions at the same leap share a chare (property 1).
 /// The context overload reads the cached leap groups.

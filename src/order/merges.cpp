@@ -26,12 +26,6 @@ void dependency_merge(OrderContext& ctx) {
   pg.cycle_merge();
 }
 
-void dependency_merge(PartitionGraph& pg) {
-  OrderContext ctx(pg.trace(), Options{});
-  ctx.attach_pg(pg);
-  dependency_merge(ctx);
-}
-
 void repair_merge(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
   // Raw serial blocks: the repair restores merges broken by the
@@ -58,14 +52,6 @@ void repair_merge(OrderContext& ctx) {
   }
   pg.apply_merges(pairs);
   pg.cycle_merge();
-}
-
-void repair_merge(PartitionGraph& pg, const PartitionOptions& opts) {
-  Options all;
-  all.partition = opts;
-  OrderContext ctx(pg.trace(), all);
-  ctx.attach_pg(pg);
-  repair_merge(ctx);
 }
 
 void neighbor_serial_merge(OrderContext& ctx) {
@@ -102,15 +88,6 @@ void neighbor_serial_merge(OrderContext& ctx) {
   }
   pg.apply_merges(pairs);
   pg.cycle_merge();
-}
-
-void neighbor_serial_merge(PartitionGraph& pg,
-                           const PartitionOptions& opts) {
-  Options all;
-  all.partition = opts;
-  OrderContext ctx(pg.trace(), all);
-  ctx.attach_pg(pg);
-  neighbor_serial_merge(ctx);
 }
 
 }  // namespace logstruct::order

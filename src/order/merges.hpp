@@ -7,12 +7,9 @@
 /// then cycle-merge so the partition graph is a DAG again. Application and
 /// runtime partitions are only ever combined by cycle merges.
 ///
-/// The OrderContext overloads are the pipeline's pass bodies: they pull
-/// serial-block units and scratch buffers from the shared context. The
-/// PartitionGraph overloads are standalone wrappers (tests, external
-/// callers) that build a throwaway context.
+/// Each is a pipeline pass body: it runs on the graph the OrderContext
+/// owns and pulls serial-block units and scratch buffers from it.
 
-#include "order/options.hpp"
 #include "order/partition_graph.hpp"
 
 namespace logstruct::order {
@@ -22,18 +19,15 @@ class OrderContext;
 /// Algorithm 1: merge the partitions holding matching ends of each remote
 /// method invocation (same-kind pairs only), then cycle-merge.
 void dependency_merge(OrderContext& ctx);
-void dependency_merge(PartitionGraph& pg);
 
 /// Algorithm 2: restore merges broken by the application/runtime split —
 /// same-kind neighbors within one (absorbed) serial block, then
 /// cycle-merge.
 void repair_merge(OrderContext& ctx);
-void repair_merge(PartitionGraph& pg, const PartitionOptions& opts);
 
 /// §3.1.3, second rule: when the chares of one multi-chare partition all
 /// continue into serial n+1 but land in several partitions, merge those
 /// successors (same-kind only), then cycle-merge.
 void neighbor_serial_merge(OrderContext& ctx);
-void neighbor_serial_merge(PartitionGraph& pg, const PartitionOptions& opts);
 
 }  // namespace logstruct::order

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "graph/scc.hpp"
+#include "obs/flightrec.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "order/context.hpp"
@@ -31,9 +32,9 @@ void PassManager::run(OrderContext& ctx) {
   records_.reserve(passes_.size());
   for (const Pass& pass : passes_) {
     obs::AllocScope allocs;  // ordinary API: zero deltas without the hook
-    // Pass-level progress scope (indeterminate): a crash dump or a
-    // /metrics scrape mid-pass always names the running pass even when
-    // the pass body opens no finer-grained Progress of its own.
+    // Pass-level progress scope (indeterminate): a crash dump mid-pass
+    // always names the running pass even when the pass body opens no
+    // finer-grained Progress of its own.
     obs::Progress progress("order/" + pass.name, 0);
     util::Stopwatch sw;
     [[maybe_unused]] const std::int64_t merges_before =
@@ -87,6 +88,9 @@ void PassManager::run(OrderContext& ctx) {
             ctx.pg().memory_bytes());
     }
 #endif
+    // Counters the pass just created join the crash-dump table.
+    if (obs::FlightRecorder::global().armed())
+      obs::FlightRecorder::global().refresh_metrics();
     if (check_ && pass.enabled) verify(pass, ctx);
   }
 }

@@ -7,7 +7,8 @@
 /// emits its own), runs the body when enabled, attaches the resulting
 /// partition count, bumps the pass's run/merge counters, records a
 /// PassRecord (name, seconds, ran, partitions) for PipelineTimings and
-/// the perf-trajectory file, and — when invariant checking is on — dies
+/// the perf-trajectory file, refreshes the crash flight recorder's metric
+/// table when it is armed, and — when invariant checking is on — dies
 /// loudly if a declared invariant does not hold on the pass's exit state.
 ///
 /// Invariant checking is enabled per run via

@@ -7,9 +7,9 @@ namespace logstruct::trace::storage {
 namespace {
 
 /// Derived hit-rate gauge in basis points (9980 = 99.80%), refreshed
-/// every 1024 lookups so the blocked-storage sweep's hit-rate claim is
-/// scrapeable live over /metrics instead of only computed post-hoc in
-/// the bench harness. Throttled: two extra relaxed loads per refresh,
+/// every 1024 lookups so the hit rate is current in the sidecar's metrics
+/// dump and in a mid-run crash dump, not only computed post-hoc in the
+/// bench harness. Throttled: two extra relaxed loads per refresh,
 /// nothing per ordinary lookup.
 inline void maybe_publish_hit_rate(std::int64_t hits, std::int64_t misses) {
 #if LOGSTRUCT_OBS

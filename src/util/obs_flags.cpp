@@ -10,10 +10,7 @@
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
-#include "obs/openmetrics.hpp"
 #include "obs/progress.hpp"
-#include "obs/sampler.hpp"
-#include "obs/serve.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -116,18 +113,6 @@ void define_obs_flags(Flags& flags) {
                    "block-cache budget in MiB for --storage=blocked "
                    "(0 = unbounded); -1 inherits $LOGSTRUCT_CACHE_MB "
                    "or the 256 MiB default");
-  flags.define_string("obs-prom", "",
-                      "write an OpenMetrics text exposition of the "
-                      "final registry state here");
-  flags.define_int("obs-port", -1,
-                   "serve live telemetry over HTTP on 127.0.0.1:N "
-                   "(GET /metrics, /healthz, /spans); 0 picks an "
-                   "ephemeral port, -1 (default) disables");
-  flags.define_int("obs-period-ms", 0,
-                   "background sampler period in ms (RSS, alloc totals, "
-                   "block-cache counters, pass progress into a bounded "
-                   "ring; sidecar `sampler` block + Chrome counter "
-                   "tracks); 0 disables");
   flags.define_bool("progress", false,
                     "paint a `pass done/total` ticker on stderr");
   flags.define_string("obs-flightrec", "",
@@ -179,16 +164,10 @@ void apply_obs_flags(const Flags& flags) {
   if (cache_mb >= 0)
     setenv("LOGSTRUCT_CACHE_MB", std::to_string(cache_mb).c_str(), 1);
 
-  // Live telemetry: start background machinery up front so the whole
-  // run is observable (finish_obs quiesces and exports).
+  // Live telemetry: arm up front so the whole run is covered
+  // (finish_obs stops the ticker).
   const std::string& flightrec = flags.get_string("obs-flightrec");
   if (!flightrec.empty()) obs::FlightRecorder::global().arm(flightrec);
-  const std::int64_t period_ms = flags.get_int("obs-period-ms");
-  if (period_ms > 0)
-    obs::Sampler::global().start(period_ms);
-  const std::int64_t port = flags.get_int("obs-port");
-  if (port >= 0 && port <= 65535)
-    obs::MetricsServer::global().start(static_cast<int>(port));
   if (flags.get_bool("progress")) obs::Progress::enable_ticker(true);
 }
 
@@ -216,7 +195,7 @@ std::string obs_sidecar_json(const std::string& program) {
   obs::json::Writer w;
   w.begin_object();
   w.key("schema");
-  w.value("logstruct-obs-sidecar/v4");
+  w.value("logstruct-obs-sidecar/v5");
   w.key("program");
   w.value(program);
   w.key("obs_compiled");
@@ -257,9 +236,7 @@ std::string obs_sidecar_json(const std::string& program) {
   }
   w.end_object();
   w.end_object();
-  // v4: the sampler time series and the flight-recorder reference.
-  w.key("sampler");
-  w.raw(obs::Sampler::global().to_json());
+  // v4: the flight-recorder reference.
   w.key("flight_recorder");
   w.begin_object();
   w.key("armed");
@@ -282,25 +259,16 @@ std::string obs_sidecar_json(const std::string& program) {
 std::string obs_chrome_json(const std::string& program) {
   obs::PipelineTracer& tracer = obs::PipelineTracer::global();
   return obs::chrome_trace_json(tracer.snapshot(),
-                                obs::Registry::global().snapshot(),
-                                obs::Sampler::global().snapshot(), program);
+                                obs::Registry::global().snapshot(), program);
 }
 
 bool finish_obs(const Flags& flags, const std::string& program) {
   const bool profile = flags.get_bool("profile");
   const std::string& path = flags.get_string("obs-json");
   const std::string& chrome_path = flags.get_string("obs-chrome");
-  const std::string& prom_path = flags.get_string("obs-prom");
 
-  // Quiesce the live-telemetry machinery before any export: one final
-  // sample closes the time series, and joining the threads here keeps
-  // exit clean (and TSan quiet) in every harness.
-  if (obs::Sampler::global().running()) {
-    obs::Sampler::global().sample_now();
-    obs::Sampler::global().stop();
-  }
-  if (obs::MetricsServer::global().running())
-    obs::MetricsServer::global().stop();
+  // Join the ticker thread before any export so exit stays clean (and
+  // TSan quiet) in every harness.
   if (obs::Progress::ticker_enabled()) obs::Progress::enable_ticker(false);
 
   if (profile) {
@@ -347,23 +315,6 @@ bool finish_obs(const Flags& flags, const std::string& program) {
                          "chrome trace") && ok;
   if (!path.empty())
     ok = write_text_file(path, obs_sidecar_json(program), "sidecar") && ok;
-  if (!prom_path.empty()) {
-    // openmetrics_text() already ends with "# EOF\n"; write verbatim so
-    // the document stays checker-exact (no trailing blank line).
-    std::ofstream out(prom_path, std::ios::binary);
-    bool prom_ok = static_cast<bool>(out);
-    if (prom_ok) {
-      out << obs::openmetrics_text();
-      prom_ok = out.good();
-    }
-    if (!prom_ok)
-      obs::log(obs::Level::Error, "obs", "cannot write OpenMetrics file",
-               {{"path", prom_path}});
-    else
-      obs::log(obs::Level::Info, "obs", "wrote telemetry output",
-               {{"what", "openmetrics"}, {"path", prom_path}});
-    ok = prom_ok && ok;
-  }
   return ok;
 }
 

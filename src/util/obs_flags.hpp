@@ -17,10 +17,10 @@
 ///                (total and self time; shares are of self time so the
 ///                column sums to 100% despite span nesting).
 /// --obs-json=p   writes the machine-readable telemetry sidecar to p
-///                (schema logstruct-obs-sidecar/v4, see
+///                (schema logstruct-obs-sidecar/v5, see
 ///                docs/OBSERVABILITY.md; v3 added the `recovery`
-///                object, v4 adds the `sampler` time series and the
-///                `flight_recorder` reference).
+///                object, v4 the `flight_recorder` reference, v5 drops
+///                v4's `sampler` time series).
 /// --obs-chrome=p writes a Chrome trace-event JSON file to p, loadable
 ///                in Perfetto / chrome://tracing.
 /// --log-level=l  debug|info|warn|error for the structured logger.
@@ -57,16 +57,6 @@
 ///                (0 = unbounded; -1 inherits $LOGSTRUCT_CACHE_MB).
 ///
 /// Live telemetry (docs/OBSERVABILITY.md, "Live telemetry"):
-/// --obs-prom=p      writes an OpenMetrics text exposition of the final
-///                   registry state to p (node-exporter textfile style).
-/// --obs-port=N      serves live telemetry over HTTP on 127.0.0.1:N
-///                   (GET /metrics, /healthz, /spans; N=0 picks an
-///                   ephemeral port). Off by default.
-/// --obs-period-ms=N starts the background sampler: every N ms a
-///                   snapshot of RSS, alloc totals, block-cache
-///                   counters, and pass progress lands in a bounded
-///                   ring, exported in the sidecar's `sampler` block
-///                   and as Chrome counter tracks. 0 (default) = off.
 /// --progress        paints a `pass done/total` ticker on stderr.
 /// --obs-flightrec=p arms the crash flight recorder: SIGSEGV/SIGABRT
 ///                   dumps recent span events, live counters, progress,

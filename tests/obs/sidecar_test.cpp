@@ -28,7 +28,7 @@ TEST(ObsSidecar, JsonParsesAndCarriesStages) {
   std::string err;
   ASSERT_TRUE(obs::json::parse(doc, v, &err)) << err;
   EXPECT_EQ(v.at("program").string, "sidecar_test");
-  EXPECT_EQ(v.at("schema").string, "logstruct-obs-sidecar/v4");
+  EXPECT_EQ(v.at("schema").string, "logstruct-obs-sidecar/v5");
   ASSERT_EQ(v.at("obs_compiled").kind, obs::json::Value::Kind::Bool);
   // v2 run-level memory accounting fields always exist (0 off-Linux).
   EXPECT_GE(v.at("peak_rss_kb").as_int(), 0);
@@ -39,13 +39,8 @@ TEST(ObsSidecar, JsonParsesAndCarriesStages) {
   ASSERT_TRUE(v.has("recovery"));
   EXPECT_EQ(v.at("recovery").at("total").as_int(), 0);
   ASSERT_TRUE(v.at("recovery").at("counters").is_object());
-  // v4 live-telemetry blocks: the sampler time series (empty when the
-  // sampler never ran) and the flight-recorder reference.
-  ASSERT_TRUE(v.has("sampler"));
-  EXPECT_GE(v.at("sampler").at("period_ms").as_int(), 0);
-  EXPECT_GT(v.at("sampler").at("capacity").as_int(), 0);
-  EXPECT_GE(v.at("sampler").at("total").as_int(), 0);
-  ASSERT_TRUE(v.at("sampler").at("samples").is_array());
+  // v4 flight-recorder reference; v5 dropped v4's sampler block.
+  EXPECT_FALSE(v.has("sampler"));
   ASSERT_TRUE(v.has("flight_recorder"));
   ASSERT_EQ(v.at("flight_recorder").at("armed").kind,
             obs::json::Value::Kind::Bool);

@@ -5,26 +5,27 @@
 #include "apps/jacobi2d.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/pdes.hpp"
+#include "order/context.hpp"
 #include "order/initial.hpp"
 #include "order/merges.hpp"
+#include "order/pass_manager.hpp"
+#include "order/phases.hpp"
 #include "trace/builder.hpp"
 
 namespace logstruct::order {
 namespace {
 
-/// Run the pipeline manually so the partition graph stays inspectable.
-PartitionGraph run_pipeline(const trace::Trace& t,
-                            const PartitionOptions& opts) {
-  PartitionGraph pg = build_initial_partitions(t, opts);
-  pg.cycle_merge();
-  dependency_merge(pg);
-  if (opts.repair_serial_blocks) repair_merge(pg, opts);
-  if (opts.neighbor_serial_merge && opts.sdag_inference)
-    neighbor_serial_merge(pg, opts);
-  if (opts.infer_source_order) infer_source_order(pg);
-  enforce_leap_property(pg, opts);
-  enforce_chare_paths(pg);
-  return pg;
+/// Run the registered partition passes; ctx.pg() stays inspectable.
+void run_pipeline(OrderContext& ctx) {
+  PassManager pm;
+  register_partition_passes(pm, ctx.options().partition);
+  pm.run(ctx);
+}
+
+/// A context holding the initial partitions of t, for driving single
+/// passes by hand.
+void start_initial(OrderContext& ctx) {
+  ctx.set_pg(build_initial_partitions(ctx.trace(), ctx.options().partition));
 }
 
 TEST(Infer, PropertiesHoldOnJacobi) {
@@ -34,7 +35,9 @@ TEST(Infer, PropertiesHoldOnJacobi) {
   cfg.num_pes = 4;
   cfg.iterations = 3;
   trace::Trace t = apps::run_jacobi2d(cfg);
-  PartitionGraph pg = run_pipeline(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  run_pipeline(ctx);
+  const PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_TRUE(check_chare_paths(pg));
 }
@@ -43,9 +46,10 @@ TEST(Infer, PropertiesHoldOnLuleshAllOptionSets) {
   apps::LuleshConfig cfg;
   cfg.iterations = 3;
   trace::Trace t = apps::run_lulesh_charm(cfg);
-  for (PartitionOptions opts :
-       {Options::charm().partition, Options::charm_no_inference().partition}) {
-    PartitionGraph pg = run_pipeline(t, opts);
+  for (const Options& opts : {Options::charm(), Options::charm_no_inference()}) {
+    OrderContext ctx(t, opts);
+    run_pipeline(ctx);
+    const PartitionGraph& pg = ctx.pg();
     EXPECT_TRUE(check_leap_property(pg));
     EXPECT_TRUE(check_chare_paths(pg));
   }
@@ -54,7 +58,9 @@ TEST(Infer, PropertiesHoldOnLuleshAllOptionSets) {
 TEST(Infer, PropertiesHoldOnPdesWithMissingDeps) {
   apps::PdesConfig cfg;
   trace::Trace t = apps::run_pdes(cfg);
-  PartitionGraph pg = run_pipeline(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  run_pipeline(ctx);
+  const PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_TRUE(check_chare_paths(pg));
 }
@@ -72,12 +78,13 @@ TEST(Infer, CheckDetectsLeapViolation) {
   tb.end_block(b2, 15);
   trace::Trace t = tb.finish(1);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  start_initial(ctx);
+  PartitionGraph& pg = ctx.pg();
   EXPECT_FALSE(check_leap_property(pg));
 
   // Enforcement with leap_merge merges them (same kind, same leap).
-  PartitionOptions opts;
-  enforce_leap_property(pg, opts);
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_EQ(pg.num_partitions(), 1);
 }
@@ -94,10 +101,12 @@ TEST(Infer, EnforcementWithoutMergeAddsOrderEdge) {
   tb.end_block(b2, 15);
   trace::Trace t = tb.finish(1);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
-  PartitionOptions opts;
-  opts.leap_merge = false;  // Fig. 17 ablation path
-  enforce_leap_property(pg, opts);
+  Options opts;
+  opts.partition.leap_merge = false;  // Fig. 17 ablation path
+  OrderContext ctx(t, opts);
+  start_initial(ctx);
+  PartitionGraph& pg = ctx.pg();
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_EQ(pg.num_partitions(), 2);
   // Ordered by physical time of the initial sources: s1's partition first.
@@ -124,10 +133,11 @@ TEST(Infer, AppRuntimeOverlapOrderedNotMerged) {
   tb.end_block(b3, 110);
   trace::Trace t = tb.finish(1);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
-  dependency_merge(pg);
-  PartitionOptions opts;
-  enforce_leap_property(pg, opts);
+  OrderContext ctx(t, Options{});
+  start_initial(ctx);
+  PartitionGraph& pg = ctx.pg();
+  dependency_merge(ctx);
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   PartId p_app = pg.part_of(s_app);
   PartId p_rt = pg.part_of(s_rt);
@@ -173,7 +183,9 @@ TEST(Infer, CharePathEnforcementAddsSkipEdge) {
   tb.end_block(gs, 75);
   trace::Trace t = tb.finish(2);
 
-  PartitionGraph pg = run_pipeline(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  run_pipeline(ctx);
+  const PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(check_chare_paths(pg));
   PartId px = pg.part_of(xs);
   PartId pq = pg.part_of(qs);

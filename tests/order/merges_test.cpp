@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/leaps.hpp"
+#include "order/context.hpp"
 #include "order/infer.hpp"
 #include "order/initial.hpp"
 #include "trace/builder.hpp"
@@ -23,9 +24,11 @@ TEST(Merges, DependencyMergeJoinsMatchingEnds) {
   tb.end_block(bb, 110);
   trace::Trace t = tb.finish(2);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  PartitionGraph& pg = ctx.pg();
   EXPECT_NE(pg.part_of(s), pg.part_of(r));
-  dependency_merge(pg);
+  dependency_merge(ctx);
   EXPECT_EQ(pg.part_of(s), pg.part_of(r));
 }
 
@@ -46,10 +49,12 @@ TEST(Merges, DependencyMergeSkipsMixedKinds) {
   tb.end_block(br, 110);
   trace::Trace t = tb.finish(1);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(pg.runtime(pg.part_of(s)));
   EXPECT_TRUE(pg.runtime(pg.part_of(rv)));
-  dependency_merge(pg);
+  dependency_merge(ctx);
   EXPECT_EQ(pg.part_of(s), pg.part_of(rv));
 }
 
@@ -85,15 +90,17 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   tb.end_block(bb2, 125);
   trace::Trace t = tb.finish(2);
 
-  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  PartitionGraph& pg = ctx.pg();
   // Split: s1 | sr | s2 in three initial partitions.
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
   EXPECT_NE(pg.part_of(s1), pg.part_of(sr));
   EXPECT_FALSE(pg.runtime(pg.part_of(s1)));
   EXPECT_TRUE(pg.runtime(pg.part_of(sr)));
 
-  dependency_merge(pg);
-  repair_merge(pg, PartitionOptions{});
+  dependency_merge(ctx);
+  repair_merge(ctx);
   // The repair alone keeps all three pieces apart (adjacent pairs differ
   // in kind)...
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
@@ -103,7 +110,7 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   // app -> runtime -> app, so they are sequential phases, not one. The
   // leap enforcement leaves that sequence alone (different leaps never
   // merge).
-  enforce_leap_property(pg, PartitionOptions{});
+  enforce_leap_property(ctx);
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
   auto leaps = graph::compute_leaps(pg.dag());
   EXPECT_LT(leaps[static_cast<std::size_t>(pg.part_of(s1))],
@@ -152,16 +159,18 @@ TEST(Merges, NeighborSerialMergeGroupsSuccessors) {
   trace::Trace t = tb.finish(2);
 
   PartitionOptions opts;
-  PartitionGraph pg = build_initial_partitions(t, opts);
+  OrderContext ctx(t, Options{});
+  ctx.set_pg(build_initial_partitions(t, opts));
+  PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
-  dependency_merge(pg);
-  repair_merge(pg, opts);
+  dependency_merge(ctx);
+  repair_merge(ctx);
   // serial_0 group merged into one multi-chare phase; serial_1 halves
   // still separate.
   ASSERT_EQ(pg.part_of(sa), pg.part_of(sb));
   ASSERT_NE(pg.part_of(sa1), pg.part_of(sb1));
 
-  neighbor_serial_merge(pg, opts);
+  neighbor_serial_merge(ctx);
   EXPECT_EQ(pg.part_of(sa1), pg.part_of(sb1));
 }
 
@@ -189,11 +198,13 @@ TEST(Merges, NeighborSerialMergeIgnoresSingleChareSources) {
   trace::Trace t = tb.finish(2);
 
   PartitionOptions opts;
-  PartitionGraph pg = build_initial_partitions(t, opts);
+  OrderContext ctx(t, Options{});
+  ctx.set_pg(build_initial_partitions(t, opts));
+  PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
-  dependency_merge(pg);
+  dependency_merge(ctx);
   std::int32_t before = pg.num_partitions();
-  neighbor_serial_merge(pg, opts);
+  neighbor_serial_merge(ctx);
   EXPECT_EQ(pg.num_partitions(), before);
 }
 

@@ -1,7 +1,8 @@
 /// PassManager + OrderContext unit tests: registration order, disabled
 /// passes, record bookkeeping, per-pass invariant checking against real
 /// app traces (including the ablation option sets), and the context's
-/// epoch-keyed caches.
+/// epoch-keyed caches, and the crash flight recorder's refresh at pass
+/// boundaries.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,10 @@
 
 #include "apps/jacobi2d.hpp"
 #include "apps/lulesh.hpp"
+#include "obs/flightrec.hpp"
+#include "obs/json.hpp"
 #include "obs/memstats.hpp"
+#include "obs/registry.hpp"
 #include "order/context.hpp"
 #include "order/pass_manager.hpp"
 #include "order/phases.hpp"
@@ -127,6 +131,34 @@ TEST(PassManager, InvariantCheckedRunOnLulesh) {
   opts.partition.check_passes = true;
   LogicalStructure ls = extract_structure(t, opts);
   EXPECT_GT(ls.num_phases(), 0);
+}
+
+/// A counter created mid-run (after arm()) must reach a later crash dump:
+/// the manager re-captures the recorder's metric table after each pass.
+TEST(PassManager, PassBoundaryRefreshesArmedFlightRecorder) {
+  obs::FlightRecorder& rec = obs::FlightRecorder::global();
+  rec.arm(testing::TempDir() + "pass_manager_flightrec.json");
+  const char* name = "order/test/created_after_arm";
+  auto dumped_counters = [&rec] {
+    obs::json::Value v;
+    std::string err;
+    EXPECT_TRUE(obs::json::parse(rec.to_json(), v, &err)) << err;
+    return v.at("counters");
+  };
+
+  trace::Trace t = small_jacobi();
+  OrderContext ctx(t, Options::charm());
+  PassManager pm;
+  pm.add({.name = "creates_counter", .run = [&](OrderContext&) {
+            obs::Registry::global().counter(name).add(7);
+            EXPECT_FALSE(dumped_counters().has(name));
+          }});
+  pm.run(ctx);
+  rec.disarm();
+
+  const obs::json::Value counters = dumped_counters();
+  ASSERT_TRUE(counters.has(name));
+  EXPECT_EQ(counters.at(name).as_int(), 7);
 }
 
 TEST(OrderContext, LeapCacheInvalidatesOnEpoch) {

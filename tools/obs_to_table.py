@@ -41,19 +41,16 @@ freely on one command line:
         --update EXPERIMENTS.md
 
 With --check it validates each document instead of rendering a table,
-dispatching on the schema string. Sidecars must have the v1/v2/v3/v4
+dispatching on the schema string. Sidecars must have the v1-v5
 shape (program, stages, spans, metrics), a versioned `schema` string
-must be exactly "logstruct-obs-sidecar/v2", ".../v3", or ".../v4" and
+must be exactly "logstruct-obs-sidecar/v2" through ".../v5" and
 carry `peak_rss_kb`, a v3+ sidecar must additionally carry a well-formed
 `recovery` object ({"total": N, "counters": {...}} with total equal to
 the counter sum -- the fault-tolerant-ingestion repair counters, see
-docs/ROBUSTNESS.md), a v4 sidecar must carry the live-telemetry blocks
-(a `sampler` time series with non-decreasing timestamps and a
-`flight_recorder` reference, docs/OBSERVABILITY.md "Live telemetry"),
+docs/ROBUSTNESS.md), a v4+ sidecar must carry a well-formed
+`flight_recorder` reference (docs/OBSERVABILITY.md "Live telemetry"),
 and `dropped_spans` must be 0 (a nonzero count means the tracer's span
 buffer overflowed and the trajectory table would silently undercount).
-When a v4 sidecar's sampler ring holds samples, the trajectory table
-gains a closing row with the peak / mean sampled RSS per harness.
 A trace_fsck container-health report ("logstruct-fsck-report/v1",
 docs/ROBUSTNESS.md) must carry a clean/degraded/unusable verdict, a
 per-column block census whose rows sum to their block counts and to
@@ -127,15 +124,7 @@ def load_sidecar(path):
         name: (entry.get("count", 0), entry.get("total_ns", 0))
         for name, entry in doc.get("stages", {}).items()
     }
-    sampler = doc.get("sampler")
-    rss = []
-    if isinstance(sampler, dict):
-        rss = [
-            s["rss_kb"]
-            for s in sampler.get("samples", [])
-            if isinstance(s, dict) and isinstance(s.get("rss_kb"), int)
-        ]
-    return program, stages, doc.get("dropped_spans", 0), rss
+    return program, stages, doc.get("dropped_spans", 0)
 
 
 def stage_key(name):
@@ -146,9 +135,9 @@ def stage_key(name):
 
 
 def render_table(runs):
-    programs = [program for program, _, _, _ in runs]
+    programs = [program for program, _, _ in runs]
     all_stages = sorted(
-        {s for _, stages, _, _ in runs for s in stages}, key=stage_key
+        {s for _, stages, _ in runs for s in stages}, key=stage_key
     )
     header = "| stage | " + " | ".join(
         f"{p} (ms, calls)" for p in programs
@@ -157,28 +146,14 @@ def render_table(runs):
     lines = [header, sep]
     for stage in all_stages:
         cells = []
-        for _, stages, _, _ in runs:
+        for _, stages, _ in runs:
             if stage in stages:
                 count, total_ns = stages[stage]
                 cells.append(f"{total_ns / 1e6:.2f} ({count})")
             else:
                 cells.append("—")
         lines.append("| `" + stage + "` | " + " | ".join(cells) + " |")
-    # Live-sampler memory row (v4 sidecars run with --obs-period-ms):
-    # peak / mean of the sampled RSS series, in MiB.
-    if any(rss for _, _, _, rss in runs):
-        cells = []
-        for _, _, _, rss in runs:
-            if rss:
-                peak = max(rss) / 1024.0
-                mean = sum(rss) / len(rss) / 1024.0
-                cells.append(f"{peak:.1f} / {mean:.1f}")
-            else:
-                cells.append("—")
-        lines.append(
-            "| _sampled rss (peak/mean MiB)_ | " + " | ".join(cells) + " |"
-        )
-    dropped = sum(d for _, _, d, _ in runs)
+    dropped = sum(d for _, _, d in runs)
     lines.append("")
     lines.append(
         f"_Generated by `tools/obs_to_table.py` from {len(runs)} "
@@ -500,65 +475,10 @@ def check_recovery(recovery):
     return problems
 
 
-SAMPLE_KEYS = (
-    "t_ms",
-    "rss_kb",
-    "alloc_bytes",
-    "alloc_count",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "cache_hit_rate_bp",
-    "progress_done",
-    "progress_total",
-)
-
-
-def check_sampler(sampler):
-    """Validate a v4 sidecar's `sampler` time series; return problems."""
-    if not isinstance(sampler, dict):
-        return ["v4 sidecar missing `sampler` object"]
-    problems = []
-    for key in ("period_ms", "capacity", "total"):
-        v = sampler.get(key)
-        if not isinstance(v, int) or v < 0:
-            problems.append(
-                f"sampler.{key} is not a non-negative integer"
-            )
-    samples = sampler.get("samples")
-    if not isinstance(samples, list):
-        return problems + ["sampler.samples is not an array"]
-    total = sampler.get("total")
-    if isinstance(total, int) and len(samples) > total:
-        problems.append(
-            f"sampler ring holds {len(samples)} samples but total "
-            f"claims only {total}"
-        )
-    prev_t = None
-    for i, s in enumerate(samples):
-        if not isinstance(s, dict):
-            problems.append(f"sampler.samples[{i}] is not an object")
-            continue
-        for key in SAMPLE_KEYS:
-            if not isinstance(s.get(key), int):
-                problems.append(
-                    f"sampler.samples[{i}].{key} is not an integer"
-                )
-        t = s.get("t_ms")
-        if isinstance(t, int):
-            if prev_t is not None and t < prev_t:
-                problems.append(
-                    f"sampler.samples[{i}].t_ms = {t} goes backwards "
-                    f"(previous sample at {prev_t})"
-                )
-            prev_t = t
-    return problems
-
-
 def check_flightrec(rec):
-    """Validate a v4 sidecar's `flight_recorder` reference block."""
+    """Validate a v4+ sidecar's `flight_recorder` reference block."""
     if not isinstance(rec, dict):
-        return ["v4 sidecar missing `flight_recorder` object"]
+        return ["v4+ sidecar missing `flight_recorder` object"]
     problems = []
     if not isinstance(rec.get("armed"), bool):
         problems.append("flight_recorder.armed is not a boolean")
@@ -702,6 +622,7 @@ def check_sidecar(path):
             "logstruct-obs-sidecar/v2",
             "logstruct-obs-sidecar/v3",
             "logstruct-obs-sidecar/v4",
+            "logstruct-obs-sidecar/v5",
         ):
             problems.append(f"unknown schema: {schema!r}")
         elif not isinstance(doc.get("peak_rss_kb"), int):
@@ -709,10 +630,13 @@ def check_sidecar(path):
         if schema in (
             "logstruct-obs-sidecar/v3",
             "logstruct-obs-sidecar/v4",
+            "logstruct-obs-sidecar/v5",
         ):
             problems.extend(check_recovery(doc.get("recovery")))
-        if schema == "logstruct-obs-sidecar/v4":
-            problems.extend(check_sampler(doc.get("sampler")))
+        if schema in (
+            "logstruct-obs-sidecar/v4",
+            "logstruct-obs-sidecar/v5",
+        ):
             problems.extend(check_flightrec(doc.get("flight_recorder")))
 
     for name, entry in (doc.get("stages") or {}).items():
@@ -774,7 +698,7 @@ def main():
     ap.add_argument(
         "--check",
         action="store_true",
-        help="validate document schemas (sidecar v1-v4, effmetrics, "
+        help="validate document schemas (sidecar v1-v5, effmetrics, "
         "concurrency, fsck reports) and fail on dropped spans instead "
         "of rendering a table",
     )
