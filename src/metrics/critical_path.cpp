@@ -60,10 +60,7 @@ CriticalPath critical_path(const trace::Trace& trace,
     order[i] = static_cast<trace::EventId>(i);
   std::sort(order.begin(), order.end(),
             [&trace](trace::EventId a, trace::EventId b) {
-              const trace::TimeNs ta = trace.event_time(a);
-              const trace::TimeNs tb = trace.event_time(b);
-              if (ta != tb) return ta < tb;
-              return a < b;
+              return trace.before(a, b);
             });
 
   // dist_at: longest chain arriving at the event's own timestamp (used by

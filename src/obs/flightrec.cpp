@@ -148,13 +148,17 @@ void FlightRecorder::record(bool close, std::string_view name,
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  s.t_ns = t_ns;
-  s.thread = thread;
-  s.close = close;
-  const std::size_t n =
-      name.size() < kNameLen - 1 ? name.size() : kNameLen - 1;
-  std::memcpy(s.name, name.data(), n);
-  s.name[n] = 0;
+  s.t_ns.store(t_ns, std::memory_order_release);
+  s.thread.store(thread, std::memory_order_release);
+  s.close.store(close, std::memory_order_release);
+  char text[kNameLen] = {0};
+  std::memcpy(text, name.data(),
+              name.size() < kNameLen - 1 ? name.size() : kNameLen - 1);
+  for (std::size_t i = 0; i < kNameWords; ++i) {
+    std::uint64_t word;
+    std::memcpy(&word, text + 8 * i, sizeof word);
+    s.name[i].store(word, std::memory_order_release);
+  }
   s.seq.store((ticket + 1) << 1, std::memory_order_release);
 }
 
@@ -250,11 +254,14 @@ bool FlightRecorder::dump(int fd, int sig) const {
     const std::uint64_t want = (i + 1) << 1;
     if (s.seq.load(std::memory_order_acquire) != want) continue;
     char name[kNameLen];
-    std::memcpy(name, s.name, kNameLen);
+    for (std::size_t k = 0; k < kNameWords; ++k) {
+      const std::uint64_t word = s.name[k].load(std::memory_order_acquire);
+      std::memcpy(name + 8 * k, &word, sizeof word);
+    }
     name[kNameLen - 1] = 0;
-    const std::int64_t t_ns = s.t_ns;
-    const std::int32_t thread = s.thread;
-    const bool close = s.close;
+    const std::int64_t t_ns = s.t_ns.load(std::memory_order_acquire);
+    const std::int32_t thread = s.thread.load(std::memory_order_acquire);
+    const bool close = s.close.load(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_acquire) != want) continue;
     if (!first) w.put(',');
     first = false;
@@ -350,10 +357,10 @@ void FlightRecorder::reset() {
   dropped_.store(0, std::memory_order_relaxed);
   for (Slot& s : ring_) {
     s.seq.store(0, std::memory_order_relaxed);
-    s.t_ns = 0;
-    s.thread = 0;
-    s.close = false;
-    s.name[0] = 0;
+    s.t_ns.store(0, std::memory_order_relaxed);
+    s.thread.store(0, std::memory_order_relaxed);
+    s.close.store(false, std::memory_order_relaxed);
+    for (auto& word : s.name) word.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -10,9 +10,10 @@
 /// begin/end. A ticket from an atomic counter picks a slot; the writer
 /// claims the slot by flipping its sequence word odd (skipping the
 /// record if another writer holds it — wrap-around contention drops
-/// rather than blocks), copies the span name into the slot's inline
-/// buffer, and releases with an even sequence. No locks, no allocation,
-/// ~100ns — cheap enough to stay always-on at span (stage) granularity.
+/// rather than blocks), stores the payload and the span name into the
+/// slot's atomic words, and releases with an even sequence. No locks, no
+/// allocation, ~100ns — cheap enough to stay always-on at span (stage)
+/// granularity.
 ///
 /// Dumping (dump()): runs inside the signal handler, so it uses only
 /// async-signal-safe primitives — open/write/close, atomic loads, and
@@ -38,6 +39,7 @@ class FlightRecorder {
  public:
   static constexpr std::size_t kRingSize = 256;
   static constexpr std::size_t kNameLen = 48;   ///< truncating copy
+  static constexpr std::size_t kNameWords = kNameLen / 8;
   static constexpr std::size_t kMaxMetrics = 256;
 
   static FlightRecorder& global();
@@ -83,13 +85,19 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
+  /// The payload is atomic words too, so a dump that races a writer
+  /// reads stale words (rejected by the sequence re-check) rather than
+  /// racing on plain memory. Writers store it with release and dump()
+  /// loads it with acquire: a dump that sees any word of a newer record
+  /// also sees that record's odd sequence on the re-check. Lock-free
+  /// atomics keep dump() async-signal-safe.
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  ///< 0 empty; odd = writing;
                                         ///< even = (ticket+1)*2
-    std::int64_t t_ns = 0;
-    std::int32_t thread = 0;
-    bool close = false;
-    char name[kNameLen] = {0};
+    std::atomic<std::int64_t> t_ns{0};
+    std::atomic<std::int32_t> thread{0};
+    std::atomic<bool> close{false};
+    std::atomic<std::uint64_t> name[kNameWords] = {};  ///< NUL-padded
   };
 
   struct MetricRef {

@@ -3,6 +3,7 @@
 #include <type_traits>
 
 #include "graph/leaps.hpp"
+#include "order/wclock.hpp"
 #include "util/check.hpp"
 
 namespace logstruct::order {
@@ -45,6 +46,11 @@ const BlockUnits& OrderContext::units(bool sdag_absorption) {
   auto& slot = sdag_absorption ? units_absorbed_ : units_raw_;
   if (!slot) slot = compute_block_units(*trace_, sdag_absorption);
   return *slot;
+}
+
+const std::vector<std::int32_t>& OrderContext::collective_of() {
+  if (!collective_of_) collective_of_ = collective_of_events(*trace_);
+  return *collective_of_;
 }
 
 std::vector<std::pair<PartId, PartId>>& OrderContext::scratch_pairs() {

@@ -16,8 +16,8 @@
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
-///  - units(flavor) depends only on the immutable trace, so it is
-///    computed at most once per flavor per context.
+///  - units(flavor) and collective_of() depend only on the immutable
+///    trace, so each is computed at most once (per flavor) per context.
 
 #include <cstdint>
 #include <optional>
@@ -64,6 +64,10 @@ class OrderContext {
   /// is immutable so these never invalidate).
   [[nodiscard]] const BlockUnits& units(bool sdag_absorption);
 
+  /// Event -> collective index (-1 none), read by the w clock and by
+  /// stepping; computed once (the trace is immutable).
+  [[nodiscard]] const std::vector<std::int32_t>& collective_of();
+
   // --- arena scratch ----------------------------------------------------
   /// Reusable merge-pair buffer; returned cleared.
   [[nodiscard]] std::vector<std::pair<PartId, PartId>>& scratch_pairs();
@@ -96,6 +100,7 @@ class OrderContext {
 
   std::optional<BlockUnits> units_raw_;
   std::optional<BlockUnits> units_absorbed_;
+  std::optional<std::vector<std::int32_t>> collective_of_;
 
   std::vector<std::pair<PartId, PartId>> scratch_pairs_;
   std::vector<std::pair<PartId, PartId>> scratch_edges_;

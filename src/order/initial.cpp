@@ -32,10 +32,7 @@ BlockUnits compute_block_units(const trace::Trace& trace,
           static_cast<trace::BlockId>(r);
   }
   auto by_time = [&trace](trace::EventId a, trace::EventId b) {
-    const trace::TimeNs ta = trace.event_time(a);
-    const trace::TimeNs tb = trace.event_time(b);
-    if (ta != tb) return ta < tb;
-    return a < b;
+    return trace.before(a, b);
   };
   for (auto& list : u.events) std::sort(list.begin(), list.end(), by_time);
   return u;

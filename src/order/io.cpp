@@ -114,10 +114,7 @@ LogicalStructure read_structure(std::istream& in,
     ls.phases.events[ph].push_back(e);
   }
   auto by_time = [&trace](trace::EventId a, trace::EventId b) {
-    const trace::TimeNs ta = trace.event_time(a);
-    const trace::TimeNs tb = trace.event_time(b);
-    if (ta != tb) return ta < tb;
-    return a < b;
+    return trace.before(a, b);
   };
   for (auto& list : ls.phases.events)
     std::sort(list.begin(), list.end(), by_time);

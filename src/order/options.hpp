@@ -62,12 +62,6 @@ struct StepOptions {
   /// Message-passing variant of the w clock: sends are pinned after the
   /// receives that physically preceded them; only receives reorder.
   bool mpi_mode = false;
-
-  /// Worker threads for step assignment. 0 = follow Options::threads
-  /// (and through it the process default). Phases are independent (§3.3:
-  /// "as each phase is handled individually, this stage could be
-  /// parallelized"); results are identical for any thread count.
-  int threads = 0;
 };
 
 struct Options {

@@ -114,10 +114,7 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
   merges_ += num_partitions() - num_new;
   const trace::Trace& tr = *trace_;
   auto by_time = [&tr](trace::EventId a, trace::EventId b) {
-    const trace::TimeNs ta = tr.event_time(a);
-    const trace::TimeNs tb = tr.event_time(b);
-    if (ta != tb) return ta < tb;
-    return a < b;
+    return tr.before(a, b);
   };
 
   // The first member of each group donates its vectors; later members

@@ -1,7 +1,9 @@
 #include "order/stepping.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
+#include <numeric>
+#include <queue>
 
 #include "graph/topo.hpp"
 #include "obs/obs.hpp"
@@ -18,103 +20,63 @@ namespace logstruct::order {
 
 namespace {
 
-/// One serial-block unit inside one phase.
-struct Unit {
-  std::vector<trace::EventId> events;  // in-phase events, time order
+/// One in-phase unit: its §3.2.1 sort keys plus its chare.
+struct UnitInfo {
+  trace::EventId first = trace::kNone;  ///< earliest in-phase event
   trace::ChareId chare = trace::kNone;
-};
-
-/// Comparator state for ordering a chare's units (§3.2.1): w of the
-/// initial event, then invoking chare, then recursion into source units,
-/// then physical time as the total-order fallback.
-class UnitOrder {
- public:
-  UnitOrder(const trace::Trace& trace, const BlockUnits& units,
-            const std::vector<std::int64_t>& w,
-            const std::vector<Unit>& all_units,
-            const std::unordered_map<trace::BlockId, std::int32_t>&
-                unit_index)
-      : trace_(trace),
-        units_(units),
-        w_(w),
-        all_units_(all_units),
-        unit_index_(unit_index) {}
-
-  bool less(std::int32_t a, std::int32_t b) const {
-    int c = compare(a, b, /*depth=*/8);
-    if (c != 0) return c < 0;
-    // Total-order fallback: physical time, then event id.
-    const trace::EventId ea = first(a);
-    const trace::EventId eb = first(b);
-    const trace::TimeNs ta = trace_.event_time(ea);
-    const trace::TimeNs tb = trace_.event_time(eb);
-    if (ta != tb) return ta < tb;
-    return ea < eb;
-  }
-
- private:
-  [[nodiscard]] trace::EventId first(std::int32_t u) const {
-    return all_units_[static_cast<std::size_t>(u)].events.front();
-  }
-
-  /// The unit's replay position: the maximum w over its receives — the
+  /// Replay position: the maximum w over the unit's receives — the
   /// binding dependency that lets it start. Charm++ units have (at most)
   /// one receive, and it is the first event, so this matches the paper's
   /// "w of the initial event"; multi-dependency task units must sort by
   /// their last-satisfied dependency or the sequence order can contradict
   /// the message order.
-  [[nodiscard]] std::int64_t unit_w(std::int32_t u) const {
-    const auto& events = all_units_[static_cast<std::size_t>(u)].events;
-    std::int64_t best = w_[static_cast<std::size_t>(events.front())];
-    for (trace::EventId e : events) {
-      if (trace_.event(e).kind == trace::EventKind::Recv)
-        best = std::max(best, w_[static_cast<std::size_t>(e)]);
+  std::int64_t w = 0;
+  /// Partner chare of the initial receive (-1 if none).
+  std::int32_t invoker_chare = -1;
+  /// The in-phase unit holding that receive's send (-1 if none or not
+  /// materialized in this phase).
+  std::int32_t invoker_unit = -1;
+};
+
+/// Orders one chare's units (§3.2.1): w, then invoking chare, then
+/// recursion into the invoking units. The (time, id) order of the first
+/// events is the total-order fallback and, without reordering, the whole
+/// order.
+class UnitOrder {
+ public:
+  UnitOrder(const trace::Trace& trace, const std::vector<UnitInfo>& units,
+            bool reorder)
+      : trace_(trace), units_(units), reorder_(reorder) {}
+
+  bool operator()(std::int32_t a, std::int32_t b) const {
+    if (reorder_) {
+      const int c = compare(a, b, /*depth=*/8);
+      if (c != 0) return c < 0;
     }
-    return best;
+    return trace_.before(unit(a).first, unit(b).first);
   }
 
-  /// The chare that invoked this unit: the partner chare of its initial
-  /// receive (kNone -> -1).
-  [[nodiscard]] std::int32_t invoker_chare(std::int32_t u) const {
-    const trace::Event& ev = trace_.event(first(u));
-    if (ev.kind != trace::EventKind::Recv || ev.partner == trace::kNone)
-      return -1;
-    return trace_.event(ev.partner).chare;
-  }
-
-  /// The unit holding the matching send of this unit's initial receive
-  /// (-1 if none or not materialized in this phase).
-  [[nodiscard]] std::int32_t invoker_unit(std::int32_t u) const {
-    const trace::Event& ev = trace_.event(first(u));
-    if (ev.kind != trace::EventKind::Recv || ev.partner == trace::kNone)
-      return -1;
-    trace::BlockId b =
-        units_.unit_of_event[static_cast<std::size_t>(ev.partner)];
-    auto it = unit_index_.find(b);
-    return it == unit_index_.end() ? -1 : it->second;
+ private:
+  [[nodiscard]] const UnitInfo& unit(std::int32_t u) const {
+    return units_[static_cast<std::size_t>(u)];
   }
 
   int compare(std::int32_t a, std::int32_t b, int depth) const {
-    std::int64_t wa = unit_w(a);
-    std::int64_t wb = unit_w(b);
-    if (wa != wb) return wa < wb ? -1 : 1;
-    std::int32_t ia = invoker_chare(a);
-    std::int32_t ib = invoker_chare(b);
-    if (ia != ib) return ia < ib ? -1 : 1;
-    if (depth > 0) {
-      std::int32_t ua = invoker_unit(a);
-      std::int32_t ub = invoker_unit(b);
-      if (ua >= 0 && ub >= 0 && ua != ub && ua != a && ub != b)
-        return compare(ua, ub, depth - 1);
-    }
+    const UnitInfo& ua = unit(a);
+    const UnitInfo& ub = unit(b);
+    if (ua.w != ub.w) return ua.w < ub.w ? -1 : 1;
+    if (ua.invoker_chare != ub.invoker_chare)
+      return ua.invoker_chare < ub.invoker_chare ? -1 : 1;
+    const std::int32_t ia = ua.invoker_unit;
+    const std::int32_t ib = ub.invoker_unit;
+    if (depth > 0 && ia >= 0 && ib >= 0 && ia != ib && ia != a && ib != b)
+      return compare(ia, ib, depth - 1);
     return 0;
   }
 
   const trace::Trace& trace_;
-  const BlockUnits& units_;
-  const std::vector<std::int64_t>& w_;
-  const std::vector<Unit>& all_units_;
-  const std::unordered_map<trace::BlockId, std::int32_t>& unit_index_;
+  const std::vector<UnitInfo>& units_;
+  bool reorder_;
 };
 
 /// "reorder" pass (§3.2.1): fill ctx.w with the idealized-replay clock,
@@ -122,18 +84,18 @@ class UnitOrder {
 void reorder_pass(OrderContext& ctx) {
   const Options& opts = ctx.options();
   if (opts.step.reorder) {
-    const int threads = opts.step.threads >= 1 ? opts.step.threads
-                                               : opts.effective_threads();
     ctx.w = compute_w(ctx.trace(), ctx.phases,
-                      ctx.units(opts.partition.sdag_inference), opts.step,
-                      threads);
+                      ctx.units(opts.partition.sdag_inference),
+                      ctx.collective_of(), opts.step,
+                      opts.effective_threads());
   } else {
     ctx.w.assign(static_cast<std::size_t>(ctx.trace().num_events()), 0);
   }
 }
 
-/// "stepping" pass (§3.2.2-§3.3): order units per chare, Kahn-assign
-/// local steps per phase, stitch global steps via phase offsets.
+/// "stepping" pass (§3.2.2-§3.3): order units per chare, settle every
+/// event of a phase in dependency order, stitch global steps via phase
+/// offsets.
 void stepping_pass(OrderContext& ctx) {
   const trace::Trace& trace = ctx.trace();
   const Options& opts = ctx.options();
@@ -144,229 +106,223 @@ void stepping_pass(OrderContext& ctx) {
   span.attr("events", trace.num_events());
   LogicalStructure& out = ctx.structure;
   const BlockUnits& units = ctx.units(opts.partition.sdag_inference);
+  const std::vector<std::int32_t>& coll_of = ctx.collective_of();
 
   out.w = std::move(ctx.w);
   if (out.w.empty())
     out.w.assign(static_cast<std::size_t>(trace.num_events()), 0);
-
-  // Collective send lists per event for step dependencies.
-  std::unordered_map<trace::EventId, std::int32_t> coll_of;
-  for (std::size_t c = 0; c < trace.collectives().size(); ++c) {
-    for (trace::EventId e : trace.collectives()[c].recvs)
-      coll_of[e] = static_cast<std::int32_t>(c);
-  }
 
   out.local_step.assign(static_cast<std::size_t>(trace.num_events()), 0);
   out.global_step.assign(static_cast<std::size_t>(trace.num_events()), 0);
   out.phase_offset.assign(static_cast<std::size_t>(phases.num_phases()), 0);
   out.phase_height.assign(static_cast<std::size_t>(phases.num_phases()), 0);
 
-  // Per-chare sequences per phase; stitched globally after offsets.
-  std::vector<std::vector<std::vector<trace::EventId>>> phase_chare_seq(
-      static_cast<std::size_t>(phases.num_phases()));
-
-  std::vector<trace::EventId> seq_pred(
-      static_cast<std::size_t>(trace.num_events()), trace::kNone);
+  // Per phase, (chare, event) in settle order; stitched globally after
+  // offsets.
+  std::vector<std::vector<std::pair<trace::ChareId, trace::EventId>>>
+      settled(static_cast<std::size_t>(phases.num_phases()));
+  // event -> its position in its phase's event list (time order).
+  std::vector<std::int32_t> local_of(
+      static_cast<std::size_t>(trace.num_events()), 0);
   std::vector<std::int32_t> conflicts(
       static_cast<std::size_t>(phases.num_phases()), 0);
 
   // Phases are mutually independent here: every vector indexed below is
   // written at per-phase or per-event (single owning phase) positions, so
-  // the loop parallelizes without synchronization (§3.3).
+  // the loop parallelizes without synchronization (§3.3). Inside a phase
+  // everything is indexed by phase position.
   auto process_phase = [&](std::int32_t ph) {
-    const auto& phase_events = phases.events[static_cast<std::size_t>(ph)];
-
-    // Build units restricted to this phase.
-    std::vector<Unit> phase_units;
-    std::unordered_map<trace::BlockId, std::int32_t> unit_index;
-    for (trace::EventId e : phase_events) {
-      trace::BlockId u = units.unit_of_event[static_cast<std::size_t>(e)];
-      auto [it, inserted] = unit_index.try_emplace(
-          u, static_cast<std::int32_t>(phase_units.size()));
-      if (inserted) {
-        phase_units.emplace_back();
-        phase_units.back().chare = trace.event(e).chare;
-      }
-      phase_units[static_cast<std::size_t>(it->second)].events.push_back(e);
-    }
-
-    // Group units by chare and order them.
-    std::unordered_map<trace::ChareId, std::vector<std::int32_t>> by_chare;
-    for (std::size_t u = 0; u < phase_units.size(); ++u)
-      by_chare[phase_units[u].chare].push_back(static_cast<std::int32_t>(u));
-
-    UnitOrder order(trace, units, out.w, phase_units, unit_index);
-    auto& seqs = phase_chare_seq[static_cast<std::size_t>(ph)];
-    for (auto& [chare, list] : by_chare) {
-      if (opts.step.reorder) {
-        std::sort(list.begin(), list.end(),
-                  [&order](std::int32_t a, std::int32_t b) {
-                    return order.less(a, b);
-                  });
-      } else {
-        std::sort(list.begin(), list.end(),
-                  [&](std::int32_t a, std::int32_t b) {
-                    trace::EventId ea = phase_units[
-                        static_cast<std::size_t>(a)].events.front();
-                    trace::EventId eb = phase_units[
-                        static_cast<std::size_t>(b)].events.front();
-                    const trace::TimeNs ta = trace.event_time(ea);
-                    const trace::TimeNs tb = trace.event_time(eb);
-                    if (ta != tb) return ta < tb;
-                    return ea < eb;
-                  });
-      }
-      std::vector<trace::EventId> seq;
-      for (std::int32_t u : list) {
-        for (trace::EventId e :
-             phase_units[static_cast<std::size_t>(u)].events) {
-          if (!seq.empty())
-            seq_pred[static_cast<std::size_t>(e)] = seq.back();
-          seq.push_back(e);
-        }
-      }
-      seqs.push_back(std::move(seq));
-    }
-
-    // Local step assignment: Kahn over sequence + message dependencies.
-    std::unordered_map<trace::EventId, std::int32_t> indeg;
-    std::unordered_map<trace::EventId, std::vector<trace::EventId>> succ;
+    const auto& events = phases.events[static_cast<std::size_t>(ph)];
+    const auto n = static_cast<std::int32_t>(events.size());
+    auto at = [](auto& v, std::int32_t i) -> auto& {
+      return v[static_cast<std::size_t>(i)];
+    };
+    for (std::int32_t i = 0; i < n; ++i) at(local_of, at(events, i)) = i;
     auto in_phase = [&](trace::EventId e) {
-      return phases.phase_of_event[static_cast<std::size_t>(e)] == ph;
+      return at(phases.phase_of_event, e) == ph;
     };
-    for (trace::EventId e : phase_events) indeg[e] = 0;
-    auto add_dep = [&](trace::EventId from, trace::EventId to) {
-      succ[from].push_back(to);
-      ++indeg[to];
+
+    // Units of this phase: a unit's index is the rank of its rep in the
+    // sorted rep list (-1: not materialized in this phase).
+    std::vector<trace::BlockId> reps;
+    for (trace::EventId e : events) reps.push_back(at(units.unit_of_event, e));
+    std::sort(reps.begin(), reps.end());
+    reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
+    auto unit_index = [&](trace::EventId e) {
+      const trace::BlockId rep = at(units.unit_of_event, e);
+      auto it = std::lower_bound(reps.begin(), reps.end(), rep);
+      return it != reps.end() && *it == rep
+                 ? static_cast<std::int32_t>(it - reps.begin())
+                 : -1;
     };
-    for (trace::EventId e : phase_events) {
-      if (seq_pred[static_cast<std::size_t>(e)] != trace::kNone)
-        add_dep(seq_pred[static_cast<std::size_t>(e)], e);
-      const trace::Event& ev = trace.event(e);
-      if (ev.kind == trace::EventKind::Recv) {
-        if (ev.partner != trace::kNone && in_phase(ev.partner))
-          add_dep(ev.partner, e);
-        auto coll = coll_of.find(e);
-        if (coll != coll_of.end()) {
-          for (trace::EventId s :
-               trace.collectives()[static_cast<std::size_t>(coll->second)]
-                   .sends) {
-            if (in_phase(s)) add_dep(s, e);
-          }
+    const auto nu = static_cast<std::int32_t>(reps.size());
+
+    // One sweep over the phase's rows: each event's unit, the unit sort
+    // keys, and the message edges (in-phase send -> receive, collective
+    // sends included).
+    std::vector<UnitInfo> info(static_cast<std::size_t>(nu));
+    std::vector<std::int32_t> unit_of(events.size());
+    std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+    for (std::int32_t i = 0; i < n; ++i) {
+      const trace::EventId e = at(events, i);
+      const trace::Event ev = trace.event(e);
+      const bool recv = ev.kind == trace::EventKind::Recv;
+      UnitInfo& unit = at(info, at(unit_of, i) = unit_index(e));
+      if (unit.first == trace::kNone) {
+        unit.first = e;
+        unit.chare = ev.chare;
+        unit.w = at(out.w, e);
+        if (opts.step.reorder && recv && ev.partner != trace::kNone) {
+          unit.invoker_chare = trace.event(ev.partner).chare;
+          unit.invoker_unit = unit_index(ev.partner);
         }
       }
+      if (!recv) continue;
+      unit.w = std::max(unit.w, at(out.w, e));
+      if (ev.partner != trace::kNone && in_phase(ev.partner))
+        edges.emplace_back(at(local_of, ev.partner), i);
+      if (at(coll_of, e) < 0) continue;
+      for (trace::EventId s : trace.collectives()[static_cast<std::size_t>(
+                                  at(coll_of, e))].sends)
+        if (in_phase(s)) edges.emplace_back(at(local_of, s), i);
     }
 
-    std::vector<trace::EventId> ready;
-    for (trace::EventId e : phase_events)
-      if (indeg[e] == 0) ready.push_back(e);
-    std::size_t done = 0;
-    std::unordered_map<trace::EventId, bool> processed;
-    auto settle = [&](trace::EventId e) {
-      if (processed[e]) return;
-      std::int32_t step = 0;
-      if (seq_pred[static_cast<std::size_t>(e)] != trace::kNone) {
-        step = std::max(
-            step,
-            out.local_step[static_cast<std::size_t>(
-                seq_pred[static_cast<std::size_t>(e)])] + 1);
+    // Chare sequences: units grouped by chare in first-appearance order,
+    // each chare's run sorted by the unit order; events follow their
+    // unit's rank, in time order within the unit.
+    std::vector<std::int32_t> order(static_cast<std::size_t>(nu));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::int32_t a, std::int32_t b) {
+                const UnitInfo& ua = at(info, a);
+                const UnitInfo& ub = at(info, b);
+                if (ua.chare != ub.chare) return ua.chare < ub.chare;
+                return at(local_of, ua.first) < at(local_of, ub.first);
+              });
+    std::vector<std::int32_t> rank(static_cast<std::size_t>(nu));
+    std::vector<std::int32_t> group(static_cast<std::size_t>(nu));
+    std::int32_t groups = 0;
+    for (std::size_t lo = 0, hi = 0; lo < order.size(); lo = hi, ++groups) {
+      while (hi < order.size() &&
+             at(info, order[hi]).chare == at(info, order[lo]).chare)
+        ++hi;
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                order.begin() + static_cast<std::ptrdiff_t>(hi),
+                UnitOrder(trace, info, opts.step.reorder));
+      for (std::size_t k = lo; k < hi; ++k) {
+        at(rank, order[k]) = static_cast<std::int32_t>(k);
+        at(group, order[k]) = groups;
       }
-      const trace::Event& ev = trace.event(e);
-      if (ev.kind == trace::EventKind::Recv) {
-        if (ev.partner != trace::kNone && in_phase(ev.partner))
-          step = std::max(
-              step,
-              out.local_step[static_cast<std::size_t>(ev.partner)] + 1);
-        auto coll = coll_of.find(e);
-        if (coll != coll_of.end()) {
-          for (trace::EventId s :
-               trace.collectives()[static_cast<std::size_t>(coll->second)]
-                   .sends) {
-            if (in_phase(s))
-              step = std::max(
-                  step, out.local_step[static_cast<std::size_t>(s)] + 1);
-          }
+    }
+    auto group_of = [&](std::int32_t i) { return at(group, at(unit_of, i)); };
+    std::vector<std::int32_t> seq(events.size());
+    std::iota(seq.begin(), seq.end(), 0);
+    std::stable_sort(seq.begin(), seq.end(),
+                     [&](std::int32_t a, std::int32_t b) {
+                       return at(rank, at(unit_of, a)) <
+                              at(rank, at(unit_of, b));
+                     });
+    std::vector<std::int32_t> seq_pred(events.size(), -1);
+    for (std::int32_t k = 1; k < n; ++k) {
+      if (group_of(at(seq, k - 1)) != group_of(at(seq, k))) continue;
+      at(seq_pred, at(seq, k)) = at(seq, k - 1);
+      edges.emplace_back(at(seq, k - 1), at(seq, k));
+    }
+
+    // Kahn over sequence + message edges: successors in CSR form
+    // (succ[succ_begin[i] .. succ_begin[i + 1])) and indegrees.
+    std::vector<std::int32_t> succ_begin(events.size() + 1, 0);
+    std::vector<std::int32_t> indeg(events.size(), 0);
+    for (auto [from, to] : edges) {
+      ++at(succ_begin, from + 1);
+      ++at(indeg, to);
+    }
+    std::partial_sum(succ_begin.begin(), succ_begin.end(),
+                     succ_begin.begin());
+    std::vector<std::int32_t> succ(edges.size());
+    {
+      std::vector<std::int32_t> cur(succ_begin);
+      for (auto [from, to] : edges) at(succ, at(cur, from)++) = to;
+    }
+
+    // The one step rule (§3.2.2): one past the step of the event settled
+    // last on the chare in this phase and of every in-phase send the
+    // event receives from (`pred_max`, the largest step a settled
+    // predecessor pushed). A chare's in-phase sequence is its settle
+    // order, which is its unit order whenever Kahn never stalls.
+    std::vector<std::int32_t> step(events.size(), -1);  // -1 = unsettled
+    std::vector<std::int32_t> pred_max(events.size(), -1);
+    std::vector<std::int32_t> last_step(static_cast<std::size_t>(groups), -1);
+    auto& order_out = at(settled, ph);
+    order_out.reserve(events.size());
+    std::vector<std::int32_t> ready;
+    // Conflict candidates by phase position, kept only once Kahn stalls.
+    std::priority_queue<std::int32_t, std::vector<std::int32_t>,
+                        std::greater<>>
+        candidates;
+    bool stalled = false;
+    // A stall candidate has every happened-before predecessor settled:
+    // its in-phase senders and, when it is in the same trace block, its
+    // sequence predecessor. Only a cross-block sequence edge (an order
+    // the unit sort chose) is left unsatisfied.
+    auto is_candidate = [&](std::int32_t i) {
+      const std::int32_t p = at(seq_pred, i);
+      return at(step, i) < 0 && at(indeg, i) == 1 && p >= 0 &&
+             at(step, p) < 0 &&
+             trace.event(at(events, p)).block !=
+                 trace.event(at(events, i)).block;
+    };
+    auto settle = [&](std::int32_t i) {
+      std::int32_t& last = at(last_step, group_of(i));
+      last = std::max(last, at(pred_max, i)) + 1;
+      at(step, i) = last;
+      order_out.emplace_back(at(info, at(unit_of, i)).chare, at(events, i));
+      for (std::int32_t j = at(succ_begin, i); j < at(succ_begin, i + 1);
+           ++j) {
+        const std::int32_t k = at(succ, j);
+        at(pred_max, k) = std::max(at(pred_max, k), last);
+        if (--at(indeg, k) == 0) {
+          if (at(step, k) < 0) ready.push_back(k);
+        } else if (stalled && is_candidate(k)) {
+          candidates.push(k);
         }
       }
-      out.local_step[static_cast<std::size_t>(e)] = step;
-      processed[e] = true;
-      ++done;
-      for (trace::EventId nxt : succ[e]) {
-        if (--indeg[nxt] == 0) ready.push_back(nxt);
-      }
     };
+
+    for (std::int32_t i = 0; i < n; ++i)
+      if (at(indeg, i) == 0) ready.push_back(i);
     std::size_t head = 0;
-    while (done < phase_events.size()) {
+    for (std::int32_t done = 0; done < n; ++done) {
       if (head < ready.size()) {
         settle(ready[head++]);
         continue;
       }
-      // Reordering produced a cyclic constraint (possible only with
-      // pathological unit orders): break it at the earliest unprocessed
-      // event and keep draining normally.
-      trace::EventId pick = trace::kNone;
-      for (trace::EventId e : phase_events) {
-        if (!processed[e] &&
-            (pick == trace::kNone ||
-             trace.event_time(e) < trace.event_time(pick)))
-          pick = e;
+      // The unit order contradicts the messages (a dependency cycle):
+      // settle the earliest event whose happened-before predecessors are
+      // all settled. One always exists, because happened-before is
+      // acyclic.
+      if (!stalled) {
+        stalled = true;
+        for (std::int32_t i = 0; i < n; ++i)
+          if (is_candidate(i)) candidates.push(i);
       }
-      LS_CHECK(pick != trace::kNone);
-      ++conflicts[static_cast<std::size_t>(ph)];
-      settle(pick);
+      while (!candidates.empty() && at(step, candidates.top()) >= 0)
+        candidates.pop();
+      LS_CHECK_MSG(!candidates.empty(),
+                   "stepping: cyclic happened-before inside a phase");
+      ++at(conflicts, ph);
+      settle(candidates.top());
     }
 
-    if (conflicts[static_cast<std::size_t>(ph)] > 0) {
-      // The cycle-breaking fallback can leave constraints unmet. Relax to
-      // a fixpoint: every pass only raises steps, so it terminates, and
-      // afterwards both invariants (strictly increasing along the chare
-      // sequence, receive after send) hold again.
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        for (trace::EventId e : phase_events) {
-          std::int32_t step = out.local_step[static_cast<std::size_t>(e)];
-          if (seq_pred[static_cast<std::size_t>(e)] != trace::kNone) {
-            step = std::max(
-                step, out.local_step[static_cast<std::size_t>(
-                          seq_pred[static_cast<std::size_t>(e)])] + 1);
-          }
-          const trace::Event& ev = trace.event(e);
-          if (ev.kind == trace::EventKind::Recv) {
-            if (ev.partner != trace::kNone && in_phase(ev.partner))
-              step = std::max(
-                  step,
-                  out.local_step[static_cast<std::size_t>(ev.partner)] + 1);
-            auto coll = coll_of.find(e);
-            if (coll != coll_of.end()) {
-              for (trace::EventId s2 :
-                   trace.collectives()[static_cast<std::size_t>(
-                       coll->second)].sends) {
-                if (in_phase(s2))
-                  step = std::max(
-                      step,
-                      out.local_step[static_cast<std::size_t>(s2)] + 1);
-              }
-            }
-          }
-          if (step != out.local_step[static_cast<std::size_t>(e)]) {
-            out.local_step[static_cast<std::size_t>(e)] = step;
-            changed = true;
-          }
-        }
-      }
+    std::int32_t height = 0;
+    for (std::int32_t i = 0; i < n; ++i) {
+      at(out.local_step, at(events, i)) = at(step, i);
+      height = std::max(height, at(step, i));
     }
-
-    for (trace::EventId e : phase_events)
-      out.phase_height[static_cast<std::size_t>(ph)] = std::max(
-          out.phase_height[static_cast<std::size_t>(ph)],
-          out.local_step[static_cast<std::size_t>(e)]);
+    at(out.phase_height, ph) = height;
   };
 
-  // step.threads >= 1 is an explicit per-stage override; 0 follows the
-  // pipeline-wide Options::threads (and through it --threads).
-  const int threads = opts.step.threads >= 1 ? opts.step.threads
-                                             : opts.effective_threads();
+  const int threads = opts.effective_threads();
   span.attr("threads", threads);
   obs::Progress progress("order/stepping", phases.num_phases());
   util::parallel_for(threads, phases.num_phases(), [&](std::int64_t ph) {
@@ -411,15 +367,9 @@ void stepping_pass(OrderContext& ctx) {
                          out.phase_offset[static_cast<std::size_t>(b)];
                 return a < b;
               });
-    for (std::int32_t ph : phase_order) {
-      for (const auto& seq :
-           phase_chare_seq[static_cast<std::size_t>(ph)]) {
-        if (seq.empty()) continue;
-        trace::ChareId c = trace.event(seq.front()).chare;
-        auto& global = out.chare_sequence[static_cast<std::size_t>(c)];
-        global.insert(global.end(), seq.begin(), seq.end());
-      }
-    }
+    for (std::int32_t ph : phase_order)
+      for (auto [chare, e] : settled[static_cast<std::size_t>(ph)])
+        out.chare_sequence[static_cast<std::size_t>(chare)].push_back(e);
   }
   out.pos_in_chare.assign(static_cast<std::size_t>(trace.num_events()), 0);
   for (const auto& seq : out.chare_sequence) {

@@ -4,11 +4,12 @@
 /// Step assignment (paper §3.2) and the LogicalStructure result.
 ///
 /// Within each phase: serial-block units are ordered per chare (by the w
-/// replay clock when reordering, by physical time otherwise), then every
-/// event gets a local step — one past the maximum of its happened-before
-/// events (the prior event along its chare, and its matching send if it is
-/// a receive). Phase offsets from the phase DAG turn local steps into
-/// global ones.
+/// replay clock when reordering, by physical time otherwise), then the
+/// phase's events are settled in dependency order (Kahn over the chare
+/// sequences and the in-phase messages). Each event's local step is one
+/// past the step of the event settled last on its chare and of every
+/// in-phase send it receives from. Phase offsets from the phase DAG turn
+/// local steps into global ones.
 
 #include <cstdint>
 #include <vector>
@@ -30,13 +31,17 @@ struct LogicalStructure {
   std::vector<std::int32_t> phase_height;  ///< max local step per phase
 
   /// Per chare: its events in final logical order (phases in DAG order,
-  /// units as sorted, events in unit order).
+  /// then settle order: units as sorted, events in unit order, unless a
+  /// conflict settled an event early).
   std::vector<std::vector<trace::EventId>> chare_sequence;
   std::vector<std::int32_t> pos_in_chare;  ///< per event
 
   std::int32_t max_step = 0;
-  /// Ordering conflicts broken during stepping (cycles introduced by
-  /// aggressive reordering; 0 in practice).
+  /// Events settled to break a stall: the unit order contradicted the
+  /// messages (a dependency cycle), so the earliest event whose
+  /// happened-before predecessors were all settled went first. 0 on
+  /// consistent clocks; per-PE clock skew produces them (the fuzz tests
+  /// cover ±200 and ±2000 ns).
   std::int32_t order_conflicts = 0;
 
   [[nodiscard]] std::int32_t num_phases() const {

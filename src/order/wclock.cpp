@@ -7,22 +7,26 @@
 
 namespace logstruct::order {
 
+std::vector<std::int32_t> collective_of_events(const trace::Trace& trace) {
+  std::vector<std::int32_t> coll_of(
+      static_cast<std::size_t>(trace.num_events()), -1);
+  for (std::size_t c = 0; c < trace.collectives().size(); ++c) {
+    for (trace::EventId e : trace.collectives()[c].sends)
+      coll_of[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(c);
+    for (trace::EventId e : trace.collectives()[c].recvs)
+      coll_of[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(c);
+  }
+  return coll_of;
+}
+
 std::vector<std::int64_t> compute_w(const trace::Trace& trace,
                                     const PhaseResult& phases,
                                     const BlockUnits& units,
+                                    const std::vector<std::int32_t>& coll_of,
                                     const StepOptions& opts,
                                     int threads) {
   std::vector<std::int64_t> w(static_cast<std::size_t>(trace.num_events()),
                               0);
-
-  // Collective membership: event -> collective index.
-  std::unordered_map<trace::EventId, std::int32_t> coll_of;
-  for (std::size_t c = 0; c < trace.collectives().size(); ++c) {
-    for (trace::EventId e : trace.collectives()[c].sends)
-      coll_of[e] = static_cast<std::int32_t>(c);
-    for (trace::EventId e : trace.collectives()[c].recvs)
-      coll_of[e] = static_cast<std::int32_t>(c);
-  }
 
   // Each iteration writes w only at this phase's events and reads w only
   // at same-phase senders, so the fan-out is race-free and deterministic.
@@ -48,9 +52,9 @@ std::vector<std::int64_t> compute_w(const trace::Trace& trace,
           auto it = unit_last.find(unit);
           value = it == unit_last.end() ? 0 : it->second + 1;
         }
-        auto coll = coll_of.find(e);
-        if (coll != coll_of.end()) {
-          auto& best = coll_send_max[coll->second];
+        const std::int32_t coll = coll_of[static_cast<std::size_t>(e)];
+        if (coll >= 0) {
+          auto& best = coll_send_max[coll];
           best = std::max(best, value);
         }
       } else {  // Recv
@@ -60,9 +64,9 @@ std::vector<std::int64_t> compute_w(const trace::Trace& trace,
                 ph) {
           base = w[static_cast<std::size_t>(ev.partner)];
         }
-        auto coll = coll_of.find(e);
-        if (coll != coll_of.end()) {
-          auto it = coll_send_max.find(coll->second);
+        const std::int32_t coll = coll_of[static_cast<std::size_t>(e)];
+        if (coll >= 0) {
+          auto it = coll_send_max.find(coll);
           if (it != coll_send_max.end()) base = std::max(base, it->second);
         }
         value = base + 1;  // base == -1 (untraced / cross-phase) -> 0

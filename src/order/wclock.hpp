@@ -25,6 +25,11 @@
 
 namespace logstruct::order {
 
+/// Event -> index of the collective it is a member of (as a send or a
+/// receive), -1 for none. The one collective lookup of the w clock and
+/// of step assignment.
+std::vector<std::int32_t> collective_of_events(const trace::Trace& trace);
+
 /// w per event. Events outside any phase never occur (every event is
 /// partitioned); processing is per phase in physical-time order, which is
 /// a valid topological order of the replay constraints because messages
@@ -37,6 +42,7 @@ namespace logstruct::order {
 std::vector<std::int64_t> compute_w(const trace::Trace& trace,
                                     const PhaseResult& phases,
                                     const BlockUnits& units,
+                                    const std::vector<std::int32_t>& coll_of,
                                     const StepOptions& opts,
                                     int threads = 1);
 

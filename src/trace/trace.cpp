@@ -207,12 +207,7 @@ void Trace::freeze_mem(int threads) {
             static_cast<EventId>(e);
     }
   }
-  auto by_time = [this](EventId a, EventId b) {
-    const Event& ea = events_[static_cast<std::size_t>(a)];
-    const Event& eb = events_[static_cast<std::size_t>(b)];
-    if (ea.time != eb.time) return ea.time < eb.time;
-    return a < b;
-  };
+  auto by_time = [this](EventId a, EventId b) { return before(a, b); };
   util::parallel_for(
       threads, static_cast<std::int64_t>(num_chares), [&](std::int64_t c) {
         std::sort(chare_events_.begin() + chare_events_begin_[c],

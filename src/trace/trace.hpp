@@ -93,6 +93,14 @@ class Trace {
     if (blocked_) [[unlikely]] return event_blocked(id).time;
     return events_[static_cast<std::size_t>(id)].time;
   }
+  /// The one by-time event order: (time, id). Every event sort and
+  /// "earliest event" choice goes through it, so ties break identically
+  /// everywhere.
+  [[nodiscard]] bool before(EventId a, EventId b) const {
+    const TimeNs ta = event_time(a);
+    const TimeNs tb = event_time(b);
+    return ta != tb ? ta < tb : a < b;
+  }
   [[nodiscard]] const ChareInfo& chare(ChareId id) const {
     return chares_[static_cast<std::size_t>(id)];
   }

@@ -19,15 +19,32 @@ namespace {
 
 class FuzzSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Per-PE clock skew is one more input: skew lets receives precede
+/// their sends across PEs, so unit orders can contradict the messages
+/// and stepping must break the resulting cycles (order_conflicts > 0)
+/// while keeping every step invariant and the happened-before relation.
 TEST_P(FuzzSeeds, PipelineInvariantsHold) {
-  trace::Trace t = testing::random_trace(GetParam());
-  ASSERT_TRUE(trace::validate(t).empty());
-  for (const Options& opts :
-       {Options::charm(), Options::charm_no_reorder(),
-        Options::charm_no_inference(), Options::mpi(),
-        Options::mpi_baseline13()}) {
-    LogicalStructure ls = extract_structure(t, opts);
-    testing::expect_structure_invariants(t, ls);
+  const std::uint64_t seed = GetParam();
+  for (std::int64_t skew_ns : {0, 200, 2000}) {
+    trace::Trace t = testing::skewed(testing::random_trace(seed), skew_ns,
+                                     seed);
+    if (skew_ns == 0) {
+      ASSERT_TRUE(trace::validate(t).empty());
+    }
+    for (Options opts :
+         {Options::charm(), Options::charm_no_reorder(),
+          Options::charm_no_inference(), Options::mpi(),
+          Options::mpi_baseline13()}) {
+      if (skew_ns == 0) {
+        testing::expect_structure_invariants(t, extract_structure(t, opts));
+        continue;
+      }
+      opts.check_causality = true;
+      LogicalStructure ls = extract_structure(t, opts);
+      std::vector<std::string> problems = validate_structure(t, ls);
+      EXPECT_TRUE(problems.empty())
+          << "skew=" << skew_ns << ": " << problems.front();
+    }
   }
 }
 

@@ -8,6 +8,8 @@
 #include "order/stepping.hpp"
 #include "order/validate.hpp"
 #include "trace/builder.hpp"
+#include "trace/skew.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::order::testing {
@@ -26,6 +28,17 @@ struct ScopedDefaultParallelism {
       delete;
   int prev;
 };
+
+/// Per-PE clock skew: each processor's clock shifted by a seed-derived
+/// offset drawn uniformly from [-magnitude, magnitude] ns (0 = as is).
+inline trace::Trace skewed(trace::Trace t, std::int64_t magnitude,
+                           std::uint64_t seed) {
+  if (magnitude == 0) return t;
+  util::Rng rng(seed ^ 0x5CE3ULL);
+  std::vector<trace::TimeNs> delta(static_cast<std::size_t>(t.num_procs()));
+  for (auto& d : delta) d = rng.uniform_range(-magnitude, magnitude);
+  return trace::apply_clock_skew(t, delta);
+}
 
 /// Field-for-field equality of two logical structures — the cross-check
 /// used by the thread-count determinism tests. EXPECT (not ASSERT) so a

@@ -16,7 +16,7 @@ void expect_identical(const trace::Trace& t, Options base) {
   LogicalStructure serial = extract_structure(t, base);
   for (int threads : {2, 4, 8}) {
     Options par = base;
-    par.step.threads = threads;
+    par.threads = threads;
     LogicalStructure parallel = extract_structure(t, par);
     ASSERT_EQ(parallel.global_step, serial.global_step)
         << "threads=" << threads;

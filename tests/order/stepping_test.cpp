@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "order_fixtures.hpp"
+#include "random_trace.hpp"
 #include "trace/builder.hpp"
 
 namespace logstruct::order {
@@ -12,6 +13,20 @@ TEST(Stepping, RingStructureInvariants) {
   auto ring = testing::make_ring_trace(6);
   LogicalStructure ls = extract_structure(ring.trace, Options::charm());
   testing::expect_structure_invariants(ring.trace, ls);
+}
+
+/// Seed 1 under ±2000 ns of per-PE skew is the smallest fuzz case whose
+/// unit order contradicts its messages: Kahn stalls, and the conflict
+/// rule must settle the phase (a relaxation fixpoint would never end)
+/// into a valid, causally consistent structure.
+TEST(Stepping, SkewCycleTerminatesValid) {
+  trace::Trace t = testing::skewed(testing::random_trace(1), 2000, 1);
+  Options opts = Options::charm();
+  opts.check_causality = true;
+  LogicalStructure ls = extract_structure(t, opts);
+  EXPECT_GT(ls.order_conflicts, 0);
+  std::vector<std::string> problems = validate_structure(t, ls);
+  EXPECT_TRUE(problems.empty()) << problems.front();
 }
 
 TEST(Stepping, SimpleChainSteps) {

@@ -13,9 +13,7 @@
 #include "order/stepping.hpp"
 #include "order/validate.hpp"
 #include "order_fixtures.hpp"
-#include "trace/skew.hpp"
 #include "trace/validate.hpp"
-#include "util/rng.hpp"
 
 namespace logstruct::order {
 namespace {
@@ -24,16 +22,6 @@ namespace {
 using Stressors = std::tuple<std::uint64_t, bool, bool, std::int64_t>;
 
 class StressorMatrix : public ::testing::TestWithParam<Stressors> {};
-
-trace::Trace skewed(trace::Trace t, std::int64_t magnitude,
-                    std::uint64_t seed) {
-  if (magnitude == 0) return t;
-  util::Rng rng(seed ^ 0x5CE3ULL);
-  std::vector<trace::TimeNs> delta(
-      static_cast<std::size_t>(t.num_procs()));
-  for (auto& d : delta) d = rng.uniform_range(-magnitude, magnitude);
-  return trace::apply_clock_skew(t, delta);
-}
 
 TEST_P(StressorMatrix, JacobiInvariantsHold) {
   auto [seed, migrate, lb, skew_ns] = GetParam();
@@ -49,7 +37,7 @@ TEST_P(StressorMatrix, JacobiInvariantsHold) {
     cfg.slow_chare = 5;
     cfg.slow_every_iteration = true;
   }
-  trace::Trace t = skewed(apps::run_jacobi2d(cfg), skew_ns, seed);
+  trace::Trace t = testing::skewed(apps::run_jacobi2d(cfg), skew_ns, seed);
   // Skew legitimately lets receives precede their sends across PEs; only
   // unskewed traces validate cleanly.
   if (skew_ns == 0) {
@@ -74,7 +62,7 @@ TEST_P(StressorMatrix, LassenInvariantsHold) {
   cfg.iterations = 5;
   cfg.seed = seed;
   if (lb) cfg.lb_period = 2;
-  trace::Trace t = skewed(apps::run_lassen_charm(cfg), skew_ns, seed);
+  trace::Trace t = testing::skewed(apps::run_lassen_charm(cfg), skew_ns, seed);
   if (skew_ns == 0) {
     ASSERT_TRUE(trace::validate(t).empty());
   }

@@ -16,7 +16,7 @@ std::vector<std::int64_t> w_of(const trace::Trace& t, bool mpi_mode) {
   BlockUnits units = compute_block_units(t, popts.sdag_inference);
   StepOptions sopts;
   sopts.mpi_mode = mpi_mode;
-  return compute_w(t, phases, units, sopts);
+  return compute_w(t, phases, units, collective_of_events(t), sopts);
 }
 
 TEST(WClock, SendsCountUpAlongSerialBlock) {
