@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "obs/obs.hpp"
 #include "trace/text_reader.hpp"
 
 namespace logstruct::trace {
@@ -14,6 +15,8 @@ constexpr int kVersion = 1;
 }  // namespace
 
 void write_trace(const Trace& trace, std::ostream& out) {
+  OBS_SPAN(span, "trace/write");
+  span.attr("events", trace.num_events());
   out << kMagic << ' ' << kVersion << '\n';
   out << "procs " << trace.num_procs() << '\n';
 

@@ -7,9 +7,7 @@
 #include <stdexcept>
 
 #include "obs/obs.hpp"
-#include "obs/progress.hpp"
 #include "trace/repair.hpp"
-#include "trace/storage/extsort.hpp"
 #include "trace/storage/options.hpp"
 #include "util/check.hpp"
 
@@ -113,6 +111,23 @@ void append_column(BlockStoreWriter& writer, ColumnId col, const View& view) {
   });
 }
 
+/// A derived column with no public accessor: the store's column when
+/// the trace is blocked, else the frozen vector.
+template <typename T>
+ColumnView<T> derived_view(const BlockedTraceData* blocked,
+                           BlockedColumn<T> BlockedTraceData::*col,
+                           const std::vector<T>& mem) {
+  return blocked ? ColumnView<T>(&(blocked->*col))
+                 : ColumnView<T>(mem.data(), mem.size());
+}
+
+/// Free a vector's storage. `v = {}` would pick the initializer_list
+/// assignment, which only clears it and keeps the capacity.
+template <typename T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
+
 std::string make_spill_path(const StorageOptions& opts) {
   static std::atomic<std::uint64_t> counter{0};
   return resolve_spill_dir(opts) + "/lsblk-" + std::to_string(::getpid()) +
@@ -197,254 +212,10 @@ void deserialize_trace_metadata(const std::string& blob, Trace& trace) {
   trace.chare_events_begin_ = r.vec<std::int64_t>();
 }
 
-void freeze_blocked(Trace& trace, int threads) {
-  OBS_SPAN(span, "trace/freeze_blocked");
+void spill_to_blocked(Trace& trace) {
   const StorageOptions opts = default_options();
   const std::string path = make_spill_path(opts);
-  BlockStoreWriter writer(path, opts.block_bytes);
-
-  const std::size_t num_events = trace.events_.size();
-  const std::size_t num_blocks = trace.blocks_.size();
-  const std::size_t num_chares = trace.chares_.size();
-  const std::size_t num_procs =
-      static_cast<std::size_t>(trace.num_procs_);
-  span.attr("events", static_cast<std::int64_t>(num_events));
-
-  // Run-buffer budget of each external sort; the largest transient the
-  // blocked freeze allocates beyond the construction staging itself.
-  constexpr std::size_t kRunBytes = 16u << 20;
-
-  // Progress covers both halves of every external sort: the push sweeps
-  // and the k-way merge emit callbacks. Ticks are strided (one shared
-  // atomic bump per 64Ki records) so the hot loops stay untouched. The
-  // total budgets one push tick and one emit tick per candidate record:
-  // three event-keyed sweeps scan num_events each, two block-keyed
-  // sweeps scan num_blocks each. Sweeps that filter at push time
-  // (blockless events, non-recv deps) emit fewer records than budgeted,
-  // so the bar can finish short of 100% — an over-estimate, never a
-  // stall at full.
-  obs::Progress progress(
-      "trace/freeze_blocked",
-      2 * static_cast<std::int64_t>(3 * num_events + 2 * num_blocks));
-  std::int64_t strided = 0;
-  const auto stride_tick = [&strided] {
-    if ((++strided & 0xFFFF) == 0) obs::Progress::tick(0x10000);
-  };
-
-  // Primary columns stream straight out in frozen (id) order.
-  writer.set_elem_bytes(ColumnId::Events, sizeof(Event));
-  writer.append(ColumnId::Events, trace.events_.data(),
-                num_events * sizeof(Event));
-  writer.set_elem_bytes(ColumnId::Blocks, sizeof(SerialBlock));
-  writer.append(ColumnId::Blocks, trace.blocks_.data(),
-                num_blocks * sizeof(SerialBlock));
-  writer.set_elem_bytes(ColumnId::Idles, sizeof(IdleSpan));
-  writer.append(ColumnId::Idles, trace.idles_.data(),
-                trace.idles_.size() * sizeof(IdleSpan));
-
-  // Per-block event lists: sort (block, time, id), stream the ids plus
-  // the CSR begin column. Same (time, id) in-block order as the mem
-  // backend's per-segment sorts.
-  {
-    struct Rec {
-      BlockId block;
-      TimeNs time;
-      EventId id;
-    };
-    struct Less {
-      bool operator()(const Rec& a, const Rec& b) const {
-        if (a.block != b.block) return a.block < b.block;
-        if (a.time != b.time) return a.time < b.time;
-        return a.id < b.id;
-      }
-    };
-    ExternalSorter<Rec, Less> sorter(kRunBytes, threads);
-    for (std::size_t e = 0; e < num_events; ++e) {
-      const Event& ev = trace.events_[e];
-      if (ev.block != kNone)
-        sorter.push({ev.block, ev.time, static_cast<EventId>(e)});
-      stride_tick();
-    }
-    writer.set_elem_bytes(ColumnId::BlockEvents, sizeof(EventId));
-    writer.set_elem_bytes(ColumnId::BlockEvBegin, sizeof(std::int64_t));
-    std::int64_t count = 0;
-    std::size_t next = 0;
-    sorter.finish([&](const Rec& rec) {
-      while (next <= static_cast<std::size_t>(rec.block)) {
-        writer.append(ColumnId::BlockEvBegin, &count, sizeof(count));
-        ++next;
-      }
-      writer.append(ColumnId::BlockEvents, &rec.id, sizeof(rec.id));
-      ++count;
-      stride_tick();
-    });
-    while (next <= num_blocks) {
-      writer.append(ColumnId::BlockEvBegin, &count, sizeof(count));
-      ++next;
-    }
-  }
-
-  // Per-chare event lists: sort (chare, time, id); the small begin array
-  // stays RAM-resident on the Trace.
-  {
-    struct Rec {
-      ChareId chare;
-      TimeNs time;
-      EventId id;
-    };
-    struct Less {
-      bool operator()(const Rec& a, const Rec& b) const {
-        if (a.chare != b.chare) return a.chare < b.chare;
-        if (a.time != b.time) return a.time < b.time;
-        return a.id < b.id;
-      }
-    };
-    ExternalSorter<Rec, Less> sorter(kRunBytes, threads);
-    for (std::size_t e = 0; e < num_events; ++e) {
-      const Event& ev = trace.events_[e];
-      sorter.push({ev.chare, ev.time, static_cast<EventId>(e)});
-      stride_tick();
-    }
-    writer.set_elem_bytes(ColumnId::ChareEvents, sizeof(EventId));
-    trace.chare_events_begin_.clear();
-    trace.chare_events_begin_.reserve(num_chares + 1);
-    std::int64_t count = 0;
-    std::size_t next = 0;
-    sorter.finish([&](const Rec& rec) {
-      while (next <= static_cast<std::size_t>(rec.chare)) {
-        trace.chare_events_begin_.push_back(count);
-        ++next;
-      }
-      writer.append(ColumnId::ChareEvents, &rec.id, sizeof(rec.id));
-      ++count;
-      stride_tick();
-    });
-    while (next <= num_chares) {
-      trace.chare_events_begin_.push_back(count);
-      ++next;
-    }
-  }
-
-  // Per-chare and per-PE block lists: sort (group, begin, id).
-  {
-    struct Rec {
-      std::int32_t group;
-      TimeNs begin;
-      BlockId id;
-    };
-    struct Less {
-      bool operator()(const Rec& a, const Rec& b) const {
-        if (a.group != b.group) return a.group < b.group;
-        if (a.begin != b.begin) return a.begin < b.begin;
-        return a.id < b.id;
-      }
-    };
-    const auto emit_groups = [&](ColumnId col, std::size_t groups,
-                                 std::vector<std::int64_t>& begin,
-                                 ExternalSorter<Rec, Less>& sorter) {
-      writer.set_elem_bytes(col, sizeof(BlockId));
-      begin.clear();
-      begin.reserve(groups + 1);
-      std::int64_t count = 0;
-      std::size_t next = 0;
-      sorter.finish([&](const Rec& rec) {
-        while (next <= static_cast<std::size_t>(rec.group)) {
-          begin.push_back(count);
-          ++next;
-        }
-        writer.append(col, &rec.id, sizeof(rec.id));
-        ++count;
-        stride_tick();
-      });
-      while (next <= groups) {
-        begin.push_back(count);
-        ++next;
-      }
-    };
-    {
-      ExternalSorter<Rec, Less> sorter(kRunBytes, threads);
-      for (std::size_t b = 0; b < num_blocks; ++b) {
-        const SerialBlock& blk = trace.blocks_[b];
-        sorter.push({blk.chare, blk.begin, static_cast<BlockId>(b)});
-        stride_tick();
-      }
-      emit_groups(ColumnId::ChareBlocks, num_chares,
-                  trace.chare_blocks_begin_, sorter);
-    }
-    {
-      ExternalSorter<Rec, Less> sorter(kRunBytes, threads);
-      for (std::size_t b = 0; b < num_blocks; ++b) {
-        const SerialBlock& blk = trace.blocks_[b];
-        if (blk.proc >= 0 && blk.proc < trace.num_procs_)
-          sorter.push({blk.proc, blk.begin, static_cast<BlockId>(b)});
-        stride_tick();
-      }
-      emit_groups(ColumnId::ProcBlocks, num_procs,
-                  trace.proc_blocks_begin_, sorter);
-    }
-  }
-
-  // Dependency table: every recv naming send s is one row (s, r); the
-  // (s, r) sort groups rows by send with the partner (lowest recv id)
-  // first — identical to the mem backend's scatter. The CSR begin column
-  // streams alongside; collective cross-product rows follow the prefix.
-  {
-    struct Rec {
-      EventId send;
-      EventId recv;
-    };
-    struct Less {
-      bool operator()(const Rec& a, const Rec& b) const {
-        if (a.send != b.send) return a.send < b.send;
-        return a.recv < b.recv;
-      }
-    };
-    ExternalSorter<Rec, Less> sorter(kRunBytes, threads);
-    for (std::size_t r = 0; r < num_events; ++r) {
-      const Event& e = trace.events_[r];
-      if (e.kind == EventKind::Recv && e.partner != kNone)
-        sorter.push({e.partner, static_cast<EventId>(r)});
-      stride_tick();
-    }
-    writer.set_elem_bytes(ColumnId::DepSend, sizeof(EventId));
-    writer.set_elem_bytes(ColumnId::DepRecv, sizeof(EventId));
-    writer.set_elem_bytes(ColumnId::DepKind, sizeof(DepKind));
-    writer.set_elem_bytes(ColumnId::DepBegin, sizeof(std::int32_t));
-    std::int32_t count = 0;
-    std::size_t next = 0;
-    sorter.finish([&](const Rec& rec) {
-      while (next <= static_cast<std::size_t>(rec.send)) {
-        writer.append(ColumnId::DepBegin, &count, sizeof(count));
-        ++next;
-      }
-      const DepKind kind =
-          trace.events_[static_cast<std::size_t>(rec.send)].partner ==
-                  rec.recv
-              ? DepKind::Match
-              : DepKind::Fanout;
-      writer.append(ColumnId::DepSend, &rec.send, sizeof(rec.send));
-      writer.append(ColumnId::DepRecv, &rec.recv, sizeof(rec.recv));
-      writer.append(ColumnId::DepKind, &kind, sizeof(kind));
-      ++count;
-      stride_tick();
-    });
-    while (next <= num_events) {
-      writer.append(ColumnId::DepBegin, &count, sizeof(count));
-      ++next;
-    }
-    for (const Collective& coll : trace.collectives_) {
-      const DepKind kind = DepKind::Collective;
-      for (EventId s : coll.sends) {
-        for (EventId r : coll.recvs) {
-          writer.append(ColumnId::DepSend, &s, sizeof(s));
-          writer.append(ColumnId::DepRecv, &r, sizeof(r));
-          writer.append(ColumnId::DepKind, &kind, sizeof(kind));
-        }
-      }
-    }
-  }
-
-  writer.finish(serialize_trace_metadata(trace));
+  write_blocked_file(trace, path, opts.block_bytes);
 
   auto data = std::make_shared<BlockedTraceData>();
   data->store = std::make_unique<BlockStore>(path);
@@ -452,19 +223,19 @@ void freeze_blocked(Trace& trace, int threads) {
   data->bind_columns();
   trace.blocked_ = std::move(data);
 
-  // Release the construction staging and any mem-backend leftovers.
-  trace.events_ = {};
-  trace.blocks_ = {};
-  trace.idles_ = {};
-  trace.chare_blocks_ = {};
-  trace.proc_blocks_ = {};
-  trace.chare_events_ = {};
-  trace.block_events_ = {};
-  trace.block_ev_begin_ = {};
-  trace.dep_send_ = {};
-  trace.dep_recv_ = {};
-  trace.dep_kind_ = {};
-  trace.dep_begin_ = {};
+  // Release the vectors the store now serves.
+  release(trace.events_);
+  release(trace.blocks_);
+  release(trace.idles_);
+  release(trace.chare_blocks_);
+  release(trace.proc_blocks_);
+  release(trace.chare_events_);
+  release(trace.block_events_);
+  release(trace.block_ev_begin_);
+  release(trace.dep_send_);
+  release(trace.dep_recv_);
+  release(trace.dep_kind_);
+  release(trace.dep_begin_);
 }
 
 Trace open_blocked_trace(const std::string& path) {
@@ -607,40 +378,26 @@ void write_blocked_file(const Trace& trace, const std::string& path,
   append_column<EventId>(writer, ColumnId::DepRecv, trace.dep_recvs());
   append_column<DepKind>(writer, ColumnId::DepKind, trace.dep_kinds());
 
-  const auto view_i32 = [&](const BlockedColumn<std::int32_t>* col,
-                            const std::vector<std::int32_t>& mem) {
-    return trace.blocked_ ? ColumnView<std::int32_t>(col)
-                          : ColumnView<std::int32_t>(mem.data(), mem.size());
-  };
-  const auto view_i64 = [&](const BlockedColumn<std::int64_t>* col,
-                            const std::vector<std::int64_t>& mem) {
-    return trace.blocked_ ? ColumnView<std::int64_t>(col)
-                          : ColumnView<std::int64_t>(mem.data(), mem.size());
-  };
-  const auto view_id = [&](const BlockedColumn<std::int32_t>* col,
-                           const std::vector<std::int32_t>& mem) {
-    return trace.blocked_ ? ColumnView<std::int32_t>(col)
-                          : ColumnView<std::int32_t>(mem.data(), mem.size());
-  };
   const BlockedTraceData* b = trace.blocked_.get();
   append_column<std::int32_t>(
       writer, ColumnId::DepBegin,
-      view_i32(b ? &b->dep_begin : nullptr, trace.dep_begin_));
+      derived_view(b, &BlockedTraceData::dep_begin, trace.dep_begin_));
   append_column<EventId>(
       writer, ColumnId::BlockEvents,
-      view_id(b ? &b->block_events : nullptr, trace.block_events_));
+      derived_view(b, &BlockedTraceData::block_events, trace.block_events_));
   append_column<std::int64_t>(
       writer, ColumnId::BlockEvBegin,
-      view_i64(b ? &b->block_ev_begin : nullptr, trace.block_ev_begin_));
+      derived_view(b, &BlockedTraceData::block_ev_begin,
+                   trace.block_ev_begin_));
   append_column<EventId>(
       writer, ColumnId::ChareEvents,
-      view_id(b ? &b->chare_events : nullptr, trace.chare_events_));
+      derived_view(b, &BlockedTraceData::chare_events, trace.chare_events_));
   append_column<BlockId>(
       writer, ColumnId::ChareBlocks,
-      view_id(b ? &b->chare_blocks : nullptr, trace.chare_blocks_));
+      derived_view(b, &BlockedTraceData::chare_blocks, trace.chare_blocks_));
   append_column<BlockId>(
       writer, ColumnId::ProcBlocks,
-      view_id(b ? &b->proc_blocks : nullptr, trace.proc_blocks_));
+      derived_view(b, &BlockedTraceData::proc_blocks, trace.proc_blocks_));
   writer.finish(serialize_trace_metadata(trace));
 }
 

@@ -3,14 +3,15 @@
 /// \file blocked_trace.hpp
 /// Entry points of the blocked trace backend (docs/STORAGE.md).
 ///
-/// freeze_blocked() is called by Trace::freeze() when the process
-/// default backend is Blocked: it streams the frozen columns into an
-/// unlinked spill `.lsblk` (external sorts keep the transient RSS at the
-/// run-buffer size) and swaps the Trace onto the store. The named-file
-/// functions back tools/trace_convert: write_blocked_file() persists any
-/// frozen trace as a `.lsblk`, open_blocked_trace() serves one without
-/// re-freezing, and trace_structure_hash() is the backend-independent
-/// fingerprint used to verify round trips and cross-backend equality.
+/// spill_to_blocked() is called by Trace::freeze() when the process
+/// default backend is Blocked: the columns are already built in RAM, so
+/// it writes them into an unlinked spill `.lsblk` with
+/// write_blocked_file(), swaps the Trace onto the store, and releases
+/// the vectors. The named-file functions back tools/trace_convert:
+/// write_blocked_file() persists any frozen trace as a `.lsblk`,
+/// open_blocked_trace() serves one without re-freezing, and
+/// trace_structure_hash() is the backend-independent fingerprint used to
+/// verify round trips and cross-backend equality.
 
 #include <cstdint>
 #include <string>
@@ -23,7 +24,7 @@ namespace logstruct::trace::storage {
 // (Declared in trace/trace.hpp for friendship; restated here as the
 // public surface.)
 //
-// void freeze_blocked(Trace& trace, int threads);
+// void spill_to_blocked(Trace& trace);
 // Trace open_blocked_trace(const std::string& path);
 // void write_blocked_file(const Trace& trace, const std::string& path,
 //                         std::uint32_t block_bytes,

@@ -3,14 +3,14 @@
 /// \file io_engine.hpp
 /// The I/O seam of the blocked storage layer (docs/ROBUSTNESS.md).
 ///
-/// Every open/pread/pwrite/fsync the `.lsblk` reader, writer, and the
-/// external sorter issue goes through an IoEngine, so fault injection is
-/// a link-free swap: the default engine forwards to the raw syscalls;
-/// FaultyIoEngine wraps any engine and injects deterministic, seed-driven
-/// faults (EINTR storms, transient EIO, ENOSPC, short reads/writes,
-/// post-read bit flips, truncate-at-offset). `LOGSTRUCT_IO_FAULTS=<spec>`
-/// installs a fault engine process-wide, which is how the io-faults CI
-/// job runs the entire blocked-storage suite against a hostile disk.
+/// Every open/pread/pwrite/fsync the `.lsblk` reader and writer issue
+/// goes through an IoEngine, so fault injection is a link-free swap: the
+/// default engine forwards to the raw syscalls; FaultyIoEngine wraps any
+/// engine and injects deterministic, seed-driven faults (EINTR storms,
+/// transient EIO, ENOSPC, short reads/writes, post-read bit flips,
+/// truncate-at-offset). `LOGSTRUCT_IO_FAULTS=<spec>` installs a fault
+/// engine process-wide, which is how the io-faults CI job runs the
+/// entire blocked-storage suite against a hostile disk.
 ///
 /// The pread_all/pwrite_all helpers add the robustness policy on top of
 /// the engine: EINTR is always resumed, transient-class errno (EIO,

@@ -85,7 +85,11 @@ Trace read_text(
   const std::int64_t before = report.total();
   const std::size_t stored_before = report.diagnostics().size();
   RawTrace raw;
-  const std::size_t bytes = parse(raw, report);
+  std::size_t bytes = 0;
+  {
+    OBS_SPAN_ANON("trace/parse");
+    bytes = parse(raw, report);
+  }
   repair(raw, report);
   const bool rejected = !options.recover && report.total() != before;
   Trace trace = build_trace(rejected ? RawTrace{} : std::move(raw), 0);

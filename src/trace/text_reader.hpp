@@ -161,7 +161,8 @@ bool read_file(const std::string& path, std::string* out);
 
 /// One read of either format under a `trace/read` span: `parse` fills a
 /// RawTrace (reporting reader diagnostics) and returns the bytes it
-/// consumed; then repair() and build_trace(). In strict mode any new
+/// consumed, under a `trace/parse` child span; then repair() and
+/// build_trace(). In strict mode any new
 /// diagnostic rejects the input: the result is an empty Trace and the
 /// report gains a Fatal copy of the first diagnostic.
 Trace read_text(

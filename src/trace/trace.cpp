@@ -96,6 +96,10 @@ std::int32_t Trace::num_degraded_chares() const {
 }
 
 void Trace::freeze(int threads) {
+  OBS_SPAN(span, "trace/freeze");
+  const storage::BackendKind backend = storage::default_options().kind;
+  span.attr("backend", static_cast<std::int64_t>(backend));
+  span.attr("events", static_cast<std::int64_t>(events_.size()));
   threads = util::resolve_threads(threads);
 
   // Caches shared by both backends, computed from the staging vectors.
@@ -110,14 +114,6 @@ void Trace::freeze(int threads) {
     idle_total_[static_cast<std::size_t>(s.proc)] += s.end - s.begin;
   }
 
-  if (storage::default_options().kind == storage::BackendKind::Blocked) {
-    storage::freeze_blocked(*this, threads);
-    return;
-  }
-  freeze_mem(threads);
-}
-
-void Trace::freeze_mem(int threads) {
   const std::size_t num_events = events_.size();
   const std::size_t num_blocks = blocks_.size();
   const std::size_t num_chares = chares_.size();
@@ -282,6 +278,9 @@ void Trace::freeze_mem(int threads) {
           dep_recv_.capacity() * sizeof(EventId) +
           dep_kind_.capacity() * sizeof(DepKind) +
           dep_begin_.capacity() * sizeof(std::int32_t)));
+
+  if (backend == storage::BackendKind::Blocked)
+    storage::spill_to_blocked(*this);
 }
 
 }  // namespace logstruct::trace

@@ -11,9 +11,10 @@
 /// backends (trace/storage/options.hpp):
 ///  - mem: the columns live in std::vector, exactly the historical
 ///    layout, zero overhead;
-///  - blocked: freezing streams the columns into an unlinked `.lsblk`
-///    container (bounded RSS via external sorts) and reads come back
-///    through the process-wide block cache as pinned views.
+///  - blocked: freezing builds the same vectors, writes them into an
+///    unlinked `.lsblk` container with the `write_blocked_file` column
+///    writer, and releases them; reads come back through the
+///    process-wide block cache as pinned views.
 /// Accessors return backend-neutral types: storage::ColumnView for whole
 /// columns, storage::PinnedSpan for contiguous ranges, records by value.
 /// Both backends produce bit-identical logical content — the golden
@@ -41,7 +42,7 @@ Trace build_trace(RawTrace&& raw, int threads);
 
 namespace storage {
 /// Declared here for friendship; see trace/storage/blocked_trace.hpp.
-void freeze_blocked(Trace& trace, int threads);
+void spill_to_blocked(Trace& trace);
 Trace open_blocked_trace(const std::string& path);
 void write_blocked_file(const Trace& trace, const std::string& path,
                         std::uint32_t block_bytes,
@@ -253,7 +254,7 @@ class Trace {
   friend Trace apply_clock_skew(const Trace& trace,
                                 std::span<const TimeNs> delta);
   friend Trace build_trace(RawTrace&& raw, int threads);
-  friend void storage::freeze_blocked(Trace& trace, int threads);
+  friend void storage::spill_to_blocked(Trace& trace);
   friend Trace storage::open_blocked_trace(const std::string& path);
   friend void storage::write_blocked_file(const Trace& trace,
                                           const std::string& path,
@@ -264,15 +265,13 @@ class Trace {
                                                   Trace& trace);
   friend std::uint64_t storage::trace_structure_hash(const Trace& trace);
 
-  /// Build derived indices and caches against the backend selected by
-  /// storage::default_options(); called once by TraceBuilder::finish().
-  /// `threads` fans the sorts and table fills out over the shared pool
-  /// (0 = util::default_parallelism()); the frozen trace is bit-identical
-  /// for any value and for either backend.
+  /// Build derived indices and caches in the vectors below, then, when
+  /// storage::default_options() selects the blocked backend, spill them
+  /// to a store; called once by TraceBuilder::finish(). `threads` fans
+  /// the sorts out over the shared pool (0 = util::default_parallelism());
+  /// the frozen trace is bit-identical for any value and for either
+  /// backend.
   void freeze(int threads = 0);
-
-  /// The historical all-vector freeze (mem backend).
-  void freeze_mem(int threads);
 
   [[nodiscard]] std::int32_t dep_begin_at(std::size_t i) const {
     if (blocked_) [[unlikely]] return dep_begin_blocked(i);
@@ -317,13 +316,12 @@ class Trace {
   std::vector<std::int64_t> proc_blocks_begin_;
   std::vector<std::int64_t> chare_events_begin_;
 
-  // Primary columns (mem backend; construction staging for blocked —
-  // released once freeze_blocked streams them out).
+  // Primary and derived flat columns. The blocked backend builds them
+  // too and releases them once spill_to_blocked has written them out.
   std::vector<Event> events_;
   std::vector<SerialBlock> blocks_;
   std::vector<IdleSpan> idles_;
 
-  // Derived flat columns (mem backend only).
   std::vector<BlockId> chare_blocks_;
   std::vector<BlockId> proc_blocks_;
   std::vector<EventId> chare_events_;

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "order/validate.hpp"
@@ -31,19 +32,24 @@ using trace::storage::StorageOptions;
 
 TEST(StorageGolden, BlockedBackendMatrixBitIdentical) {
   for (const Golden& g : kGoldens) {
-    // Mem-backend reference for the backend-independent trace hash.
-    // Pinned explicitly so a process-wide LOGSTRUCT_STORAGE=blocked
-    // (the blocked-storage CI job) can't turn the baseline blocked.
-    std::uint64_t mem_trace_hash = 0;
+    // Mem-backend reference for the backend-independent trace hash and
+    // the receivers() lists (served by the DepBegin column, which the
+    // hash never reads). Pinned explicitly so a process-wide
+    // LOGSTRUCT_STORAGE=blocked (the blocked-storage CI job) can't turn
+    // the baseline blocked.
+    trace::Trace mem;
     {
       StorageOptions mem_opts;
       mem_opts.kind = BackendKind::Mem;
       ScopedStorageOptions mscope(mem_opts);
-      trace::Trace t = g.make();
-      ASSERT_EQ(t.storage_backend(), BackendKind::Mem) << g.name;
-      mem_trace_hash = trace::storage::trace_structure_hash(t);
-      LogicalStructure ls = extract_structure(t, g.opts());
-      ASSERT_EQ(structure_hash(t, ls), g.expected) << g.name << " (mem)";
+      mem = g.make();
+    }
+    ASSERT_EQ(mem.storage_backend(), BackendKind::Mem) << g.name;
+    const std::uint64_t mem_trace_hash =
+        trace::storage::trace_structure_hash(mem);
+    {
+      LogicalStructure ls = extract_structure(mem, g.opts());
+      ASSERT_EQ(structure_hash(mem, ls), g.expected) << g.name << " (mem)";
     }
     for (std::uint64_t cache_bytes : {1ull << 20, 0ull}) {
       for (int threads : {1, 4}) {
@@ -58,6 +64,14 @@ TEST(StorageGolden, BlockedBackendMatrixBitIdentical) {
         EXPECT_EQ(trace::storage::trace_structure_hash(t), mem_trace_hash)
             << g.name << " trace hash diverges at cache=" << cache_bytes
             << " threads=" << threads;
+        for (trace::EventId e = 0; e < mem.num_events(); ++e) {
+          if (mem.event(e).kind != trace::EventKind::Send) continue;
+          const auto rm = mem.receivers(e);
+          const auto rb = t.receivers(e);
+          ASSERT_TRUE(std::equal(rm.begin(), rm.end(), rb.begin(), rb.end()))
+              << g.name << " receivers(" << e << ") diverge at cache="
+              << cache_bytes << " threads=" << threads;
+        }
         Options eopts = g.opts();
         eopts.threads = threads;
         LogicalStructure ls = extract_structure(t, eopts);

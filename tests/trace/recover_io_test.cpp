@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -276,12 +277,22 @@ TEST(RecoverIo, ProjectionsMissingStsIsFatal) {
 #if LOGSTRUCT_OBS
 
 // Every read, of either format, is one `trace/read` span carrying its
-// byte/event/diagnostic counts, with the repair pass nested inside it.
+// byte/event/diagnostic counts, with one parse, the repair pass, and one
+// freeze nested inside it; every save is one `trace/write` span.
 TEST(RecoverIo, EachReadIsOneReadSpan) {
   const Trace t = golden();
   const std::string path = ::testing::TempDir() + "/recover_io_span.lstrace";
   const std::string prefix = ::testing::TempDir() + "/recover_io_span";
+  obs::PipelineTracer::global().reset();
   ASSERT_TRUE(save_trace(t, path));
+  {
+    const std::vector<obs::Span> spans =
+        obs::PipelineTracer::global().snapshot();
+    const auto writes = std::count_if(
+        spans.begin(), spans.end(),
+        [](const obs::Span& s) { return s.name == "trace/write"; });
+    EXPECT_EQ(writes, 1);
+  }
   ASSERT_TRUE(write_projections(t, prefix));
 
   for (int format = 0; format < 2; ++format) {
@@ -301,11 +312,12 @@ TEST(RecoverIo, EachReadIsOneReadSpan) {
     EXPECT_EQ(attrs["events"], back.num_events());
     EXPECT_EQ(attrs.count("diagnostics"), 1u);
     EXPECT_EQ(attrs["diagnostics"], 0);
-    bool repair_nested = false;
+    std::map<std::string, int> children;
     for (const obs::Span& s : spans)
-      if (s.name == "trace/repair")
-        repair_nested = s.parent == static_cast<obs::SpanId>(reads[0]);
-    EXPECT_TRUE(repair_nested) << "format " << format;
+      if (s.parent == static_cast<obs::SpanId>(reads[0])) ++children[s.name];
+    EXPECT_EQ(children["trace/parse"], 1) << "format " << format;
+    EXPECT_EQ(children["trace/repair"], 1) << "format " << format;
+    EXPECT_EQ(children["trace/freeze"], 1) << "format " << format;
   }
   std::remove(path.c_str());
   cleanup(prefix, t.num_procs());
