@@ -55,13 +55,7 @@ CriticalPath critical_path(const trace::Trace& trace,
   // moves receives earlier — so use the happened-before edges in their
   // PHYSICAL direction: prior event in the chare's physical order, and
   // the matching send).
-  std::vector<trace::EventId> order(n);
-  for (std::size_t i = 0; i < n; ++i)
-    order[i] = static_cast<trace::EventId>(i);
-  std::sort(order.begin(), order.end(),
-            [&trace](trace::EventId a, trace::EventId b) {
-              return trace.before(a, b);
-            });
+  const std::vector<trace::EventId> order = trace.events_by_time();
 
   // dist_at: longest chain arriving at the event's own timestamp (used by
   // outgoing message edges). dist_full = dist_at + trailing tail (used by

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "graph/leaps.hpp"
@@ -141,11 +140,13 @@ std::pair<PartId, PartId> order_pair(const PartitionGraph& pg, PartId p,
 bool leap_property_holds(
     const PartitionGraph& pg,
     const std::vector<std::vector<graph::NodeId>>& groups) {
-  for (const auto& group : groups) {
-    std::unordered_set<trace::ChareId> seen;
-    for (PartId p : group) {
+  std::vector<std::size_t> seen(  // chare -> last leap group holding it
+      static_cast<std::size_t>(pg.trace().num_chares()), groups.size());
+  for (std::size_t k = 0; k < groups.size(); ++k) {
+    for (PartId p : groups[k]) {
       for (trace::ChareId c : pg.chares(p)) {
-        if (!seen.insert(c).second) return false;
+        if (std::exchange(seen[static_cast<std::size_t>(c)], k) == k)
+          return false;
       }
     }
   }
@@ -186,20 +187,22 @@ void enforce_leap_property(OrderContext& ctx) {
   // passes once the fixpoint is reached.
   const std::int64_t cap =
       16 + 4 * static_cast<std::int64_t>(pg.num_partitions());
+  // owner[c]: (leap, first partition of that leap holding chare c).
+  std::vector<std::pair<std::size_t, PartId>> owner(
+      static_cast<std::size_t>(pg.trace().num_chares()));
   for (std::int64_t round = 0;; ++round) {
     LS_CHECK_MSG(round < cap, "leap-property fixpoint did not converge");
     const auto& groups = ctx.leap_groups();
 
     auto& merges = ctx.scratch_pairs();
     auto& edges = ctx.scratch_edges();
-    std::unordered_map<trace::ChareId, PartId> owner;
-    for (const auto& group : groups) {
-      owner.clear();  // chare -> first partition of this leap that owns it
-      for (PartId p : group) {
+    std::fill(owner.begin(), owner.end(), std::pair{groups.size(), -1});
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      for (PartId p : groups[k]) {
         for (trace::ChareId c : pg.chares(p)) {
-          auto [it, inserted] = owner.try_emplace(c, p);
-          if (inserted || it->second == p) continue;
-          PartId q = it->second;
+          auto& [leap, q] = owner[static_cast<std::size_t>(c)];
+          if (std::exchange(leap, k) != k) q = p;
+          if (q == p) continue;
           if (pg.runtime(p) == pg.runtime(q) && opts.leap_merge) {
             merges.emplace_back(q, p);
           } else {
@@ -235,17 +238,18 @@ void enforce_chare_paths(OrderContext& ctx) {
   std::vector<PartId> next_owner(
       static_cast<std::size_t>(trace.num_chares()), -1);
 
+  // covered[c] == p: a direct successor of p holds chare c.
+  std::vector<PartId> covered(next_leap.size(), -1);
   auto& edges = ctx.scratch_edges();
   for (std::int32_t k = static_cast<std::int32_t>(groups.size()) - 1; k >= 0;
        --k) {
     for (PartId p : groups[static_cast<std::size_t>(k)]) {
-      // Chares covered by direct successors.
-      std::unordered_set<trace::ChareId> covered;
       for (graph::NodeId succ : pg.dag().successors(p)) {
-        for (trace::ChareId c : pg.chares(succ)) covered.insert(c);
+        for (trace::ChareId c : pg.chares(succ))
+          covered[static_cast<std::size_t>(c)] = p;
       }
       for (trace::ChareId c : pg.chares(p)) {
-        if (covered.count(c)) continue;
+        if (covered[static_cast<std::size_t>(c)] == p) continue;
         std::int32_t nl = next_leap[static_cast<std::size_t>(c)];
         if (nl == -1) continue;  // no later leap contains c: property met
         edges.emplace_back(p, next_owner[static_cast<std::size_t>(c)]);
@@ -297,18 +301,19 @@ bool check_chare_paths(const PartitionGraph& pg) {
   auto leaps = graph::compute_leaps(pg.dag());
   auto groups = graph::group_by_leap(leaps);
 
-  std::vector<std::int32_t> next_leap(
-      static_cast<std::size_t>(pg.trace().num_chares()), -1);
+  const auto num_chares = static_cast<std::size_t>(pg.trace().num_chares());
+  std::vector<std::int32_t> next_leap(num_chares, -1);
+  std::vector<PartId> covered(num_chares, -1);  // as in enforce_chare_paths
   bool ok = true;
   for (std::int32_t k = static_cast<std::int32_t>(groups.size()) - 1; k >= 0;
        --k) {
     for (PartId p : groups[static_cast<std::size_t>(k)]) {
-      std::unordered_set<trace::ChareId> covered;
       for (graph::NodeId succ : pg.dag().successors(p)) {
-        for (trace::ChareId c : pg.chares(succ)) covered.insert(c);
+        for (trace::ChareId c : pg.chares(succ))
+          covered[static_cast<std::size_t>(c)] = p;
       }
       for (trace::ChareId c : pg.chares(p)) {
-        if (!covered.count(c) &&
+        if (covered[static_cast<std::size_t>(c)] != p &&
             next_leap[static_cast<std::size_t>(c)] != -1)
           ok = false;
       }

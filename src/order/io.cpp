@@ -105,19 +105,15 @@ LogicalStructure read_structure(std::istream& in,
     throw std::runtime_error("lstruct: truncated file");
   ls.phases.dag.finalize();
 
-  // Re-derive trace-dependent views.
-  for (trace::EventId e = 0; e < trace.num_events(); ++e) {
+  // Re-derive trace-dependent views; visiting events in time order leaves
+  // every phase's event list in Trace::before order.
+  for (trace::EventId e : trace.events_by_time()) {
     auto ph = static_cast<std::size_t>(
         ls.phases.phase_of_event[static_cast<std::size_t>(e)]);
     ls.global_step[static_cast<std::size_t>(e)] =
         ls.phase_offset[ph] + ls.local_step[static_cast<std::size_t>(e)];
     ls.phases.events[ph].push_back(e);
   }
-  auto by_time = [&trace](trace::EventId a, trace::EventId b) {
-    return trace.before(a, b);
-  };
-  for (auto& list : ls.phases.events)
-    std::sort(list.begin(), list.end(), by_time);
 
   // Degraded quarantine flags are a pure function of trace + membership,
   // so they are re-derived here rather than serialized.

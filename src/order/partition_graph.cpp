@@ -1,6 +1,6 @@
 #include "order/partition_graph.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "graph/scc.hpp"
 #include "graph/union_find.hpp"
@@ -16,13 +16,12 @@ PartId PartitionGraph::add_partition(std::vector<trace::EventId> events,
                                      bool runtime) {
   LS_CHECK(!finalized_);
   LS_CHECK_MSG(!events.empty(), "empty partition");
-  PartId id = static_cast<PartId>(events_.size());
+  PartId id = num_partitions();
   for (trace::EventId e : events) {
     LS_CHECK_MSG(part_of_[static_cast<std::size_t>(e)] == -1,
                  "event assigned to two partitions");
     part_of_[static_cast<std::size_t>(e)] = id;
   }
-  events_.push_back(std::move(events));
   runtime_.push_back(runtime);
   return id;
 }
@@ -41,15 +40,44 @@ void PartitionGraph::finalize() {
   }
   dag_guard_.dirty.store(true, std::memory_order_release);
   epoch_ = 1;
+  by_time_ = trace_->events_by_time();
+  build_membership();
+}
 
-  chares_.assign(events_.size(), {});
-  for (std::int32_t p = 0; p < num_partitions(); ++p) {
-    auto& cs = chares_[static_cast<std::size_t>(p)];
-    for (trace::EventId e : events_[static_cast<std::size_t>(p)])
-      cs.push_back(trace_->event(e).chare);
-    std::sort(cs.begin(), cs.end());
-    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+void PartitionGraph::build_membership() {
+  const auto np = static_cast<std::size_t>(num_partitions());
+  // Stable counting scatter of items into CSR rows by partition: each row
+  // keeps the items' input order.
+  auto scatter = [np](const auto& items, auto part, auto value,
+                      std::vector<std::int32_t>& begin, auto& out) {
+    begin.assign(np + 1, 0);
+    for (const auto& x : items) ++begin[part(x) + 1];
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    std::vector<std::int32_t> at(begin.begin(), begin.end() - 1);
+    out.resize(items.size());
+    for (const auto& x : items)
+      out[static_cast<std::size_t>(at[part(x)]++)] = value(x);
+  };
+  auto part_of = [this](trace::EventId e) {
+    return static_cast<std::size_t>(part_of_[static_cast<std::size_t>(e)]);
+  };
+  // Events: scattering the time order leaves every row in Trace::before
+  // order without a comparison.
+  scatter(by_time_, part_of, [](trace::EventId e) { return e; },
+          event_begin_, events_);
+  // Chares: walk each chare's events in ascending chare order; the
+  // last-chare stamp emits each (partition, chare) once, so every row
+  // comes out sorted and unique.
+  std::vector<trace::ChareId> stamp(np, -1);
+  std::vector<std::pair<PartId, trace::ChareId>> hits;
+  for (trace::ChareId c = 0; c < trace_->num_chares(); ++c) {
+    for (trace::EventId e : trace_->events_of_chare(c)) {
+      const std::size_t p = part_of(e);
+      if (std::exchange(stamp[p], c) != c) hits.emplace_back(p, c);
+    }
   }
+  scatter(hits, [](auto h) { return h.first; }, [](auto h) { return h.second; },
+          chare_begin_, chares_);
 }
 
 void PartitionGraph::ensure_dag() const {
@@ -70,7 +98,7 @@ void PartitionGraph::ensure_dag() const {
 
 trace::EventId PartitionGraph::first_event_of_chare(PartId p,
                                                     trace::ChareId c) const {
-  for (trace::EventId e : events_[static_cast<std::size_t>(p)]) {
+  for (trace::EventId e : events(p)) {
     if (trace_->event(e).chare == c) return e;
   }
   return trace::kNone;
@@ -112,46 +140,14 @@ bool PartitionGraph::cycle_merge() {
 void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
                              std::int32_t num_new) {
   merges_ += num_partitions() - num_new;
-  const trace::Trace& tr = *trace_;
-  auto by_time = [&tr](trace::EventId a, trace::EventId b) {
-    return tr.before(a, b);
-  };
-
-  // The first member of each group donates its vectors; later members
-  // merge in. Member event lists are already time-sorted, so each merge
-  // is a sorted-run inplace_merge — partitions untouched by this batch
-  // cost only a vector move.
-  std::vector<std::vector<trace::EventId>> new_events(
-      static_cast<std::size_t>(num_new));
-  std::vector<std::vector<trace::ChareId>> new_chares(
-      static_cast<std::size_t>(num_new));
   std::vector<bool> new_runtime(static_cast<std::size_t>(num_new), false);
-  for (std::int32_t p = 0; p < num_partitions(); ++p) {
-    auto nl = static_cast<std::size_t>(label[static_cast<std::size_t>(p)]);
-    auto& dst = new_events[nl];
-    auto& src = events_[static_cast<std::size_t>(p)];
-    if (dst.empty()) {
-      dst = std::move(src);
-      new_chares[nl] = std::move(chares_[static_cast<std::size_t>(p)]);
-    } else {
-      auto mid = static_cast<std::ptrdiff_t>(dst.size());
-      dst.insert(dst.end(), src.begin(), src.end());
-      std::inplace_merge(dst.begin(), dst.begin() + mid, dst.end(), by_time);
-      auto& cs = new_chares[nl];
-      auto& add = chares_[static_cast<std::size_t>(p)];
-      auto cmid = static_cast<std::ptrdiff_t>(cs.size());
-      cs.insert(cs.end(), add.begin(), add.end());
-      std::inplace_merge(cs.begin(), cs.begin() + cmid, cs.end());
-      cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
-    }
-    if (runtime_[static_cast<std::size_t>(p)]) new_runtime[nl] = true;
+  for (std::size_t p = 0; p < runtime_.size(); ++p) {
+    if (runtime_[p]) new_runtime[static_cast<std::size_t>(label[p])] = true;
   }
-  events_ = std::move(new_events);
-  chares_ = std::move(new_chares);
   runtime_ = std::move(new_runtime);
-
   for (auto& po : part_of_)
     po = label[static_cast<std::size_t>(po)];
+  build_membership();
 
   // Remap the flat edge list in place, dropping collapsed self-edges;
   // dedup is deferred to the next dag() materialization.
@@ -168,15 +164,9 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
 
 std::int64_t PartitionGraph::memory_bytes() const {
   std::int64_t b = edge_capacity_bytes();
-  b += static_cast<std::int64_t>(part_of_.capacity() * sizeof(PartId));
-  b += static_cast<std::int64_t>(events_.capacity() *
-                                 sizeof(std::vector<trace::EventId>));
-  for (const auto& v : events_)
-    b += static_cast<std::int64_t>(v.capacity() * sizeof(trace::EventId));
-  b += static_cast<std::int64_t>(chares_.capacity() *
-                                 sizeof(std::vector<trace::ChareId>));
-  for (const auto& v : chares_)
-    b += static_cast<std::int64_t>(v.capacity() * sizeof(trace::ChareId));
+  for (const auto* v : {&part_of_, &by_time_, &event_begin_, &events_,
+                        &chare_begin_, &chares_})
+    b += static_cast<std::int64_t>(v->capacity() * sizeof(std::int32_t));
   return b;
 }
 

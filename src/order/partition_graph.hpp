@@ -9,15 +9,15 @@
 /// in place), and collapse any strongly connected components ("cycle
 /// merge") so the graph is a DAG again.
 ///
-/// Merges are incremental: only the event/chare lists of partitions that
-/// actually merged are touched (sorted-run merges, no global re-sort), the
-/// edge list is kept as a flat vector that is remapped in place, and the
-/// adjacency structure (dag()) is rebuilt lazily — deferred edge
-/// compaction — only when a query needs it after a mutation dirtied it.
-/// Partition ids keep the exact historical relabeling semantics
-/// (union-find dense labels for pair merges, Tarjan component order for
-/// cycle merges), so downstream tie-breaks are bit-identical to the old
-/// full-rebuild implementation.
+/// finalize() takes the trace's time order once, and it and every merge
+/// rebuild the event and chare lists from part_of() with one builder — a
+/// counting scatter of that order plus one walk of the per-chare event
+/// lists — so no merge compares timestamps. The edge list is a flat vector
+/// remapped in place; the adjacency (dag()) is rebuilt lazily — deferred
+/// edge compaction — only when a query needs it after a mutation. Partition
+/// ids keep the exact historical relabeling semantics (union-find dense
+/// labels for pair merges, Tarjan component order for cycle merges), so
+/// downstream tie-breaks are bit-identical to the old implementation.
 ///
 /// Thread-safety: concurrent const queries are safe, including dag() —
 /// its lazy materialization is guarded by a double-checked atomic flag
@@ -43,7 +43,7 @@ class PartitionGraph {
  public:
   explicit PartitionGraph(const trace::Trace& trace);
 
-  /// Construction: add a partition owning `events` (must be time-sorted).
+  /// Construction: add a partition owning `events`.
   PartId add_partition(std::vector<trace::EventId> events, bool runtime);
 
   /// Construction: record a happened-before edge (self-edges ignored).
@@ -55,17 +55,20 @@ class PartitionGraph {
 
   // --- queries ------------------------------------------------------------
   [[nodiscard]] std::int32_t num_partitions() const {
-    return static_cast<std::int32_t>(events_.size());
+    return static_cast<std::int32_t>(runtime_.size());
   }
+  /// Events of p in Trace::before order.
   [[nodiscard]] std::span<const trace::EventId> events(PartId p) const {
-    return events_[static_cast<std::size_t>(p)];
+    return {events_.data() + event_begin_[static_cast<std::size_t>(p)],
+            events_.data() + event_begin_[static_cast<std::size_t>(p) + 1]};
   }
   [[nodiscard]] bool runtime(PartId p) const {
     return runtime_[static_cast<std::size_t>(p)];
   }
   /// Sorted unique chares with events in p.
   [[nodiscard]] std::span<const trace::ChareId> chares(PartId p) const {
-    return chares_[static_cast<std::size_t>(p)];
+    return {chares_.data() + chare_begin_[static_cast<std::size_t>(p)],
+            chares_.data() + chare_begin_[static_cast<std::size_t>(p) + 1]};
   }
   [[nodiscard]] PartId part_of(trace::EventId e) const {
     return part_of_[static_cast<std::size_t>(e)];
@@ -108,7 +111,7 @@ class PartitionGraph {
                                      sizeof(std::pair<PartId, PartId>));
   }
 
-  /// Approximate total container footprint (events, chares, part_of,
+  /// Approximate total container footprint (time order, membership, part_of,
   /// edges; capacities). Feeds `order/partition_graph/footprint_bytes`.
   [[nodiscard]] std::int64_t memory_bytes() const;
 
@@ -119,16 +122,23 @@ class PartitionGraph {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
-  /// Collapse partitions in place: partition p becomes label[p]. Labels
-  /// must be dense [0, num_new) and order-preserving per the caller's
-  /// merge semantics. Touches only merged groups' event/chare lists.
+  /// Collapse partitions: partition p becomes label[p]. Labels must be
+  /// dense [0, num_new) and order-preserving per the caller's semantics.
   void relabel(const std::vector<std::int32_t>& label, std::int32_t num_new);
+  /// Rebuild the membership rows from part_of_ (finalize and relabel).
+  void build_membership();
   void ensure_dag() const;
 
   const trace::Trace* trace_;
-  std::vector<std::vector<trace::EventId>> events_;
+  /// Every event in Trace::before order, taken once at finalize().
+  std::vector<trace::EventId> by_time_;
+  /// Membership rows: p owns events_[event_begin_[p], event_begin_[p + 1])
+  /// and chares_[chare_begin_[p], chare_begin_[p + 1]).
+  std::vector<std::int32_t> event_begin_;
+  std::vector<trace::EventId> events_;
+  std::vector<std::int32_t> chare_begin_;
+  std::vector<trace::ChareId> chares_;
   std::vector<bool> runtime_;
-  std::vector<std::vector<trace::ChareId>> chares_;
   std::vector<PartId> part_of_;
   /// Guard for the lazy dag_ rebuild: double-checked atomic dirty flag
   /// plus the mutex the winning reader materializes under. Copyable so

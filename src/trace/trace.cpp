@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
@@ -51,6 +52,20 @@ LS_NOINLINE storage::PinnedSpan<T> Trace::pin_blocked(
 template storage::PinnedSpan<std::int32_t> Trace::pin_blocked(
     const storage::BlockedColumn<std::int32_t>& col, std::int64_t lo,
     std::int64_t hi);
+
+std::vector<EventId> Trace::events_by_time() const {
+  std::vector<std::pair<TimeNs, EventId>> keys(
+      static_cast<std::size_t>(num_events()));
+  events().for_each_chunk(
+      [&keys](const Event* ev, std::size_t n, std::size_t base) {
+        for (std::size_t i = 0; i < n; ++i)
+          keys[base + i] = {ev[i].time, static_cast<EventId>(base + i)};
+      });
+  std::sort(keys.begin(), keys.end());
+  std::vector<EventId> order(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].second;
+  return order;
+}
 
 storage::PinnedSpan<EventId> Trace::fanout(EventId send) const {
   const Event e = event(send);
