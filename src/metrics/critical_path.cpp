@@ -3,16 +3,14 @@
 #include <algorithm>
 
 #include "metrics/depview.hpp"
+#include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
-#include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace logstruct::metrics {
 
 CriticalPath critical_path(const trace::Trace& trace,
                            const order::LogicalStructure& ls, int threads) {
   OBS_SPAN_ANON("metrics/critical_path");
-  threads = util::resolve_threads(threads);
   CriticalPath out;
   out.degraded_phases = ls.phases.degraded_phases;
   const auto n = static_cast<std::size_t>(trace.num_events());
@@ -24,30 +22,18 @@ CriticalPath critical_path(const trace::Trace& trace,
   // trigger — that would double-count wall time when a path passes
   // through the trigger and a later event of the same block. With gap
   // durations every interval a path sums is disjoint, so coverage <= 1.
-  std::vector<trace::TimeNs> dur(n, 0);
+  //
+  // The trailing compute after a block's last event is path work too (it
+  // is what a receive-only block DOES) — but it happens AFTER the event,
+  // so it only counts when the path continues along the chare (or ends
+  // here), never when it leaves through the event's outgoing message (the
+  // sender keeps computing while the message flies).
+  const BlockGaps gaps = block_gaps(trace, threads);
+  const std::vector<trace::TimeNs>& dur = gaps.gap;
   std::vector<trace::TimeNs> tail(n, 0);
-  // Every event belongs to exactly one block, so the per-block fills
-  // write disjoint dur/tail slots and fan out race-free.
-  util::parallel_for(
-      threads, trace.num_blocks(), [&](std::int64_t b) {
-        const trace::SerialBlock blk =
-            trace.block(static_cast<trace::BlockId>(b));
-        const auto bev =
-            trace.events_of_block(static_cast<trace::BlockId>(b));
-        trace::TimeNs prev = blk.begin;
-        for (trace::EventId e : bev) {
-          dur[static_cast<std::size_t>(e)] = trace.event(e).time - prev;
-          prev = trace.event(e).time;
-        }
-        // The trailing compute after the last event is path work too (it
-        // is what a receive-only block DOES) — but it happens AFTER the
-        // event, so it only counts when the path continues along the
-        // chare (or ends here), never when it leaves through the event's
-        // outgoing message (the sender keeps computing while the message
-        // flies).
-        if (!bev.empty())
-          tail[static_cast<std::size_t>(bev.back())] = blk.end - prev;
-      });
+  for (const BlockGaps::Tail& t : gaps.tail)
+    if (t.last != trace::kNone)
+      tail[static_cast<std::size_t>(t.last)] = t.span;
 
   // Longest distance ending at each event. Process in physical-time order
   // (a valid topological order of both edge families: matching sends
@@ -127,7 +113,6 @@ CriticalPath critical_path(const trace::Trace& trace,
     if (!left_by_message) share += tail[static_cast<std::size_t>(e)];
     out.chare_share[static_cast<std::size_t>(trace.event(e).chare)] += share;
   }
-  (void)ls;
   return out;
 }
 

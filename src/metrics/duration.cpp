@@ -13,7 +13,6 @@ DifferentialDuration differential_duration(
     const trace::Trace& trace, const order::LogicalStructure& ls,
     int threads) {
   OBS_SPAN_ANON("metrics/differential_duration");
-  threads = util::resolve_threads(threads);
   DifferentialDuration out;
   out.degraded_phases = ls.phases.degraded_phases;
   out.per_event.assign(static_cast<std::size_t>(trace.num_events()), 0);

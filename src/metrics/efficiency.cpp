@@ -63,7 +63,6 @@ double busy_avg(const WindowLoads& loads, std::size_t w) {
 WindowLoads compute_window_loads(const trace::Trace& trace,
                                  const WindowSet& windows, int threads) {
   OBS_SPAN_ANON("metrics/window_loads");
-  threads = util::resolve_threads(threads);
   const auto num_windows = static_cast<std::size_t>(windows.size());
   const auto num_procs = static_cast<std::size_t>(trace.num_procs());
   const auto num_events = static_cast<std::size_t>(trace.num_events());

@@ -32,31 +32,19 @@ IdleExperienced idle_experienced(const trace::Trace& trace) {
         [&trace](trace::BlockId b, trace::TimeNs t) {
           return trace.block(b).begin < t;
         });
-    bool first = true;
-    for (; it != blocks.end(); ++it) {
-      const trace::SerialBlock& blk = trace.block(*it);
-      bool assign = false;
-      if (first) {
-        // The block directly after the idle always experiences it.
-        assign = true;
-        first = false;
-      } else if (trace::TimeNs dep = trigger_time(blk); dep >= 0) {
-        // Subsequent blocks experience the idle if their dependency
-        // started before the idle ended (they could have been running).
-        if (dep < span.end) {
-          assign = true;
-        } else {
-          break;  // dependent on an event after the idle: stop the walk
-        }
-      } else {
-        break;  // unknown dependency: stop conservatively
+    for (bool first = true; it != blocks.end(); ++it, first = false) {
+      // The block directly after the idle always experiences it. Later
+      // blocks do only if their dependency started before the idle ended
+      // (they could have been running); a dependency on an event after the
+      // idle, or an unknown one, stops the walk.
+      if (!first) {
+        const trace::TimeNs dep = trigger_time(trace.block(*it));
+        if (dep < 0 || dep >= span.end) break;
       }
-      if (assign) {
-        out.per_block[static_cast<std::size_t>(*it)] += length;
-        const auto bev = trace.events_of_block(*it);
-        if (!bev.empty())
-          out.per_event[static_cast<std::size_t>(bev.front())] += length;
-      }
+      out.per_block[static_cast<std::size_t>(*it)] += length;
+      const auto bev = trace.events_of_block(*it);
+      if (!bev.empty())
+        out.per_event[static_cast<std::size_t>(bev.front())] += length;
     }
   }
   return out;

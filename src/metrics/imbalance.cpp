@@ -12,7 +12,6 @@ namespace logstruct::metrics {
 Imbalance imbalance(const trace::Trace& trace,
                     const order::LogicalStructure& ls, int threads) {
   OBS_SPAN_ANON("metrics/imbalance");
-  threads = util::resolve_threads(threads);
   Imbalance out;
   out.degraded_phases = ls.phases.degraded_phases;
   const std::size_t phases =

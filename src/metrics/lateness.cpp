@@ -29,7 +29,6 @@ Lateness lateness(const trace::Trace& trace,
                   const order::LogicalStructure& ls, bool same_phase_only,
                   int threads) {
   OBS_SPAN_ANON("metrics/lateness");
-  threads = util::resolve_threads(threads);
   Lateness out;
   out.degraded_phases = ls.phases.degraded_phases;
   out.per_event.assign(static_cast<std::size_t>(trace.num_events()), 0);

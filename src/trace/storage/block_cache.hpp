@@ -6,7 +6,10 @@
 /// One cache serves every open store; entries are keyed by the store's
 /// generation id plus (column, block). Sixteen independently locked
 /// shards each run strict LRU within a per-shard slice of the byte
-/// budget. A hit (or a filled miss) returns a shared_ptr to the block's
+/// budget. Block k of column c lives in shard (k + 5c + generation) mod
+/// 16, so one column's blocks rotate through every shard and columns a
+/// kernel walks side by side do not crowd one shard's slice. A hit (or a
+/// filled miss) returns a shared_ptr to the block's
 /// buffer — that reference IS the pin: eviction only drops the cache's
 /// own reference, so a reader's span stays valid for as long as it holds
 /// the pointer, even under a tiny budget with heavy eviction.
@@ -84,8 +87,9 @@ class BlockCache {
 
   static constexpr std::uint32_t kShards = 16;
 
-  Shard& shard_for(const Key& k) {
-    return shards_[KeyHash{}(k) % kShards];
+  Shard& shard_for(const Key& k) {  // stride 5 is odd: a bijection mod 16
+    const std::uint64_t stripe = (k.slot & 0xffffffffu) + 5 * (k.slot >> 32);
+    return shards_[(stripe + k.generation) % kShards];
   }
   /// Evict LRU entries until the shard fits its budget slice. Caller
   /// holds the shard lock; evicted buffers die here unless pinned.

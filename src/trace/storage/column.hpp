@@ -11,9 +11,9 @@
 ///    a cached block — or an owned copy when the range straddles blocks —
 ///    so eviction can never invalidate a span a reader still holds.
 ///  - BlockedColumn<T>: element reads over one column of a BlockStore.
-///    get(i) runs through a small thread-local cursor table (direct
-///    mapped, keyed by store generation + column + block) so sequential
-///    scans touch the shared cache once per block, not once per element.
+///    get(i) runs through a thread-local cursor, one slot per ColumnId,
+///    so scans touch the shared cache once per block, not once per
+///    element, even when they interleave several columns.
 ///  - ColumnView<T>: what accessors like Trace::events() return. Wraps
 ///    either a raw pointer (mem) or a BlockedColumn (blocked) behind
 ///    size()/operator[]/input iterators, so `for (const T& x : view)`
@@ -49,19 +49,19 @@ struct PinnedSpan {
 
 namespace detail {
 
-/// Direct-mapped thread-local cursor: the last block each (store, column)
-/// hash slot touched on this thread. The shared_ptr doubles as a pin, so
-/// at most kCursorSlots blocks per thread are held against eviction.
+/// Thread-local cursor: the last block each column touched on this
+/// thread, one slot per ColumnId. The generation check keeps a slot from
+/// serving another store's block; the shared_ptr doubles as a pin, so at
+/// most kNumColumns blocks per thread are held against eviction.
 struct CursorSlot {
   std::uint64_t generation = 0;  // 0 = empty (generations start at 1)
-  std::uint64_t key = 0;         // col << 32 | block
+  std::size_t block = 0;
   std::shared_ptr<const char[]> data;
 };
-inline constexpr std::size_t kCursorSlots = 8;
 
-inline CursorSlot& cursor_slot(std::uint64_t generation, std::uint32_t col) {
-  thread_local CursorSlot slots[kCursorSlots];
-  return slots[(generation ^ col) & (kCursorSlots - 1)];
+inline CursorSlot& cursor_slot(ColumnId col) {
+  thread_local CursorSlot slots[kNumColumns];
+  return slots[static_cast<std::uint32_t>(col)];
 }
 
 }  // namespace detail
@@ -85,16 +85,13 @@ class BlockedColumn {
   /// One element by value, through the thread-local cursor.
   [[nodiscard]] T get(std::size_t i) const {
     const std::size_t blk = i / per_block_;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(col_) << 32) | blk;
-    detail::CursorSlot& slot =
-        detail::cursor_slot(store_->generation(), static_cast<std::uint32_t>(col_));
-    if (slot.generation != store_->generation() || slot.key != key) {
+    detail::CursorSlot& slot = detail::cursor_slot(col_);
+    if (slot.generation != store_->generation() || slot.block != blk) {
       CachedBlock b = BlockCache::global().get(
-          *store_, static_cast<ColumnId>(col_), static_cast<std::uint32_t>(blk));
+          *store_, col_, static_cast<std::uint32_t>(blk));
       slot.data = std::move(b.data);
       slot.generation = store_->generation();
-      slot.key = key;
+      slot.block = blk;
     }
     T out;
     std::memcpy(&out, slot.data.get() + (i % per_block_) * sizeof(T),

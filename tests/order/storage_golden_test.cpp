@@ -8,13 +8,26 @@
 /// bit-for-bit. This is the "no silent divergence" gate for the .lsblk
 /// store: any dependency-row reordering, CSR off-by-one, or cache
 /// corruption shows up as a hash mismatch on some cell of the matrix.
+/// The metric kernels get the same gate over their output vectors.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
+#include <vector>
 
+#include "metrics/critical_path.hpp"
+#include "metrics/duration.hpp"
+#include "metrics/efficiency.hpp"
+#include "metrics/idle.hpp"
+#include "metrics/imbalance.hpp"
+#include "metrics/lateness.hpp"
+#include "metrics/subblock.hpp"
+#include "metrics/windows.hpp"
 #include "order/validate.hpp"
+#include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
 #include "golden_fixtures.hpp"
@@ -22,11 +35,13 @@
 namespace logstruct::order {
 namespace {
 
+using golden::Fnv;
 using golden::Golden;
 using golden::kGoldens;
 using golden::ScopedDefaultParallelism;
 using golden::structure_hash;
 using trace::storage::BackendKind;
+using trace::storage::BlockCache;
 using trace::storage::ScopedStorageOptions;
 using trace::storage::StorageOptions;
 
@@ -81,6 +96,124 @@ TEST(StorageGolden, BlockedBackendMatrixBitIdentical) {
             << " threads=" << threads;
       }
     }
+  }
+}
+
+template <typename T>
+void mix_all(Fnv& f, const std::vector<T>& v) {
+  f.mix(static_cast<std::int64_t>(v.size()));
+  for (const T x : v) {
+    if constexpr (std::is_floating_point_v<T>)
+      f.mix(std::bit_cast<std::int64_t>(static_cast<double>(x)));
+    else
+      f.mix(static_cast<std::int64_t>(x));
+  }
+}
+
+/// One fingerprint per kernel: the six per-event metric kernels, then the
+/// efficiency suite over the phase windows.
+std::vector<std::uint64_t> metric_hashes(const trace::Trace& t,
+                                         const LogicalStructure& ls) {
+  std::vector<std::uint64_t> out;
+  Fnv f;
+  mix_all(f, metrics::subblock_durations(t));
+  out.push_back(f.value());
+  f = {};
+  const metrics::IdleExperienced idle = metrics::idle_experienced(t);
+  mix_all(f, idle.per_event);
+  mix_all(f, idle.per_block);
+  out.push_back(f.value());
+  f = {};
+  const metrics::DifferentialDuration dd =
+      metrics::differential_duration(t, ls, 1);
+  mix_all(f, dd.per_event);
+  f.mix(dd.max_value);
+  f.mix(dd.max_event);
+  out.push_back(f.value());
+  f = {};
+  const metrics::Imbalance imb = metrics::imbalance(t, ls, 1);
+  mix_all(f, imb.per_phase);
+  for (const auto& row : imb.per_phase_proc) mix_all(f, row);
+  mix_all(f, imb.per_event);
+  out.push_back(f.value());
+  f = {};
+  const metrics::Lateness late = metrics::lateness(t, ls, false, 1);
+  mix_all(f, late.per_event);
+  mix_all(f, late.caused_by_chare);
+  f.mix(late.max_event);
+  f.mix(std::bit_cast<std::int64_t>(late.mean));
+  out.push_back(f.value());
+  f = {};
+  const metrics::CriticalPath cp = metrics::critical_path(t, ls, 1);
+  mix_all(f, cp.events);
+  mix_all(f, cp.chare_share);
+  f.mix(cp.length_ns);
+  f.mix(std::bit_cast<std::int64_t>(cp.coverage));
+  out.push_back(f.value());
+  f = {};
+  const metrics::EfficiencySuite eff = metrics::efficiency_suite(
+      t, metrics::WindowSet::phases(t, ls.phases), 1);
+  mix_all(f, eff.loads.busy);
+  mix_all(f, eff.loads.ideal_span);
+  mix_all(f, eff.loads.transfer_wait);
+  mix_all(f, eff.parallel.per_window);
+  mix_all(f, eff.balance.per_window);
+  mix_all(f, eff.communication.per_window);
+  mix_all(f, eff.sertrans.serialization);
+  mix_all(f, eff.sertrans.transfer);
+  out.push_back(f.value());
+  return out;
+}
+
+/// Blocks a column of n elements of `elem` bytes spans at 4 KiB blocks.
+std::uint64_t blocks_4k(std::int64_t n, std::size_t elem) {
+  const std::uint64_t per_block = 4096 / elem;
+  return (static_cast<std::uint64_t>(n) + per_block - 1) / per_block;
+}
+
+/// Every metric output is bit-identical on the mem backend and on a
+/// blocked backend with 4 KiB blocks and a budget of two blocks per cache
+/// shard. On that tight cache subblock_durations and critical_path
+/// together miss at most once per column block they read, plus a slack
+/// of 4: the columns their walk reads side by side keep one cursor each
+/// and spread over the cache shards instead of evicting each other.
+TEST(StorageGolden, MetricsMatchAcrossBackends) {
+  ScopedDefaultParallelism serial(1);
+  for (const Golden& g : kGoldens) {
+    SCOPED_TRACE(g.name);
+    std::vector<std::uint64_t> mem_hashes;
+    {
+      StorageOptions mem_opts;
+      mem_opts.kind = BackendKind::Mem;
+      ScopedStorageOptions mscope(mem_opts);
+      const trace::Trace mem = g.make();
+      mem_hashes = metric_hashes(mem, extract_structure(mem, g.opts()));
+    }
+    StorageOptions opts;
+    opts.kind = BackendKind::Blocked;
+    opts.block_bytes = 4096;
+    opts.cache_bytes = 2 * 16 * 4096;
+    ScopedStorageOptions sscope(opts);
+    const trace::Trace t = g.make();
+    ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
+    const LogicalStructure ls = extract_structure(t, g.opts());
+
+    // The gap walk reads Blocks, BlockEvBegin, BlockEvents and Events;
+    // the critical path adds DepSend and DepRecv for its senders.
+    const std::uint64_t walk =
+        blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock)) +
+        blocks_4k(t.num_blocks() + 1, sizeof(std::int64_t)) +
+        blocks_4k(t.num_events(), sizeof(trace::EventId)) +
+        blocks_4k(t.num_events(), sizeof(trace::Event));
+    const std::uint64_t deps =
+        2 * blocks_4k(t.num_dependencies(), sizeof(trace::EventId));
+    BlockCache::global().reset_stats();
+    (void)metrics::subblock_durations(t);
+    (void)metrics::critical_path(t, ls, 1);
+    EXPECT_LE(BlockCache::global().stats().misses, walk + deps + 4)
+        << "walk blocks " << walk << ", dependency blocks " << deps;
+
+    EXPECT_EQ(metric_hashes(t, ls), mem_hashes);
   }
 }
 

@@ -151,6 +151,82 @@ TEST(BlockCacheTest, EvictionStatsAndPinSafety) {
   std::remove(path.c_str());
 }
 
+/// A store whose kNumColumns columns each hold `blocks` full 4 KiB blocks
+/// of i32 (1024 per block); element i of column c is c * 1'000'000 + i.
+std::string write_every_column(const char* tag, std::size_t blocks) {
+  const std::string path = temp_path(tag);
+  BlockStoreWriter w(path, 4096);
+  std::vector<std::int32_t> vals(blocks * 1024);
+  for (std::uint32_t c = 0; c < kNumColumns; ++c) {
+    for (std::size_t i = 0; i < vals.size(); ++i)
+      vals[i] = static_cast<std::int32_t>(c * 1'000'000 + i);
+    w.set_elem_bytes(static_cast<ColumnId>(c), 4);
+    w.append(static_cast<ColumnId>(c), vals.data(), vals.size() * 4);
+  }
+  w.finish("");
+  return path;
+}
+
+/// Interleaved get() scans over all twelve columns keep one cursor each:
+/// the second read of a block never goes back to the cache, so the cache
+/// sees exactly one lookup per distinct block read.
+TEST(BlockedColumnCursor, OneSlotPerColumn) {
+  constexpr std::size_t kBlocks = 4;
+  const std::string path = write_every_column("cursor", kBlocks);
+  StorageOptions roomy = default_options();
+  roomy.cache_bytes = 0;  // unbounded: count lookups, not evictions
+  ScopedStorageOptions scope(roomy);
+  {
+    BlockStore store(path);
+    std::vector<BlockedColumn<std::int32_t>> cols;
+    for (std::uint32_t c = 0; c < kNumColumns; ++c)
+      cols.emplace_back(&store, static_cast<ColumnId>(c));
+    BlockCache::global().reset_stats();
+    for (std::size_t blk = 0; blk < kBlocks; ++blk)
+      for (std::size_t i : {blk * 1024, blk * 1024 + 7})
+        for (std::uint32_t c = 0; c < kNumColumns; ++c)
+          ASSERT_EQ(cols[c].get(i),
+                    static_cast<std::int32_t>(c * 1'000'000 + i));
+    const BlockCache::Stats stats = BlockCache::global().stats();
+    EXPECT_EQ(stats.hits + stats.misses, kNumColumns * kBlocks);
+  }
+  std::remove(path.c_str());
+}
+
+/// The shard is picked by column and block: a store's first blocks sit
+/// in kNumColumns different shards, and one column's 16 consecutive
+/// blocks in 16, so a budget of one block per shard holds them all.
+TEST(BlockCacheTest, ShardsStripeByColumnAndBlock) {
+  StorageOptions one_per_shard = default_options();
+  one_per_shard.cache_bytes = 16 * 4096;
+  ScopedStorageOptions scope(one_per_shard);
+  BlockCache& cache = BlockCache::global();
+
+  const std::string firsts = write_every_column("shard_cols", 1);
+  {
+    BlockStore store(firsts);
+    cache.reset_stats();
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::uint32_t c = 0; c < kNumColumns; ++c)
+        cache.get(store, static_cast<ColumnId>(c), 0);
+    EXPECT_EQ(cache.stats().misses, kNumColumns);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+  std::remove(firsts.c_str());
+
+  const std::string run = write_every_column("shard_run", 16);
+  {
+    BlockStore store(run);
+    cache.reset_stats();
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::uint32_t blk = 0; blk < 16; ++blk)
+        cache.get(store, ColumnId::BlockEvBegin, blk);
+    EXPECT_EQ(cache.stats().misses, 16u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+  std::remove(run.c_str());
+}
+
 /// Several events per block and per chare share a timestamp, blocks of
 /// one chare and of one PE share begin times, ids interleave across
 /// blocks, and each send fans out to several receivers: every frozen
