@@ -51,7 +51,8 @@ void BM_InitialPartitions(benchmark::State& state) {
   trace::Trace t = lulesh_trace(static_cast<std::int32_t>(state.range(0)));
   order::PartitionOptions opts;
   for (auto _ : state) {
-    auto pg = order::build_initial_partitions(t, opts);
+    auto pg = order::build_initial_partitions(
+        t, opts, order::compute_block_units(t, false));
     benchmark::DoNotOptimize(pg.num_partitions());
   }
   state.SetItemsProcessed(state.iterations() * t.num_events());
@@ -64,7 +65,7 @@ void BM_DependencyMerge(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     order::OrderContext ctx(t, order::Options{});
-    ctx.set_pg(order::build_initial_partitions(t, opts));
+    ctx.set_pg(order::build_initial_partitions(t, opts, ctx.units(false)));
     ctx.pg().cycle_merge();
     state.ResumeTiming();
     order::dependency_merge(ctx);

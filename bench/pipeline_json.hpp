@@ -4,12 +4,13 @@
 /// BENCH_pipeline.json emitter: runs the extraction pipeline through the
 /// pass manager, captures the per-pass wall time and allocation bytes
 /// the PassManager already records, and writes one perf-trajectory
-/// document per harness run. Schema `logstruct-bench-pipeline/v6`
-/// (documented in docs/OBSERVABILITY.md): v6 adds the bench-gated
-/// `order/check_causality` pseudo-pass (vector-clock oracle build +
-/// happened-before check over the recovered structure, timed by the
-/// micro_pipeline harness so checker cost regressions are caught like
-/// any pass); v5 kept v4's per-workload `peak_rss_kb` plus the
+/// document per harness run. Schema `logstruct-bench-pipeline/v7`
+/// (documented in docs/OBSERVABILITY.md): v7 adds each pass's
+/// block-cache `cache_lookups` and `cache_misses` deltas; v6 added the
+/// bench-gated `order/check_causality` pseudo-pass (vector-clock oracle
+/// build + happened-before check over the recovered structure, timed by
+/// the micro_pipeline harness so checker cost regressions are caught
+/// like any pass); v5 kept v4's per-workload `peak_rss_kb` plus the
 /// storage-backend annotation (`storage`, `cache_hits`,
 /// `cache_misses`, `cache_hit_rate`), v3's per-workload/per-pass
 /// `threads`, v2's per-pass `alloc_bytes`, and the run-level
@@ -140,7 +141,7 @@ class PipelineTrajectory {
                    target.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"schema\": \"logstruct-bench-pipeline/v6\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"logstruct-bench-pipeline/v7\",\n");
     std::fprintf(f, "  \"runs\": [\n    {\n");
     std::fprintf(f, "      \"program\": \"%s\",\n", program_.c_str());
     if (!label_.empty())
@@ -179,9 +180,12 @@ class PipelineTrajectory {
         std::fprintf(f,
                      "           {\"pass\": \"%s\", \"seconds\": %.6f, "
                      "\"alloc_bytes\": %lld, \"threads\": %d, "
+                     "\"cache_lookups\": %lld, \"cache_misses\": %lld, "
                      "\"ran\": %s}%s\n",
                      r.name.c_str(), r.seconds,
                      static_cast<long long>(r.alloc_bytes), r.threads,
+                     static_cast<long long>(r.cache_lookups),
+                     static_cast<long long>(r.cache_misses),
                      r.ran ? "true" : "false",
                      p + 1 < w.passes.size() ? "," : "");
       }

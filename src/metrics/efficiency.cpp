@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <utility>
 
 #include "metrics/depview.hpp"
 #include "metrics/subblock.hpp"
@@ -80,28 +81,56 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
 
   const std::vector<trace::TimeNs> dur = subblock_durations(trace);
 
-  // Rank of every event in per-processor execution order (blocks on a
-  // proc run serially in begin-time order; events within a block in
-  // physical order). The zero-latency replay keeps this serialization —
-  // the POP ideal network removes transfer time, not processors — which
-  // also guarantees ideal_span >= busy_max, so serialization <= 1 and
-  // comm = serialization x transfer holds exactly.
+  // Every event's proc (high 32 bits) and rank in per-processor
+  // execution order (low 32 bits; blocks on a proc run serially in
+  // begin-time order, events within a block in physical order; events on
+  // no proc's list keep rank 0). The zero-latency replay keeps this
+  // serialization — the POP ideal network removes transfer time, not
+  // processors — which also guarantees ideal_span >= busy_max, so
+  // serialization <= 1 and comm = serialization x transfer holds
+  // exactly. Procs and times come from one sequential event scan.
   std::vector<std::int64_t> proc_rank(num_events, 0);
+  std::vector<trace::TimeNs> time(num_events);
+  trace.events().for_each_chunk(
+      [&](const trace::Event* ev, std::size_t n, std::size_t base) {
+        for (std::size_t i = 0; i < n; ++i) {
+          proc_rank[base + i] = static_cast<std::int64_t>(ev[i].proc) << 32;
+          time[base + i] = ev[i].time;
+        }
+      });
   for (std::int32_t p = 0; p < trace.num_procs(); ++p) {
-    std::int64_t rank = 0;
+    std::uint32_t rank = 0;
     for (trace::BlockId b : trace.blocks_of_proc(p))
-      for (trace::EventId e : trace.events_of_block(b))
-        proc_rank[static_cast<std::size_t>(e)] = rank++;
+      for (trace::EventId e : trace.events_of_block(b)) {
+        std::int64_t& key = proc_rank[static_cast<std::size_t>(e)];
+        key = (key & ~std::int64_t{0xffffffff}) | rank++;
+      }
   }
+  auto proc_of = [&](trace::EventId e) {
+    return static_cast<std::size_t>(proc_rank[static_cast<std::size_t>(e)] >>
+                                    32);
+  };
 
   IncomingDeps deps(trace);
+
+  // Transfer wait: one pass over the message rows, each summed into the
+  // window of its receive (the rows WindowSet::deps_of lists).
   const auto dep_sends = trace.dep_sends();
   const auto dep_recvs = trace.dep_recvs();
+  for (std::size_t r = 0; r < dep_sends.size(); ++r) {
+    const auto recv = static_cast<std::size_t>(dep_recvs[r]);
+    const trace::TimeNs latency =
+        time[recv] - time[static_cast<std::size_t>(dep_sends[r])];
+    loads.transfer_wait[static_cast<std::size_t>(windows.window_of(
+        static_cast<trace::EventId>(recv)))] +=
+        std::max<trace::TimeNs>(0, latency);
+  }
 
   // Zero-latency replay scratch, shared across windows: every window
   // touches only its own events (windows partition the event set), so
-  // the fan-out below stays index-owned.
-  std::vector<trace::TimeNs> finish(num_events, 0);
+  // the fan-out below stays index-owned. The replay writes an event's
+  // finish time before it reads it, so finish reuses the time buffer.
+  std::vector<trace::TimeNs> finish = std::move(time);
   std::vector<std::uint8_t> state(num_events, 0);  // 0 new, 1 open, 2 done
   // Per-window predecessor in proc order, restricted to in-window
   // events (a phase's events interleave with other phases on a proc, so
@@ -121,11 +150,9 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
         // Per-proc busy time, accumulated in ascending event id order.
         trace::TimeNs* busy = loads.busy.data() + wz * num_procs;
         for (trace::EventId e : events)
-          busy[static_cast<std::size_t>(trace.event(e).proc)] +=
-              dur[static_cast<std::size_t>(e)];
+          busy[proc_of(e)] += dur[static_cast<std::size_t>(e)];
         std::vector<std::uint8_t> touched(num_procs, 0);
-        for (trace::EventId e : events)
-          touched[static_cast<std::size_t>(trace.event(e).proc)] = 1;
+        for (trace::EventId e : events) touched[proc_of(e)] = 1;
         for (std::size_t p = 0; p < num_procs; ++p) {
           if (!touched[p]) continue;
           ++loads.procs_active[wz];
@@ -133,30 +160,19 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
           loads.busy_max[wz] = std::max(loads.busy_max[wz], busy[p]);
         }
 
-        // Message rows landing in this window, ascending row index.
-        const auto rows = windows.deps_of(w);
-        loads.messages[wz] = static_cast<std::int64_t>(rows.size());
-        for (std::int64_t r : rows) {
-          const trace::TimeNs latency =
-              trace.event(dep_recvs[static_cast<std::size_t>(r)]).time -
-              trace.event(dep_sends[static_cast<std::size_t>(r)]).time;
-          loads.transfer_wait[wz] += std::max<trace::TimeNs>(0, latency);
-        }
+        loads.messages[wz] =
+            static_cast<std::int64_t>(windows.deps_of(w).size());
 
         // Chain this window's events per proc in execution order.
         std::vector<trace::EventId> order(events.begin(), events.end());
         std::sort(order.begin(), order.end(),
                   [&](trace::EventId a, trace::EventId b) {
-                    const trace::ProcId pa = trace.event(a).proc;
-                    const trace::ProcId pb = trace.event(b).proc;
-                    if (pa != pb) return pa < pb;
                     return proc_rank[static_cast<std::size_t>(a)] <
                            proc_rank[static_cast<std::size_t>(b)];
                   });
         for (std::size_t i = 0; i < order.size(); ++i) {
           const bool same_proc =
-              i > 0 && trace.event(order[i - 1]).proc ==
-                           trace.event(order[i]).proc;
+              i > 0 && proc_of(order[i - 1]) == proc_of(order[i]);
           prev_in_window[static_cast<std::size_t>(order[i])] =
               same_proc ? order[i - 1] : trace::kNone;
         }

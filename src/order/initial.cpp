@@ -1,6 +1,5 @@
 #include "order/initial.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 #include "obs/progress.hpp"
@@ -31,23 +30,23 @@ BlockUnits compute_block_units(const trace::Trace& trace,
       u.unit_of_event[static_cast<std::size_t>(e)] =
           static_cast<trace::BlockId>(r);
   }
-  auto by_time = [&trace](trace::EventId a, trace::EventId b) {
-    return trace.before(a, b);
-  };
-  for (auto& list : u.events) std::sort(list.begin(), list.end(), by_time);
+  // A raw unit is one block, whose events are frozen in before() order.
+  if (!sdag_absorption) return u;
+  // An absorbed unit may span several blocks: refill every list from the
+  // one by-time order (clear() keeps the capacity, so nothing regrows).
+  for (auto& list : u.events) list.clear();
+  for (trace::EventId e : trace.events_by_time()) {
+    const trace::BlockId r = u.unit_of_event[static_cast<std::size_t>(e)];
+    if (r != trace::kNone) u.events[static_cast<std::size_t>(r)].push_back(e);
+  }
   return u;
 }
 
 PartitionGraph build_initial_partitions(const trace::Trace& trace,
                                         const PartitionOptions& opts,
+                                        const BlockUnits& units,
                                         int threads) {
   PartitionGraph pg(trace);
-  // Partitioning works on the RAW serial blocks: SDAG absorption (§2.1)
-  // contributes happened-before EDGES here (paper Fig. 3 draws the
-  // when-relationship as a chare happened-before edge); the event-level
-  // merge of a when-execution into its serial only applies to the
-  // ordering stage (§3.2).
-  BlockUnits units = compute_block_units(trace, /*sdag_absorption=*/false);
 
   // is_runtime_event walks the event's receiver list, making it the
   // dominant per-event cost of this stage; precompute it in parallel

@@ -70,9 +70,10 @@ struct Pass {
 };
 
 /// Per-pass execution record: what ran, how long it took, how much it
-/// allocated, and the partition count afterwards (-1 before the graph
-/// exists). Drives PipelineTimings and the BENCH_pipeline.json perf
-/// trajectory (schema v2 carries alloc_bytes alongside seconds).
+/// allocated, how often it went to the block cache, and the partition
+/// count afterwards (-1 before the graph exists). Drives
+/// PipelineTimings and the BENCH_pipeline.json perf trajectory (schema
+/// v2 carries alloc_bytes alongside seconds, v7 the cache deltas).
 struct PassRecord {
   std::string name;
   double seconds = 0;
@@ -85,6 +86,10 @@ struct PassRecord {
   /// Worker threads the pass was entitled to: Options::effective_threads
   /// for kPhaseParallel passes, 1 for serial ones.
   int threads = 1;
+  /// Process-wide block-cache lookups (hits + misses) and misses during
+  /// the pass; both 0 on the mem backend, which never reads the cache.
+  std::int64_t cache_lookups = 0;
+  std::int64_t cache_misses = 0;
 };
 
 }  // namespace logstruct::order

@@ -9,6 +9,7 @@
 #include "obs/progress.hpp"
 #include "order/context.hpp"
 #include "order/infer.hpp"
+#include "trace/storage/block_cache.hpp"
 #include "util/stopwatch.hpp"
 
 namespace logstruct::order {
@@ -32,6 +33,7 @@ void PassManager::run(OrderContext& ctx) {
   records_.reserve(passes_.size());
   for (const Pass& pass : passes_) {
     obs::AllocScope allocs;  // ordinary API: zero deltas without the hook
+    const auto cache_before = trace::storage::BlockCache::global().stats();
     // Pass-level progress scope (indeterminate): a crash dump mid-pass
     // always names the running pass even when the pass body opens no
     // finer-grained Progress of its own.
@@ -61,6 +63,12 @@ void PassManager::run(OrderContext& ctx) {
     rec.partitions = ctx.has_pg() ? ctx.pg().num_partitions() : -1;
     rec.alloc_bytes = allocs.delta().bytes;
     rec.threads = threads;
+    const auto cache_after = trace::storage::BlockCache::global().stats();
+    rec.cache_misses =
+        static_cast<std::int64_t>(cache_after.misses - cache_before.misses);
+    rec.cache_lookups =
+        rec.cache_misses +
+        static_cast<std::int64_t>(cache_after.hits - cache_before.hits);
     records_.push_back(std::move(rec));
 #if LOGSTRUCT_OBS
     if (pass.enabled) {

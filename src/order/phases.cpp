@@ -112,6 +112,7 @@ void register_partition_passes(PassManager& pm,
               [](OrderContext& ctx) {
                 ctx.set_pg(build_initial_partitions(
                     ctx.trace(), ctx.options().partition,
+                    ctx.units(/*sdag_absorption=*/false),
                     ctx.options().effective_threads()));
                 ctx.phases.initial_partitions = ctx.pg().num_partitions();
                 ctx.pg().cycle_merge();  // raw edges may already cycle

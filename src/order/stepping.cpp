@@ -41,19 +41,21 @@ struct UnitInfo {
 /// Orders one chare's units (§3.2.1): w, then invoking chare, then
 /// recursion into the invoking units. The (time, id) order of the first
 /// events is the total-order fallback and, without reordering, the whole
-/// order.
+/// order; it is read as the first events' positions in the phase's
+/// time-sorted event list (`local_of`).
 class UnitOrder {
  public:
-  UnitOrder(const trace::Trace& trace, const std::vector<UnitInfo>& units,
-            bool reorder)
-      : trace_(trace), units_(units), reorder_(reorder) {}
+  UnitOrder(const std::vector<std::int32_t>& local_of,
+            const std::vector<UnitInfo>& units, bool reorder)
+      : local_of_(local_of), units_(units), reorder_(reorder) {}
 
   bool operator()(std::int32_t a, std::int32_t b) const {
     if (reorder_) {
       const int c = compare(a, b, /*depth=*/8);
       if (c != 0) return c < 0;
     }
-    return trace_.before(unit(a).first, unit(b).first);
+    return local_of_[static_cast<std::size_t>(unit(a).first)] <
+           local_of_[static_cast<std::size_t>(unit(b).first)];
   }
 
  private:
@@ -74,7 +76,7 @@ class UnitOrder {
     return 0;
   }
 
-  const trace::Trace& trace_;
+  const std::vector<std::int32_t>& local_of_;
   const std::vector<UnitInfo>& units_;
   bool reorder_;
 };
@@ -208,7 +210,7 @@ void stepping_pass(OrderContext& ctx) {
         ++hi;
       std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
                 order.begin() + static_cast<std::ptrdiff_t>(hi),
-                UnitOrder(trace, info, opts.step.reorder));
+                UnitOrder(local_of, info, opts.step.reorder));
       for (std::size_t k = lo; k < hi; ++k) {
         at(rank, order[k]) = static_cast<std::int32_t>(k);
         at(group, order[k]) = groups;

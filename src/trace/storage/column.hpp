@@ -11,9 +11,10 @@
 ///    a cached block — or an owned copy when the range straddles blocks —
 ///    so eviction can never invalidate a span a reader still holds.
 ///  - BlockedColumn<T>: element reads over one column of a BlockStore.
-///    get(i) runs through a thread-local cursor, one slot per ColumnId,
-///    so scans touch the shared cache once per block, not once per
-///    element, even when they interleave several columns.
+///    get(i) and single-block pin() run through a thread-local cursor,
+///    one slot per ColumnId, so scans touch the shared cache once per
+///    block, not once per element or per range, even when they
+///    interleave several columns.
 ///  - ColumnView<T>: what accessors like Trace::events() return. Wraps
 ///    either a raw pointer (mem) or a BlockedColumn (blocked) behind
 ///    size()/operator[]/input iterators, so `for (const T& x : view)`
@@ -84,34 +85,26 @@ class BlockedColumn {
 
   /// One element by value, through the thread-local cursor.
   [[nodiscard]] T get(std::size_t i) const {
-    const std::size_t blk = i / per_block_;
-    detail::CursorSlot& slot = detail::cursor_slot(col_);
-    if (slot.generation != store_->generation() || slot.block != blk) {
-      CachedBlock b = BlockCache::global().get(
-          *store_, col_, static_cast<std::uint32_t>(blk));
-      slot.data = std::move(b.data);
-      slot.generation = store_->generation();
-      slot.block = blk;
-    }
+    const char* data = cursor(i / per_block_).data.get();
     T out;
-    std::memcpy(&out, slot.data.get() + (i % per_block_) * sizeof(T),
-                sizeof(T));
+    std::memcpy(&out, data + (i % per_block_) * sizeof(T), sizeof(T));
     return out;
   }
 
   /// Pin [lo, hi) as one contiguous span. A range inside a single block
-  /// aliases the cached buffer; a straddling range is copied into an
-  /// owned buffer (both stay valid while the span is held).
+  /// aliases the block in the cursor slot, so a sweep of short ranges
+  /// reaches the shared cache once per block; a straddling range is
+  /// copied into an owned buffer (both stay valid while the span is
+  /// held, whatever the cursor or the cache does next).
   [[nodiscard]] PinnedSpan<T> pin(std::size_t lo, std::size_t hi) const {
     const std::size_t count = hi - lo;
     if (count == 0) return {};
     const std::size_t first = lo / per_block_;
     const std::size_t last = (hi - 1) / per_block_;
     if (first == last) {
-      CachedBlock b = BlockCache::global().get(
-          *store_, col_, static_cast<std::uint32_t>(first));
-      const T* base = reinterpret_cast<const T*>(b.data.get());
-      return {std::shared_ptr<const void>(b.data, b.data.get()),
+      const std::shared_ptr<const char[]>& data = cursor(first).data;
+      const T* base = reinterpret_cast<const T*>(data.get());
+      return {std::shared_ptr<const void>(data, data.get()),
               base + (lo - first * per_block_), count};
     }
     std::shared_ptr<T[]> buf(new T[count]);
@@ -144,6 +137,20 @@ class BlockedColumn {
   }
 
  private:
+  /// This thread's cursor slot for the column, moved to `blk` (one cache
+  /// lookup) unless it already holds that block of this store.
+  detail::CursorSlot& cursor(std::size_t blk) const {
+    detail::CursorSlot& slot = detail::cursor_slot(col_);
+    if (slot.generation != store_->generation() || slot.block != blk) {
+      CachedBlock b = BlockCache::global().get(
+          *store_, col_, static_cast<std::uint32_t>(blk));
+      slot.data = std::move(b.data);
+      slot.generation = store_->generation();
+      slot.block = blk;
+    }
+    return slot;
+  }
+
   const BlockStore* store_ = nullptr;
   ColumnId col_ = ColumnId::Events;
   std::size_t size_ = 0;

@@ -25,7 +25,8 @@ TEST(Merges, DependencyMergeJoinsMatchingEnds) {
   trace::Trace t = tb.finish(2);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  ctx.set_pg(
+      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
   PartitionGraph& pg = ctx.pg();
   EXPECT_NE(pg.part_of(s), pg.part_of(r));
   dependency_merge(ctx);
@@ -50,7 +51,8 @@ TEST(Merges, DependencyMergeSkipsMixedKinds) {
   trace::Trace t = tb.finish(1);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  ctx.set_pg(
+      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
   PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(pg.runtime(pg.part_of(s)));
   EXPECT_TRUE(pg.runtime(pg.part_of(rv)));
@@ -91,7 +93,8 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   trace::Trace t = tb.finish(2);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, PartitionOptions{}));
+  ctx.set_pg(
+      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
   PartitionGraph& pg = ctx.pg();
   // Split: s1 | sr | s2 in three initial partitions.
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
@@ -160,7 +163,7 @@ TEST(Merges, NeighborSerialMergeGroupsSuccessors) {
 
   PartitionOptions opts;
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, opts));
+  ctx.set_pg(build_initial_partitions(t, opts, ctx.units(false)));
   PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
   dependency_merge(ctx);
@@ -199,7 +202,7 @@ TEST(Merges, NeighborSerialMergeIgnoresSingleChareSources) {
 
   PartitionOptions opts;
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, opts));
+  ctx.set_pg(build_initial_partitions(t, opts, ctx.units(false)));
   PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
   dependency_merge(ctx);

@@ -19,6 +19,8 @@
 #include "order/pass_manager.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
+#include "trace/storage/block_cache.hpp"
+#include "trace/storage/options.hpp"
 
 namespace logstruct::order {
 namespace {
@@ -84,6 +86,41 @@ TEST(PassManager, PartitionRecordsCoverEveryRegisteredPass) {
   // builds the whole PartitionGraph and must show real allocation.
   if (obs::alloc_hook_active()) {
     EXPECT_GT(records[0].alloc_bytes, 0);
+  }
+}
+
+/// Each record carries the block-cache traffic of its pass: none on the
+/// mem backend; on the blocked backend the deltas add up to the cache's
+/// own totals over the run, and the initial pass reads the trace.
+TEST(PassManager, RecordsPerPassCacheDeltas) {
+  using trace::storage::BackendKind;
+  using trace::storage::BlockCache;
+  for (const BackendKind kind : {BackendKind::Mem, BackendKind::Blocked}) {
+    trace::storage::StorageOptions opts;
+    opts.kind = kind;
+    opts.block_bytes = 4096;
+    trace::storage::ScopedStorageOptions scope(opts);
+    const trace::Trace t = small_jacobi();
+    ASSERT_EQ(t.storage_backend(), kind);
+    std::vector<PassRecord> records;
+    const BlockCache::Stats before = BlockCache::global().stats();
+    (void)find_phases(t, Options::charm().partition, nullptr, &records);
+    const BlockCache::Stats after = BlockCache::global().stats();
+    std::int64_t lookups = 0;
+    std::int64_t misses = 0;
+    for (const PassRecord& r : records) {
+      EXPECT_LE(r.cache_misses, r.cache_lookups) << r.name;
+      lookups += r.cache_lookups;
+      misses += r.cache_misses;
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(lookups),
+              after.hits + after.misses - before.hits - before.misses);
+    EXPECT_EQ(static_cast<std::uint64_t>(misses),
+              after.misses - before.misses);
+    if (kind == BackendKind::Mem)
+      EXPECT_EQ(lookups, 0);
+    else
+      EXPECT_GT(records[0].cache_lookups, 0);
   }
 }
 

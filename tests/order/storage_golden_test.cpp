@@ -177,6 +177,11 @@ std::uint64_t blocks_4k(std::int64_t n, std::size_t elem) {
 /// together miss at most once per column block they read, plus a slack
 /// of 4: the columns their walk reads side by side keep one cursor each
 /// and spread over the cache shards instead of evicting each other.
+/// differential_duration, imbalance and efficiency_suite go to the cache
+/// at most once per column block per pass they make, plus the same
+/// slack: events_of_block serves its range through the column's cursor,
+/// and the efficiency suite reads procs and times from flat arrays, so
+/// none of them pays a lookup per serial block or per message.
 TEST(StorageGolden, MetricsMatchAcrossBackends) {
   ScopedDefaultParallelism serial(1);
   for (const Golden& g : kGoldens) {
@@ -212,6 +217,41 @@ TEST(StorageGolden, MetricsMatchAcrossBackends) {
     (void)metrics::critical_path(t, ls, 1);
     EXPECT_LE(BlockCache::global().stats().misses, walk + deps + 4)
         << "walk blocks " << walk << ", dependency blocks " << deps;
+
+    // subblock_durations: the gap walk plus a second Blocks pass for the
+    // triggers. imbalance adds two passes over Events for the procs. The
+    // efficiency suite adds one Events scan, the proc lists (each proc's
+    // walk passes over BlockEvBegin and BlockEvents once), two passes
+    // over DepSend and three over DepRecv.
+    const std::uint64_t events_col =
+        blocks_4k(t.num_events(), sizeof(trace::Event));
+    const std::uint64_t dep_col =
+        blocks_4k(t.num_dependencies(), sizeof(trace::EventId));
+    const std::uint64_t subblock =
+        walk + blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock));
+    const std::uint64_t proc_walk =
+        blocks_4k(t.num_blocks(), sizeof(trace::BlockId)) +
+        static_cast<std::uint64_t>(t.num_procs()) *
+            (blocks_4k(t.num_blocks() + 1, sizeof(std::int64_t)) +
+             blocks_4k(t.num_events(), sizeof(trace::EventId)));
+    const metrics::WindowSet windows =
+        metrics::WindowSet::phases(t, ls.phases);
+    auto lookups = [] {
+      const BlockCache::Stats s = BlockCache::global().stats();
+      return s.hits + s.misses;
+    };
+    std::uint64_t before = lookups();
+    (void)metrics::differential_duration(t, ls, 1);
+    EXPECT_LE(lookups() - before, subblock + 4) << "differential_duration";
+    before = lookups();
+    (void)metrics::imbalance(t, ls, 1);
+    EXPECT_LE(lookups() - before, subblock + 2 * events_col + 4)
+        << "imbalance";
+    before = lookups();
+    (void)metrics::efficiency_suite(t, windows, 1);
+    EXPECT_LE(lookups() - before,
+              subblock + events_col + proc_walk + 5 * dep_col + 4)
+        << "efficiency_suite";
 
     EXPECT_EQ(metric_hashes(t, ls), mem_hashes);
   }

@@ -113,7 +113,9 @@ TEST(BlockStore, PinAcrossBlockBoundary) {
 
 /// A tiny budget forces evictions, the counters record them, and a
 /// pinned span stays valid after its block is evicted (the shared_ptr
-/// is the pin).
+/// is the pin). The hit comes from a block that is still cached but no
+/// longer in the column's cursor slot: the cursor serves repeat reads of
+/// its own block without asking the cache.
 TEST(BlockCacheTest, EvictionStatsAndPinSafety) {
   const std::string path = temp_path("cache");
   std::vector<std::int32_t> vals(64 * 1024);  // 256 KiB = 64 blocks
@@ -139,7 +141,12 @@ TEST(BlockCacheTest, EvictionStatsAndPinSafety) {
   for (int pass = 0; pass < 2; ++pass)
     for (std::size_t i = 0; i < vals.size(); i += 512)
       sum += col.get(i);
+  // The sweep left block 63 in the cursor; block 62 is the newest entry
+  // of its shard (one block per shard), so this read is a cache hit.
   BlockCache::Stats stats = BlockCache::global().stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(col.get(62 * 1024), static_cast<std::int32_t>(62 * 1024 * 13));
+  stats = BlockCache::global().stats();
   EXPECT_GT(stats.misses, 0u);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
@@ -191,6 +198,65 @@ TEST(BlockedColumnCursor, OneSlotPerColumn) {
     EXPECT_EQ(stats.hits + stats.misses, kNumColumns * kBlocks);
   }
   std::remove(path.c_str());
+}
+
+/// Single-block pins share the cursor slot with get(): an events_of_block
+/// sweep over every serial block reaches the cache about once per column
+/// block it touches (BlockEvBegin and BlockEvents), not once per serial
+/// block. Two events per serial block keep every range inside one column
+/// block. A span pinned before the cursor moved on stays valid after a
+/// starved cache evicted its block.
+TEST(BlockedColumnCursor, SingleBlockPinUsesCursor) {
+  constexpr int kBlocks = 3000;
+  auto build = [] {
+    TraceBuilder tb;
+    const ChareId c = tb.add_chare("solo");
+    const EntryId e = tb.add_entry("run");
+    for (int i = 0; i < kBlocks; ++i) {
+      const BlockId b = tb.begin_block(c, 0, e, i * 10);
+      tb.add_send(b, i * 10 + 1);
+      tb.add_send(b, i * 10 + 2);
+      tb.end_block(b, i * 10 + 3);
+    }
+    return tb.finish(1);
+  };
+  StorageOptions opts = default_options();
+  opts.kind = BackendKind::Mem;
+  Trace mem;
+  {
+    ScopedStorageOptions scope(opts);
+    mem = build();
+  }
+  opts.kind = BackendKind::Blocked;
+  opts.block_bytes = 4096;
+  opts.cache_bytes = 16 * 4096;  // one block per shard
+  ScopedStorageOptions scope(opts);
+  const Trace t = build();
+  ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
+
+  const PinnedSpan<EventId> first = t.events_of_block(0);
+  BlockCache::global().reset_stats();
+  for (BlockId b = 0; b < t.num_blocks(); ++b) {
+    const auto got = t.events_of_block(b);
+    const auto want = mem.events_of_block(b);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "block " << b;
+  }
+  const BlockCache::Stats stats = BlockCache::global().stats();
+  const std::uint64_t begin_blocks = (kBlocks + 1 + 511) / 512;
+  const std::uint64_t event_blocks = (2 * kBlocks + 1023) / 1024;
+  EXPECT_LE(stats.hits + stats.misses, begin_blocks + event_blocks + 2);
+
+  // Walking the event column (far more blocks than shards) replaces
+  // every shard's one block, so block 0 of BlockEvents is evicted and
+  // only `first` still holds it.
+  TimeNs sum = 0;
+  for (EventId e = 0; e < t.num_events(); ++e) sum += t.event(e).time;
+  EXPECT_GT(sum, 0);
+  EXPECT_GT(BlockCache::global().stats().evictions, 0u);
+  const auto want = mem.events_of_block(0);
+  ASSERT_TRUE(
+      std::equal(first.begin(), first.end(), want.begin(), want.end()));
 }
 
 /// The shard is picked by column and block: a store's first blocks sit

@@ -2,7 +2,7 @@
 """Perf/memory regression gate over BENCH_pipeline.json trajectories.
 
 Diffs two pipeline-trajectory runs (schema logstruct-bench-pipeline/v1
-through /v6, see docs/OBSERVABILITY.md) pass-by-pass and fails when a
+through /v7, see docs/OBSERVABILITY.md) pass-by-pass and fails when a
 pass got substantially slower or hungrier:
 
     tools/bench_gate.py                       # last two runs in BENCH_pipeline.json
@@ -76,7 +76,7 @@ def load_runs(path):
     if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
         raise TrajectoryError(
             f"{path} is not a pipeline trajectory (no `runs` array); "
-            "expected schema logstruct-bench-pipeline/v1..v6"
+            "expected schema logstruct-bench-pipeline/v1..v7"
         )
     if not doc["runs"]:
         raise TrajectoryError(
