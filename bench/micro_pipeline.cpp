@@ -49,10 +49,9 @@ trace::Trace lulesh_trace(std::int32_t grid) {
 
 void BM_InitialPartitions(benchmark::State& state) {
   trace::Trace t = lulesh_trace(static_cast<std::int32_t>(state.range(0)));
-  order::PartitionOptions opts;
   for (auto _ : state) {
-    auto pg = order::build_initial_partitions(
-        t, opts, order::compute_block_units(t, false));
+    order::OrderContext ctx(t, order::Options{});
+    auto pg = order::build_initial_partitions(ctx);
     benchmark::DoNotOptimize(pg.num_partitions());
   }
   state.SetItemsProcessed(state.iterations() * t.num_events());
@@ -61,11 +60,10 @@ BENCHMARK(BM_InitialPartitions)->Arg(2)->Arg(4)->Arg(6);
 
 void BM_DependencyMerge(benchmark::State& state) {
   trace::Trace t = lulesh_trace(static_cast<std::int32_t>(state.range(0)));
-  order::PartitionOptions opts;
   for (auto _ : state) {
     state.PauseTiming();
     order::OrderContext ctx(t, order::Options{});
-    ctx.set_pg(order::build_initial_partitions(t, opts, ctx.units(false)));
+    ctx.set_pg(order::build_initial_partitions(ctx));
     ctx.pg().cycle_merge();
     state.ResumeTiming();
     order::dependency_merge(ctx);

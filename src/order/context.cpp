@@ -1,5 +1,6 @@
 #include "order/context.hpp"
 
+#include <numeric>
 #include <type_traits>
 
 #include "graph/leaps.hpp"
@@ -42,9 +43,27 @@ const std::vector<std::vector<graph::NodeId>>& OrderContext::leap_groups() {
   return groups_;
 }
 
+const std::vector<trace::EventId>& OrderContext::by_time() {
+  if (!by_time_) by_time_ = trace_->events_by_time();
+  return *by_time_;
+}
+
+const trace::SdagRelations& OrderContext::sdag() {
+  if (!sdag_) sdag_ = trace::sdag_relations(*trace_);
+  return *sdag_;
+}
+
 const BlockUnits& OrderContext::units(bool sdag_absorption) {
   auto& slot = sdag_absorption ? units_absorbed_ : units_raw_;
-  if (!slot) slot = compute_block_units(*trace_, sdag_absorption);
+  if (slot) return *slot;
+  std::vector<trace::BlockId> rep;
+  if (sdag_absorption) {
+    rep = sdag().rep;
+  } else {
+    rep.resize(static_cast<std::size_t>(trace_->num_blocks()));
+    std::iota(rep.begin(), rep.end(), 0);
+  }
+  slot = compute_block_units(*trace_, std::move(rep), by_time());
   return *slot;
 }
 

@@ -3,21 +3,25 @@
 /// \file context.hpp
 /// Shared state threaded through the extraction pipeline passes.
 ///
-/// The OrderContext owns the PartitionGraph and caches the
-/// derived values passes keep re-deriving — leaps, leap groups, serial
-/// block units — keyed on the graph's structural epoch so a cache entry
-/// survives exactly as long as no pass mutates the graph. It also holds
-/// arena-style scratch buffers (cleared, never freed, between passes) and
-/// the pipeline products (PhaseResult, LogicalStructure).
+/// The OrderContext owns the PartitionGraph and caches the derived
+/// values passes keep re-deriving: leaps and leap groups, keyed on the
+/// graph's structural epoch so a cache entry survives exactly as long as
+/// no pass mutates the graph, and the trace-derived inputs (time order,
+/// SDAG relations, serial block units), built once per analysis. It also
+/// holds arena-style scratch buffers (cleared, never freed, between
+/// passes) and the pipeline products (PhaseResult, LogicalStructure).
 ///
 /// Ownership: set_pg() moves a graph into the context (the "initial"
 /// pass does this, and so do tests and benches that start from a
-/// hand-built graph); the context owns it for the rest of the run.
+/// hand-built graph); the context owns it for the rest of the run. A
+/// graph built by build_initial_partitions(ctx) views ctx.by_time(), so
+/// it must not outlive the context.
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
-///  - units(flavor) and collective_of() depend only on the immutable
-///    trace, so each is computed at most once (per flavor) per context.
+///  - by_time(), sdag(), units(flavor) and collective_of() depend only
+///    on the immutable trace, so each is computed at most once (per
+///    flavor) per context.
 
 #include <cstdint>
 #include <optional>
@@ -30,6 +34,7 @@
 #include "order/partition_graph.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
+#include "trace/sdag.hpp"
 #include "trace/trace.hpp"
 
 namespace logstruct::order {
@@ -60,8 +65,15 @@ class OrderContext {
   /// Partitions grouped by leap; same invalidation as leaps().
   [[nodiscard]] const std::vector<std::vector<graph::NodeId>>& leap_groups();
 
-  /// Serial-block units (computed once per absorption flavor; the trace
-  /// is immutable so these never invalidate).
+  // --- trace-derived inputs (the trace is immutable: never invalidate) --
+  /// Every event in Trace::before order (Trace::events_by_time()).
+  [[nodiscard]] const std::vector<trace::EventId>& by_time();
+
+  /// SDAG serial numbers, absorption and serial adjacency (§2.1).
+  [[nodiscard]] const trace::SdagRelations& sdag();
+
+  /// Serial-block units, one per absorption flavor: the absorbed flavor
+  /// groups blocks by sdag().rep, the raw one keeps every block apart.
   [[nodiscard]] const BlockUnits& units(bool sdag_absorption);
 
   /// Event -> collective index (-1 none), read by the w clock and by
@@ -98,6 +110,8 @@ class OrderContext {
   std::vector<std::vector<graph::NodeId>> groups_;
   std::uint64_t groups_epoch_ = 0;
 
+  std::optional<std::vector<trace::EventId>> by_time_;
+  std::optional<trace::SdagRelations> sdag_;
   std::optional<BlockUnits> units_raw_;
   std::optional<BlockUnits> units_absorbed_;
   std::optional<std::vector<std::int32_t>> collective_of_;

@@ -1,101 +1,110 @@
 #include "order/initial.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "obs/progress.hpp"
 #include "order/block_units.hpp"
-#include "trace/sdag.hpp"
-#include "util/check.hpp"
-#include "util/thread_pool.hpp"
+#include "order/context.hpp"
 
 namespace logstruct::order {
 
 BlockUnits compute_block_units(const trace::Trace& trace,
-                               bool sdag_absorption) {
+                               std::vector<trace::BlockId> rep,
+                               std::span<const trace::EventId> by_time) {
   BlockUnits u;
-  if (sdag_absorption) {
-    u.rep = trace::compute_sdag_absorption(trace);
-  } else {
-    u.rep.resize(static_cast<std::size_t>(trace.num_blocks()));
-    std::iota(u.rep.begin(), u.rep.end(), 0);
-  }
-  u.events.assign(static_cast<std::size_t>(trace.num_blocks()), {});
+  u.rep = std::move(rep);
+  u.begin.assign(u.rep.size() + 1, 0);
   u.unit_of_event.assign(static_cast<std::size_t>(trace.num_events()),
                          trace::kNone);
-  for (trace::BlockId b = 0; b < trace.num_blocks(); ++b) {
-    const auto bev = trace.events_of_block(b);
-    auto r = static_cast<std::size_t>(u.rep[static_cast<std::size_t>(b)]);
-    u.events[r].insert(u.events[r].end(), bev.begin(), bev.end());
-    for (trace::EventId e : bev)
-      u.unit_of_event[static_cast<std::size_t>(e)] =
-          static_cast<trace::BlockId>(r);
-  }
-  // A raw unit is one block, whose events are frozen in before() order.
-  if (!sdag_absorption) return u;
-  // An absorbed unit may span several blocks: refill every list from the
-  // one by-time order (clear() keeps the capacity, so nothing regrows).
-  for (auto& list : u.events) list.clear();
-  for (trace::EventId e : trace.events_by_time()) {
+  trace.events().for_each_chunk(
+      [&u](const trace::Event* ev, std::size_t n, std::size_t base) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (ev[i].block == trace::kNone) continue;
+          const trace::BlockId r =
+              u.rep[static_cast<std::size_t>(ev[i].block)];
+          u.unit_of_event[base + i] = r;
+          ++u.begin[static_cast<std::size_t>(r) + 1];
+        }
+      });
+  std::partial_sum(u.begin.begin(), u.begin.end(), u.begin.begin());
+  std::vector<std::int32_t> at(u.begin.begin(), u.begin.end() - 1);
+  u.flat.resize(static_cast<std::size_t>(u.begin.back()));
+  for (trace::EventId e : by_time) {
     const trace::BlockId r = u.unit_of_event[static_cast<std::size_t>(e)];
-    if (r != trace::kNone) u.events[static_cast<std::size_t>(r)].push_back(e);
+    if (r != trace::kNone)
+      u.flat[static_cast<std::size_t>(at[static_cast<std::size_t>(r)]++)] = e;
   }
   return u;
 }
 
-PartitionGraph build_initial_partitions(const trace::Trace& trace,
-                                        const PartitionOptions& opts,
-                                        const BlockUnits& units,
-                                        int threads) {
-  PartitionGraph pg(trace);
-
-  // is_runtime_event walks the event's receiver list, making it the
-  // dominant per-event cost of this stage; precompute it in parallel
-  // (index-owned writes) and let the serial assembly below read the
-  // table, so partition ids come out identical for any thread count.
-  // Progress: first half is the parallel is_rt precompute, second half
-  // the serial run-splitting assembly; both tick in event units.
-  const std::int64_t num_events = trace.num_events();
-  obs::Progress progress("order/initial", 2 * num_events);
-  std::vector<char> is_rt(static_cast<std::size_t>(trace.num_events()), 0);
-  util::parallel_for_chunks(
-      threads, trace.num_events(), 8192,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t e = begin; e < end; ++e)
-          is_rt[static_cast<std::size_t>(e)] =
-              trace.is_runtime_event(static_cast<trace::EventId>(e)) ? 1 : 0;
-        obs::Progress::tick(end - begin);
+std::vector<std::uint8_t> runtime_event_flags(const trace::Trace& trace) {
+  const auto n = static_cast<std::size_t>(trace.num_events());
+  std::vector<std::uint8_t> rt(n, 0);
+  const auto chares = trace.chares();
+  // Per event: kOwn iff its own chare is a runtime chare, kSend iff it is
+  // a send.
+  constexpr std::uint8_t kOwn = 1;
+  constexpr std::uint8_t kSend = 2;
+  std::vector<std::uint8_t> own(n);
+  std::vector<trace::EventId> partner(n);
+  trace.events().for_each_chunk(
+      [&](const trace::Event* ev, std::size_t m, std::size_t base) {
+        for (std::size_t i = 0; i < m; ++i) {
+          own[base + i] = static_cast<std::uint8_t>(
+              (chares[static_cast<std::size_t>(ev[i].chare)].runtime ? kOwn
+                                                                     : 0) |
+              (ev[i].kind == trace::EventKind::Send ? kSend : 0));
+          partner[base + i] = ev[i].partner;
+        }
       });
+  for (std::size_t e = 0; e < n; ++e) {
+    rt[e] |= own[e] & kOwn;
+    const trace::EventId p = partner[e];
+    if (p == trace::kNone) continue;
+    const auto pz = static_cast<std::size_t>(p);
+    rt[e] |= own[pz] & kOwn;
+    // A receive naming send p is one of p's receivers.
+    if ((own[e] & kSend) == 0 && (own[pz] & kSend) != 0)
+      rt[pz] |= own[e] & kOwn;
+  }
+  return rt;
+}
+
+PartitionGraph build_initial_partitions(OrderContext& ctx) {
+  const trace::Trace& trace = ctx.trace();
+  const PartitionOptions& opts = ctx.options().partition;
+  const BlockUnits& units = ctx.units(/*sdag_absorption=*/false);
+  PartitionGraph pg(trace);
+  obs::Progress progress("order/initial", trace.num_events());
+  const std::vector<std::uint8_t> is_rt = runtime_event_flags(trace);
 
   // Split each block into runs at application/runtime boundaries and
   // chain the runs (edge type 2).
-  std::vector<PartId> first_part(units.events.size(), -1);
-  std::vector<PartId> last_part(units.events.size(), -1);
+  const auto num_blocks = static_cast<std::size_t>(units.num_blocks());
+  std::vector<PartId> first_part(num_blocks, -1);
+  std::vector<PartId> last_part(num_blocks, -1);
   std::int64_t ticked = 0;  // batch progress to keep the loop cheap
-  for (std::size_t r = 0; r < units.events.size(); ++r) {
-    const auto& events = units.events[r];
+  for (std::size_t r = 0; r < num_blocks; ++r) {
+    const auto events = units.events(static_cast<trace::BlockId>(r));
     if (events.empty()) continue;
+    auto runtime = [&](std::size_t k) {
+      return is_rt[static_cast<std::size_t>(events[k])] != 0;
+    };
     PartId prev = -1;
     std::size_t i = 0;
     while (i < events.size()) {
-      bool kind = is_rt[static_cast<std::size_t>(events[i])] != 0;
+      bool kind = runtime(i);
       std::size_t j = i + 1;
       if (opts.split_app_runtime) {
-        while (j < events.size() &&
-               (is_rt[static_cast<std::size_t>(events[j])] != 0) == kind)
-          ++j;
+        while (j < events.size() && runtime(j) == kind) ++j;
       } else {
         j = events.size();
         // Without splitting, the run is "runtime" if anything in it
         // touches the runtime.
-        for (std::size_t k = i; k < j && !kind; ++k)
-          kind = is_rt[static_cast<std::size_t>(events[k])] != 0;
+        for (std::size_t k = i; k < j && !kind; ++k) kind = runtime(k);
       }
-      PartId p = pg.add_partition(
-          std::vector<trace::EventId>(events.begin() +
-                                          static_cast<std::ptrdiff_t>(i),
-                                      events.begin() +
-                                          static_cast<std::ptrdiff_t>(j)),
-          kind);
+      PartId p = pg.add_partition(events.subspan(i, j - i), kind);
       if (prev != -1) pg.add_edge(prev, p);
       if (first_part[r] == -1) first_part[r] = p;
       prev = p;
@@ -119,16 +128,13 @@ PartitionGraph build_initial_partitions(const trace::Trace& trace,
   // happened-before the serial it awakened; (b) serial n happened-before
   // the nearest following serial n+1 on the same chare.
   if (opts.sdag_inference) {
-    std::vector<trace::BlockId> rep = trace::compute_sdag_absorption(trace);
-    for (trace::BlockId b = 0; b < trace.num_blocks(); ++b) {
-      auto r = static_cast<std::size_t>(rep[static_cast<std::size_t>(b)]);
-      if (r == static_cast<std::size_t>(b)) continue;
-      if (last_part[static_cast<std::size_t>(b)] == -1 ||
-          first_part[r] == -1)
-        continue;
-      pg.add_edge(last_part[static_cast<std::size_t>(b)], first_part[r]);
+    const trace::SdagRelations& sdag = ctx.sdag();
+    for (std::size_t b = 0; b < num_blocks; ++b) {
+      const auto r = static_cast<std::size_t>(sdag.rep[b]);
+      if (r == b || last_part[b] == -1 || first_part[r] == -1) continue;
+      pg.add_edge(last_part[b], first_part[r]);
     }
-    for (auto [b1, b2] : trace::sdag_happened_before(trace)) {
+    for (auto [b1, b2] : sdag.happened_before) {
       if (last_part[static_cast<std::size_t>(b1)] == -1 ||
           first_part[static_cast<std::size_t>(b2)] == -1)
         continue;
@@ -168,7 +174,7 @@ PartitionGraph build_initial_partitions(const trace::Trace& trace,
     }
   }
 
-  pg.finalize();
+  pg.finalize(ctx.by_time());
   return pg;
 }
 

@@ -10,25 +10,32 @@
 /// inference, and — for message-passing traces — per-process physical-time
 /// order (§3.4).
 
-#include "order/block_units.hpp"
-#include "order/options.hpp"
+#include <cstdint>
+#include <vector>
+
 #include "order/partition_graph.hpp"
 #include "trace/trace.hpp"
 
 namespace logstruct::order {
 
-/// Partitioning works on the RAW serial blocks, `units` =
-/// compute_block_units(trace, false) (OrderContext::units(false) in the
-/// pipeline): SDAG absorption (§2.1) contributes happened-before EDGES
-/// here (paper Fig. 3 draws the when-relationship as a chare
-/// happened-before edge); the event-level merge of a when-execution into
-/// its serial only applies to the ordering stage (§3.2).
-/// `threads` fans the per-event application/runtime classification (the
-/// O(events * fanout) part) out over the shared pool; partition ids and
-/// edges are assembled serially so the result is identical for any count.
-PartitionGraph build_initial_partitions(const trace::Trace& trace,
-                                        const PartitionOptions& opts,
-                                        const BlockUnits& units,
-                                        int threads = 1);
+class OrderContext;
+
+/// Per event, 1 iff Trace::is_runtime_event(e): its own chare, its
+/// partner's chare, or (for a send) one of its receivers' chares is a
+/// runtime chare. One sequential scan of the event column reads each
+/// event's chare, kind and partner; one pass over that scan then settles
+/// both ends of every partner link, since a send's receivers are exactly
+/// the receives naming it as partner.
+std::vector<std::uint8_t> runtime_event_flags(const trace::Trace& trace);
+
+/// Builds the initial partition graph of ctx.trace() under
+/// ctx.options().partition. Partitioning works on the RAW serial blocks,
+/// ctx.units(false): SDAG absorption (§2.1) contributes happened-before
+/// EDGES here, read from ctx.sdag() (paper Fig. 3 draws the
+/// when-relationship as a chare happened-before edge); the event-level
+/// merge of a when-execution into its serial only applies to the ordering
+/// stage (§3.2). The graph is finalized with ctx.by_time(), which it
+/// views, so it must not outlive ctx. The build is sequential.
+PartitionGraph build_initial_partitions(OrderContext& ctx);
 
 }  // namespace logstruct::order

@@ -1,12 +1,12 @@
 #include "order/merges.hpp"
 
-#include <map>
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "order/block_units.hpp"
 #include "order/context.hpp"
-#include "trace/sdag.hpp"
 
 namespace logstruct::order {
 
@@ -43,7 +43,8 @@ void repair_merge(OrderContext& ctx) {
   // LASSEN control self-send onto the halo receives of its block and
   // erase the paper's observed two-step phases.
   auto& pairs = ctx.scratch_pairs();
-  for (const auto& events : units.events) {
+  for (trace::BlockId r = 0; r < units.num_blocks(); ++r) {
+    const auto events = units.events(r);
     for (std::size_t i = 1; i < events.size(); ++i) {
       PartId q = pg.part_of(events[i - 1]);
       PartId p = pg.part_of(events[i]);
@@ -56,34 +57,44 @@ void repair_merge(OrderContext& ctx) {
 
 void neighbor_serial_merge(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
-  const trace::Trace& trace = pg.trace();
   const BlockUnits& units = ctx.units(/*sdag_absorption=*/false);
+  const trace::SdagRelations& sdag = ctx.sdag();
 
   // For each (partition of serial n, serial number n+1): the partitions in
-  // which the group's chares continue. If one multi-chare partition flows
-  // into several successor partitions, those successors belong together.
-  std::map<std::pair<PartId, std::int32_t>, std::vector<PartId>> flows;
-  for (auto [b1, b2] : trace::sdag_happened_before(trace)) {
-    auto r1 = static_cast<std::size_t>(
-        units.rep[static_cast<std::size_t>(b1)]);
-    auto r2 = static_cast<std::size_t>(
-        units.rep[static_cast<std::size_t>(b2)]);
-    if (units.events[r1].empty() || units.events[r2].empty()) continue;
-    PartId p = pg.part_of(units.events[r1].back());
-    PartId q = pg.part_of(units.events[r2].front());
-    std::int32_t serial =
-        trace.entry(trace.block(static_cast<trace::BlockId>(b2)).entry)
-            .sdag_serial;
-    flows[{p, serial}].push_back(q);
+  // which the group's chares continue, in happened-before order. If one
+  // multi-chare partition flows into several successor partitions, those
+  // successors belong together.
+  struct Flow {
+    PartId p;
+    std::int32_t serial;
+    std::int32_t hb;  ///< index into sdag.happened_before: the tie-break
+    PartId q;
+  };
+  std::vector<Flow> flows;
+  for (std::size_t i = 0; i < sdag.happened_before.size(); ++i) {
+    const auto [b1, b2] = sdag.happened_before[i];
+    const auto from = units.events(units.rep[static_cast<std::size_t>(b1)]);
+    const auto to = units.events(units.rep[static_cast<std::size_t>(b2)]);
+    if (from.empty() || to.empty()) continue;
+    flows.push_back({pg.part_of(from.back()),
+                     sdag.serial[static_cast<std::size_t>(b2)],
+                     static_cast<std::int32_t>(i), pg.part_of(to.front())});
   }
+  std::sort(flows.begin(), flows.end(), [](const Flow& a, const Flow& b) {
+    return std::tie(a.p, a.serial, a.hb) < std::tie(b.p, b.serial, b.hb);
+  });
 
   auto& pairs = ctx.scratch_pairs();
-  for (auto& [key, succs] : flows) {
-    if (pg.chares(key.first).size() < 2) continue;  // not a chare group
-    for (std::size_t i = 1; i < succs.size(); ++i) {
-      if (succs[i] != succs[0] &&
-          pg.runtime(succs[i]) == pg.runtime(succs[0]))
-        pairs.emplace_back(succs[0], succs[i]);
+  for (std::size_t lo = 0, hi = 0; lo < flows.size(); lo = hi) {
+    const Flow& head = flows[lo];
+    hi = lo + 1;
+    while (hi < flows.size() && flows[hi].p == head.p &&
+           flows[hi].serial == head.serial)
+      ++hi;
+    if (pg.chares(head.p).size() < 2) continue;  // not a chare group
+    for (std::size_t i = lo + 1; i < hi; ++i) {
+      if (flows[i].q != head.q && pg.runtime(flows[i].q) == pg.runtime(head.q))
+        pairs.emplace_back(head.q, flows[i].q);
     }
   }
   pg.apply_merges(pairs);

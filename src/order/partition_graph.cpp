@@ -12,7 +12,7 @@ PartitionGraph::PartitionGraph(const trace::Trace& trace)
     : trace_(&trace),
       part_of_(static_cast<std::size_t>(trace.num_events()), -1) {}
 
-PartId PartitionGraph::add_partition(std::vector<trace::EventId> events,
+PartId PartitionGraph::add_partition(std::span<const trace::EventId> events,
                                      bool runtime) {
   LS_CHECK(!finalized_);
   LS_CHECK_MSG(!events.empty(), "empty partition");
@@ -31,8 +31,9 @@ void PartitionGraph::add_edge(PartId from, PartId to) {
   edges_.emplace_back(from, to);
 }
 
-void PartitionGraph::finalize() {
+void PartitionGraph::finalize(std::span<const trace::EventId> by_time) {
   LS_CHECK(!finalized_);
+  LS_CHECK(by_time.size() == static_cast<std::size_t>(trace_->num_events()));
   finalized_ = true;
   for (trace::EventId e = 0; e < trace_->num_events(); ++e) {
     LS_CHECK_MSG(part_of_[static_cast<std::size_t>(e)] != -1,
@@ -40,7 +41,7 @@ void PartitionGraph::finalize() {
   }
   dag_guard_.dirty.store(true, std::memory_order_release);
   epoch_ = 1;
-  by_time_ = trace_->events_by_time();
+  by_time_ = by_time;
   build_membership();
 }
 
@@ -87,12 +88,9 @@ void PartitionGraph::ensure_dag() const {
   if (!dag_guard_.dirty.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(dag_guard_.mu);
   if (!dag_guard_.dirty.load(std::memory_order_relaxed)) return;
-  dag_.reset(num_partitions());
-  for (auto [u, v] : edges_) dag_.add_edge(u, v);
-  dag_.finalize();
-  // Compact: the adjacency is deduplicated, so shrink the flat list back
-  // to the unique edges to keep future remaps proportional to |E|.
-  edges_ = dag_.edges();
+  // Building the DAG compacts the flat list to the unique edges, keeping
+  // future remaps proportional to |E|.
+  dag_ = graph::Digraph(num_partitions(), edges_);
   dag_guard_.dirty.store(false, std::memory_order_release);
 }
 
@@ -164,7 +162,7 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
 
 std::int64_t PartitionGraph::memory_bytes() const {
   std::int64_t b = edge_capacity_bytes();
-  for (const auto* v : {&part_of_, &by_time_, &event_begin_, &events_,
+  for (const auto* v : {&part_of_, &event_begin_, &events_,
                         &chare_begin_, &chares_})
     b += static_cast<std::int64_t>(v->capacity() * sizeof(std::int32_t));
   return b;

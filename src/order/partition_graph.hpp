@@ -9,12 +9,14 @@
 /// in place), and collapse any strongly connected components ("cycle
 /// merge") so the graph is a DAG again.
 ///
-/// finalize() takes the trace's time order once, and it and every merge
-/// rebuild the event and chare lists from part_of() with one builder — a
-/// counting scatter of that order plus one walk of the per-chare event
-/// lists — so no merge compares timestamps. The edge list is a flat vector
-/// remapped in place; the adjacency (dag()) is rebuilt lazily — deferred
-/// edge compaction — only when a query needs it after a mutation. Partition
+/// finalize() is handed the trace's time order (Trace::events_by_time(),
+/// owned by the caller: OrderContext::by_time() in the pipeline), and it
+/// and every merge rebuild the event and chare lists from part_of() with
+/// one builder — a counting scatter of that order plus one walk of the
+/// per-chare event lists — so no merge compares timestamps. The edge list
+/// is a flat vector remapped in place; the adjacency (dag(), a CSR
+/// graph::Digraph) is rebuilt lazily — deferred edge compaction — only
+/// when a query needs it after a mutation. Partition
 /// ids keep the exact historical relabeling semantics (union-find dense
 /// labels for pair merges, Tarjan component order for cycle merges), so
 /// downstream tie-breaks are bit-identical to the old implementation.
@@ -44,14 +46,15 @@ class PartitionGraph {
   explicit PartitionGraph(const trace::Trace& trace);
 
   /// Construction: add a partition owning `events`.
-  PartId add_partition(std::vector<trace::EventId> events, bool runtime);
+  PartId add_partition(std::span<const trace::EventId> events, bool runtime);
 
   /// Construction: record a happened-before edge (self-edges ignored).
   void add_edge(PartId from, PartId to);
 
   /// Must be called after the last add_partition/add_edge and before any
-  /// query or merge.
-  void finalize();
+  /// query or merge. `by_time` is every event in Trace::before order; the
+  /// graph keeps a view of it, so it must outlive the graph.
+  void finalize(std::span<const trace::EventId> by_time);
 
   // --- queries ------------------------------------------------------------
   [[nodiscard]] std::int32_t num_partitions() const {
@@ -111,8 +114,8 @@ class PartitionGraph {
                                      sizeof(std::pair<PartId, PartId>));
   }
 
-  /// Approximate total container footprint (time order, membership, part_of,
-  /// edges; capacities). Feeds `order/partition_graph/footprint_bytes`.
+  /// Approximate total container footprint (membership, part_of, edges;
+  /// capacities). Feeds `order/partition_graph/footprint_bytes`.
   [[nodiscard]] std::int64_t memory_bytes() const;
 
   /// Structural version counter: bumped by every mutation that can change
@@ -130,8 +133,8 @@ class PartitionGraph {
   void ensure_dag() const;
 
   const trace::Trace* trace_;
-  /// Every event in Trace::before order, taken once at finalize().
-  std::vector<trace::EventId> by_time_;
+  /// Every event in Trace::before order, handed over at finalize().
+  std::span<const trace::EventId> by_time_;
   /// Membership rows: p owns events_[event_begin_[p], event_begin_[p + 1])
   /// and chares_[chare_begin_[p], chare_begin_[p + 1]).
   std::vector<std::int32_t> event_begin_;

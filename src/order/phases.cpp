@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "order/context.hpp"
@@ -93,11 +95,13 @@ void finalize_phases(OrderContext& ctx) {
             pg.part_of(static_cast<trace::EventId>(e)))];
   });
 
-  out.dag.reset(pg.num_partitions());
-  for (auto [u, v] : pg.dag().edges())
-    out.dag.add_edge(new_id[static_cast<std::size_t>(u)],
-                     new_id[static_cast<std::size_t>(v)]);
-  out.dag.finalize();
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges =
+      pg.dag().edges();
+  for (auto& [u, v] : edges) {
+    u = new_id[static_cast<std::size_t>(u)];
+    v = new_id[static_cast<std::size_t>(v)];
+  }
+  out.dag = graph::Digraph(pg.num_partitions(), edges);
   out.merges = pg.merges_applied();
 }
 
@@ -110,15 +114,11 @@ void register_partition_passes(PassManager& pm,
   pm.add({.name = "initial",
           .run =
               [](OrderContext& ctx) {
-                ctx.set_pg(build_initial_partitions(
-                    ctx.trace(), ctx.options().partition,
-                    ctx.units(/*sdag_absorption=*/false),
-                    ctx.options().effective_threads()));
+                ctx.set_pg(build_initial_partitions(ctx));
                 ctx.phases.initial_partitions = ctx.pg().num_partitions();
                 ctx.pg().cycle_merge();  // raw edges may already cycle
               },
-          .checks = kCheckDag | kCheckCoverage,
-          .parallelism = Parallelism::kPhaseParallel});
+          .checks = kCheckDag | kCheckCoverage});
   pm.add({.name = "dependency_merge",  // §3.1.2, Algorithm 1
           .run = [](OrderContext& ctx) { dependency_merge(ctx); },
           .checks = kCheckDag | kCheckCoverage});

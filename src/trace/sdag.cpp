@@ -1,64 +1,63 @@
 #include "trace/sdag.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 namespace logstruct::trace {
 
-std::vector<BlockId> compute_sdag_absorption(const Trace& trace) {
-  std::vector<BlockId> rep(static_cast<std::size_t>(trace.num_blocks()));
-  for (BlockId b = 0; b < trace.num_blocks(); ++b)
-    rep[static_cast<std::size_t>(b)] = b;
+SdagRelations sdag_relations(const Trace& trace) {
+  SdagRelations out;
+  const auto num_blocks = static_cast<std::size_t>(trace.num_blocks());
+  out.serial.resize(num_blocks);
+  trace.blocks().for_each_chunk(
+      [&](const SerialBlock* b, std::size_t n, std::size_t base) {
+        for (std::size_t i = 0; i < n; ++i)
+          out.serial[base + i] = trace.entry(b[i].entry).sdag_serial;
+      });
+  auto serial = [&out](BlockId b) {
+    return out.serial[static_cast<std::size_t>(b)];
+  };
 
+  out.rep.resize(num_blocks);
+  std::iota(out.rep.begin(), out.rep.end(), 0);
   for (ChareId c = 0; c < trace.num_chares(); ++c) {
-    auto blocks = trace.blocks_of_chare(c);
-    for (std::size_t i = 0; i + 1 < blocks.size(); ++i) {
-      BlockId cur = blocks[i];
-      BlockId next = blocks[i + 1];
-      const SerialBlock& cb = trace.block(cur);
-      const SerialBlock& nb = trace.block(next);
-      const EntryInfo& ne = trace.entry(nb.entry);
-      if (ne.sdag_serial < 0) continue;  // next is not a serial
-      if (cb.proc != nb.proc) continue;  // must be the same scheduler
-      bool is_when = std::find(ne.when_entries.begin(), ne.when_entries.end(),
-                               cb.entry) != ne.when_entries.end();
-      // "occurs right before a serial": contiguous execution, no gap the
-      // scheduler could have filled.
-      if (is_when && nb.begin == cb.end)
-        rep[static_cast<std::size_t>(cur)] = next;
+    const auto blocks = trace.blocks_of_chare(c);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      // Absorption: the block right before a serial may be its `when`.
+      if (i + 1 < blocks.size() && serial(blocks[i + 1]) >= 0) {
+        const SerialBlock cb = trace.block(blocks[i]);
+        const SerialBlock nb = trace.block(blocks[i + 1]);
+        const EntryInfo& ne = trace.entry(nb.entry);
+        const bool is_when =
+            std::find(ne.when_entries.begin(), ne.when_entries.end(),
+                      cb.entry) != ne.when_entries.end();
+        // Same scheduler and "occurs right before a serial": contiguous
+        // execution, no gap the scheduler could have filled.
+        if (is_when && cb.proc == nb.proc && nb.begin == cb.end)
+          out.rep[static_cast<std::size_t>(blocks[i])] = blocks[i + 1];
+      }
+      // Adjacency: the nearest later block of serial n+1; a new instance
+      // of n restarts the scan.
+      const std::int32_t n = serial(blocks[i]);
+      if (n < 0) continue;
+      for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+        const std::int32_t later = serial(blocks[j]);
+        if (later == n + 1) {
+          out.happened_before.emplace_back(blocks[i], blocks[j]);
+          break;
+        }
+        if (later == n) break;
+      }
     }
   }
 
   // Flatten chains (a when-block absorbed into a serial that is itself
   // never absorbed keeps this a single pass in practice, but be safe).
-  for (BlockId b = 0; b < trace.num_blocks(); ++b) {
-    BlockId r = rep[static_cast<std::size_t>(b)];
-    while (rep[static_cast<std::size_t>(r)] != r)
-      r = rep[static_cast<std::size_t>(r)];
-    rep[static_cast<std::size_t>(b)] = r;
-  }
-  return rep;
-}
-
-std::vector<std::pair<BlockId, BlockId>> sdag_happened_before(
-    const Trace& trace) {
-  std::vector<std::pair<BlockId, BlockId>> out;
-  for (ChareId c = 0; c < trace.num_chares(); ++c) {
-    auto blocks = trace.blocks_of_chare(c);
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      std::int32_t serial = trace.entry(trace.block(blocks[i]).entry)
-                                .sdag_serial;
-      if (serial < 0) continue;
-      // Nearest later block of serial+1 on the same chare.
-      for (std::size_t j = i + 1; j < blocks.size(); ++j) {
-        std::int32_t later = trace.entry(trace.block(blocks[j]).entry)
-                                 .sdag_serial;
-        if (later == serial + 1) {
-          out.emplace_back(blocks[i], blocks[j]);
-          break;
-        }
-        if (later == serial) break;  // a new instance of n restarts the scan
-      }
-    }
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    BlockId r = out.rep[b];
+    while (out.rep[static_cast<std::size_t>(r)] != r)
+      r = out.rep[static_cast<std::size_t>(r)];
+    out.rep[b] = r;
   }
   return out;
 }

@@ -12,6 +12,7 @@
 /// 2. *Serial adjacency*: serial n observed directly before serial n+1 in
 ///    true time on the same chare implies happened-before.
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -19,15 +20,22 @@
 
 namespace logstruct::trace {
 
-/// For every block, the block it is absorbed into for ordering (itself when
-/// not absorbed). Chains are flattened: the result is always a
-/// representative that maps to itself.
-std::vector<BlockId> compute_sdag_absorption(const Trace& trace);
+struct SdagRelations {
+  /// Per block, the SDAG serial number of its entry (-1: not a serial).
+  std::vector<std::int32_t> serial;
+  /// For every block, the block it is absorbed into for ordering (itself
+  /// when not absorbed). Chains are flattened: every entry is a
+  /// representative that maps to itself.
+  std::vector<BlockId> rep;
+  /// Inferred happened-before pairs (earlier block, later block): for
+  /// each chare, a block of SDAG serial n is linked to the nearest later
+  /// block of serial n+1 on that chare.
+  std::vector<std::pair<BlockId, BlockId>> happened_before;
+};
 
-/// Inferred happened-before pairs (earlier block, later block): for each
-/// chare, a block of SDAG serial n is linked to the nearest later block of
-/// serial n+1 on that chare.
-std::vector<std::pair<BlockId, BlockId>> sdag_happened_before(
-    const Trace& trace);
+/// Both SDAG relations of the trace. The serial numbers come from one
+/// sequential read of the block column; only blocks followed by a serial
+/// on their chare are read again, for the absorption test.
+SdagRelations sdag_relations(const Trace& trace);
 
 }  // namespace logstruct::trace

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "golden_fixtures.hpp"
+#include "order/context.hpp"
 #include "trace/builder.hpp"
 #include "trace/sdag.hpp"
 #include "trace/storage/options.hpp"
@@ -43,28 +44,37 @@ AbsorbTrace make_absorb_trace() {
   return m;
 }
 
+/// The unit rows as plain lists, indexed by block.
+std::vector<std::vector<trace::EventId>> rows(const BlockUnits& u) {
+  std::vector<std::vector<trace::EventId>> out;
+  for (trace::BlockId r = 0; r < u.num_blocks(); ++r)
+    out.emplace_back(u.events(r).begin(), u.events(r).end());
+  return out;
+}
+
 TEST(BlockUnits, AbsorptionGroupsWhenIntoSerial) {
   AbsorbTrace m = make_absorb_trace();
-  BlockUnits u = compute_block_units(m.trace, /*sdag_absorption=*/true);
+  OrderContext ctx(m.trace, Options{});
+  const BlockUnits& u = ctx.units(/*sdag_absorption=*/true);
   EXPECT_EQ(u.rep[static_cast<std::size_t>(m.b_when)], m.b_serial);
   // The serial's unit holds both events, time-ordered.
-  const auto& unit =
-      u.events[static_cast<std::size_t>(m.b_serial)];
+  const auto unit = u.events(m.b_serial);
   ASSERT_EQ(unit.size(), 2u);
   EXPECT_EQ(unit[0], m.recv);
   EXPECT_EQ(unit[1], m.send);
   EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.recv)], m.b_serial);
   EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.send)], m.b_serial);
   // The absorbed block's own bucket is empty.
-  EXPECT_TRUE(u.events[static_cast<std::size_t>(m.b_when)].empty());
+  EXPECT_TRUE(u.events(m.b_when).empty());
 }
 
 TEST(BlockUnits, WithoutAbsorptionBlocksStaySeparate) {
   AbsorbTrace m = make_absorb_trace();
-  BlockUnits u = compute_block_units(m.trace, /*sdag_absorption=*/false);
+  OrderContext ctx(m.trace, Options{});
+  const BlockUnits& u = ctx.units(/*sdag_absorption=*/false);
   EXPECT_EQ(u.rep[static_cast<std::size_t>(m.b_when)], m.b_when);
-  EXPECT_EQ(u.events[static_cast<std::size_t>(m.b_when)].size(), 1u);
-  EXPECT_EQ(u.events[static_cast<std::size_t>(m.b_serial)].size(), 1u);
+  EXPECT_EQ(u.events(m.b_when).size(), 1u);
+  EXPECT_EQ(u.events(m.b_serial).size(), 1u);
   EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.recv)], m.b_when);
 }
 
@@ -75,17 +85,24 @@ TEST(BlockUnits, EventlessBlocksHaveEmptyUnits) {
   trace::BlockId b = tb.begin_block(c, 0, e, 0);
   tb.end_block(b, 10);
   trace::Trace t = tb.finish(1);
-  BlockUnits u = compute_block_units(t, true);
-  EXPECT_TRUE(u.events[static_cast<std::size_t>(b)].empty());
+  OrderContext ctx(t, Options{});
+  EXPECT_TRUE(ctx.units(true).events(b).empty());
 }
+
+/// Reference units as plain per-block lists.
+struct ListUnits {
+  std::vector<trace::BlockId> rep;
+  std::vector<std::vector<trace::EventId>> events;
+  std::vector<trace::BlockId> unit_of_event;
+};
 
 /// The units as built before they came from the frozen orders: every
 /// block's events appended to its unit, then each unit sorted with
 /// Trace::before.
-BlockUnits sorted_units(const trace::Trace& t, bool sdag_absorption) {
-  BlockUnits u;
+ListUnits sorted_units(const trace::Trace& t, bool sdag_absorption) {
+  ListUnits u;
   if (sdag_absorption) {
-    u.rep = trace::compute_sdag_absorption(t);
+    u.rep = trace::sdag_relations(t).rep;
   } else {
     u.rep.resize(static_cast<std::size_t>(t.num_blocks()));
     std::iota(u.rep.begin(), u.rep.end(), 0);
@@ -124,10 +141,11 @@ TEST(BlockUnits, MatchSortBuiltUnitsOnGoldens) {
       for (const bool absorb : {false, true}) {
         SCOPED_TRACE(std::string(g.name) + (absorb ? " absorbed" : " raw") +
                      (kind == BackendKind::Mem ? " mem" : " blocked"));
-        const BlockUnits got = compute_block_units(t, absorb);
-        const BlockUnits want = sorted_units(t, absorb);
+        OrderContext ctx(t, Options{});
+        const BlockUnits& got = ctx.units(absorb);
+        const ListUnits want = sorted_units(t, absorb);
         EXPECT_EQ(got.rep, want.rep);
-        EXPECT_EQ(got.events, want.events);
+        EXPECT_EQ(rows(got), want.events);
         EXPECT_EQ(got.unit_of_event, want.unit_of_event);
         for (std::size_t b = 0; b < got.rep.size(); ++b)
           absorbed_multi_block |=
@@ -168,11 +186,12 @@ TEST(BlockUnits, AbsorbedUnitBreaksTimeTiesById) {
     tb.end_block(bd, 110);
     const trace::Trace t = tb.finish(2);
 
-    const BlockUnits got = compute_block_units(t, /*sdag_absorption=*/true);
+    OrderContext ctx(t, Options{});
+    const BlockUnits& got = ctx.units(/*sdag_absorption=*/true);
     ASSERT_EQ(got.rep[static_cast<std::size_t>(b_when)], b_serial);
-    EXPECT_EQ(got.events[static_cast<std::size_t>(b_serial)],
+    EXPECT_EQ(rows(got)[static_cast<std::size_t>(b_serial)],
               (std::vector<trace::EventId>{send, recv}));
-    EXPECT_EQ(got.events, sorted_units(t, true).events);
+    EXPECT_EQ(rows(got), sorted_units(t, true).events);
   }
 }
 

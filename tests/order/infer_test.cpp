@@ -25,8 +25,7 @@ void run_pipeline(OrderContext& ctx) {
 /// A context holding the initial partitions of t, for driving single
 /// passes by hand.
 void start_initial(OrderContext& ctx) {
-  ctx.set_pg(build_initial_partitions(ctx.trace(), ctx.options().partition,
-                                      ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
 }
 
 TEST(Infer, PropertiesHoldOnJacobi) {

@@ -25,8 +25,7 @@ TEST(Merges, DependencyMergeJoinsMatchingEnds) {
   trace::Trace t = tb.finish(2);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(
-      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
   PartitionGraph& pg = ctx.pg();
   EXPECT_NE(pg.part_of(s), pg.part_of(r));
   dependency_merge(ctx);
@@ -51,8 +50,7 @@ TEST(Merges, DependencyMergeSkipsMixedKinds) {
   trace::Trace t = tb.finish(1);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(
-      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
   PartitionGraph& pg = ctx.pg();
   EXPECT_TRUE(pg.runtime(pg.part_of(s)));
   EXPECT_TRUE(pg.runtime(pg.part_of(rv)));
@@ -93,8 +91,7 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   trace::Trace t = tb.finish(2);
 
   OrderContext ctx(t, Options{});
-  ctx.set_pg(
-      build_initial_partitions(t, PartitionOptions{}, ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
   PartitionGraph& pg = ctx.pg();
   // Split: s1 | sr | s2 in three initial partitions.
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
@@ -161,9 +158,8 @@ TEST(Merges, NeighborSerialMergeGroupsSuccessors) {
   tb.end_block(dr, 85);
   trace::Trace t = tb.finish(2);
 
-  PartitionOptions opts;
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, opts, ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
   PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
   dependency_merge(ctx);
@@ -200,9 +196,8 @@ TEST(Merges, NeighborSerialMergeIgnoresSingleChareSources) {
   tb.end_block(cr1, 85);
   trace::Trace t = tb.finish(2);
 
-  PartitionOptions opts;
   OrderContext ctx(t, Options{});
-  ctx.set_pg(build_initial_partitions(t, opts, ctx.units(false)));
+  ctx.set_pg(build_initial_partitions(ctx));
   PartitionGraph& pg = ctx.pg();
   pg.cycle_merge();
   dependency_merge(ctx);

@@ -20,6 +20,7 @@ namespace {
 struct Fixture {
   trace::Trace trace;
   std::vector<trace::EventId> events;
+  std::vector<trace::EventId> by_time;  ///< the trace's time order
 };
 
 Fixture make_four_events() {
@@ -33,6 +34,7 @@ Fixture make_four_events() {
     tb.end_block(b, i * 10 + 5);
   }
   f.trace = tb.finish(1);
+  f.by_time = f.trace.events_by_time();
   return f;
 }
 
@@ -40,10 +42,10 @@ TEST(PartitionGraph, BuildAndQuery) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, i % 2 == 0);
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, i % 2 == 0);
   pg.add_edge(0, 1);
   pg.add_edge(1, 2);
-  pg.finalize();
+  pg.finalize(f.by_time);
 
   EXPECT_EQ(pg.num_partitions(), 4);
   EXPECT_TRUE(pg.runtime(0));
@@ -57,10 +59,10 @@ TEST(PartitionGraph, ApplyMergesRelabelsEverything) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
   pg.add_edge(0, 1);
   pg.add_edge(2, 3);
-  pg.finalize();
+  pg.finalize(f.by_time);
 
   std::vector<std::pair<PartId, PartId>> pairs{{0, 2}};
   EXPECT_TRUE(pg.apply_merges(pairs));
@@ -77,8 +79,8 @@ TEST(PartitionGraph, MergedEventsStayTimeSorted) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
-  pg.finalize();
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
+  pg.finalize(f.by_time);
   std::vector<std::pair<PartId, PartId>> pairs{{3, 0}, {0, 2}};
   pg.apply_merges(pairs);
   PartId merged = pg.part_of(f.events[0]);
@@ -93,12 +95,12 @@ TEST(PartitionGraph, CycleMergeCollapsesScc) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
   pg.add_edge(0, 1);
   pg.add_edge(1, 2);
   pg.add_edge(2, 0);  // cycle 0-1-2
   pg.add_edge(2, 3);
-  pg.finalize();
+  pg.finalize(f.by_time);
 
   EXPECT_TRUE(pg.cycle_merge());
   EXPECT_EQ(pg.num_partitions(), 2);
@@ -114,9 +116,9 @@ TEST(PartitionGraph, CycleMergeNoOpOnDag) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
   pg.add_edge(0, 1);
-  pg.finalize();
+  pg.finalize(f.by_time);
   EXPECT_FALSE(pg.cycle_merge());
   EXPECT_EQ(pg.num_partitions(), 4);
 }
@@ -124,13 +126,13 @@ TEST(PartitionGraph, CycleMergeNoOpOnDag) {
 TEST(PartitionGraph, RuntimeFlagPropagatesThroughMerge) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
-  pg.add_partition({f.events[0]}, false);
-  pg.add_partition({f.events[1]}, true);
-  pg.add_partition({f.events[2]}, false);
-  pg.add_partition({f.events[3]}, false);
+  pg.add_partition({&f.events[0], 1}, false);
+  pg.add_partition({&f.events[1], 1}, true);
+  pg.add_partition({&f.events[2], 1}, false);
+  pg.add_partition({&f.events[3], 1}, false);
   pg.add_edge(0, 1);
   pg.add_edge(1, 0);  // app-runtime cycle
-  pg.finalize();
+  pg.finalize(f.by_time);
   pg.cycle_merge();
   EXPECT_TRUE(pg.runtime(pg.part_of(f.events[0])));
   EXPECT_FALSE(pg.runtime(pg.part_of(f.events[2])));
@@ -140,8 +142,8 @@ TEST(PartitionGraph, FirstEventOfChare) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
-  pg.finalize();
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
+  pg.finalize(f.by_time);
   std::vector<std::pair<PartId, PartId>> pairs{{0, 1}};
   pg.apply_merges(pairs);
   PartId merged = pg.part_of(f.events[0]);
@@ -155,8 +157,8 @@ TEST(PartitionGraph, MergesAppliedCounter) {
   Fixture f = make_four_events();
   PartitionGraph pg(f.trace);
   for (int i = 0; i < 4; ++i)
-    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
-  pg.finalize();
+    pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
+  pg.finalize(f.by_time);
   EXPECT_EQ(pg.merges_applied(), 0);
   std::vector<std::pair<PartId, PartId>> pairs{{0, 1}, {2, 3}};
   pg.apply_merges(pairs);
@@ -173,11 +175,12 @@ TEST(PartitionGraph, ConcurrentDagReadersAfterDirty) {
   for (int round = 0; round < 50; ++round) {
     PartitionGraph pg(f.trace);
     for (int i = 0; i < 4; ++i)
-      pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+      pg.add_partition({&f.events[static_cast<std::size_t>(i)], 1}, false);
     pg.add_edge(0, 1);
     pg.add_edge(1, 2);
     pg.add_edge(2, 3);
-    pg.finalize();  // leaves the DAG dirty — readers race to build it
+    // finalize() leaves the DAG dirty: the readers race to build it.
+    pg.finalize(f.by_time);
 
     constexpr int kReaders = 8;
     std::atomic<int> ok{0};
@@ -264,6 +267,7 @@ TEST(PartitionGraph, MergesMatchBruteForceOnBothBackends) {
       const trace::Trace& tr = traces[t];
       ASSERT_EQ(tr.storage_backend(), kind);
       util::Rng rng(0xD1FFULL + t);
+      const std::vector<trace::EventId> by_time = tr.events_by_time();
       PartitionGraph pg(tr);
       std::vector<PartId> init_part(
           static_cast<std::size_t>(tr.num_events()), -1);
@@ -287,7 +291,7 @@ TEST(PartitionGraph, MergesMatchBruteForceOnBothBackends) {
       for (std::uint64_t k = 0, m = rng.uniform(2 * n0); k < m; ++k)
         pg.add_edge(static_cast<PartId>(rng.uniform(n0)),
                     static_cast<PartId>(rng.uniform(n0)));
-      pg.finalize();
+      pg.finalize(by_time);
       const std::string base = "trace " + std::to_string(t) + " backend " +
                                std::to_string(static_cast<int>(kind));
       expect_brute_force_membership(pg, init_part, init_runtime,
@@ -315,7 +319,7 @@ TEST(PartitionGraph, MergesMatchBruteForceOnBothBackends) {
   EXPECT_GT(merged, 100);
 }
 
-/// Membership is rebuilt from the time order taken at finalize(), so a
+/// Membership is rebuilt from the time order handed to finalize(), so a
 /// merge compares no timestamps: on blocked storage, one apply_merges +
 /// cycle_merge costs one pass over the per-chare event lists in block
 /// cache lookups, however the merged events interleave in time across
@@ -356,12 +360,13 @@ TEST(PartitionGraph, RelabelDoesNoByTimeLookupsOnBlocked) {
       (static_cast<std::size_t>(tr.num_events()) * sizeof(trace::EventId) +
        4095) / 4096;
 
+  const std::vector<trace::EventId> by_time = tr.events_by_time();
   PartitionGraph pg(tr);
   for (trace::EventId e = 0; e < tr.num_events(); ++e)
-    pg.add_partition({e}, false);
+    pg.add_partition({&e, 1}, false);
   for (std::size_t i = 1; i < ev_a.size(); ++i)  // a DAG: no cycle to merge
     pg.add_edge(pg.part_of(ev_a[i - 1]), pg.part_of(ev_a[i]));
-  pg.finalize();
+  pg.finalize(by_time);
   std::vector<std::pair<PartId, PartId>> pairs;
   for (int i = 0; i < kPerChare; ++i)
     pairs.emplace_back(pg.part_of(ev_a[static_cast<std::size_t>(i)]),

@@ -231,6 +231,10 @@ TEST(OrderContext, UnitsComputedOncePerFlavor) {
   EXPECT_EQ(&ctx.units(true), &absorbed);
   EXPECT_EQ(raw.unit_of_event.size(),
             static_cast<std::size_t>(t.num_events()));
+  // Both flavors are rows over the one time order the context holds.
+  EXPECT_EQ(raw.flat.size(), ctx.by_time().size());
+  EXPECT_EQ(absorbed.flat.size(), ctx.by_time().size());
+  EXPECT_EQ(absorbed.rep, ctx.sdag().rep);
 }
 
 TEST(OrderContext, ScratchBuffersComeBackCleared) {

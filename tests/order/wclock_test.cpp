@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "order/block_units.hpp"
+#include "order/context.hpp"
 #include "order/phases.hpp"
 #include "trace/builder.hpp"
 
@@ -13,10 +13,11 @@ std::vector<std::int64_t> w_of(const trace::Trace& t, bool mpi_mode) {
   PartitionOptions popts;
   if (mpi_mode) popts = Options::mpi().partition;
   PhaseResult phases = find_phases(t, popts);
-  BlockUnits units = compute_block_units(t, popts.sdag_inference);
+  OrderContext ctx(t, Options{});
   StepOptions sopts;
   sopts.mpi_mode = mpi_mode;
-  return compute_w(t, phases, units, collective_of_events(t), sopts);
+  return compute_w(t, phases, ctx.units(popts.sdag_inference),
+                   collective_of_events(t), sopts);
 }
 
 TEST(WClock, SendsCountUpAlongSerialBlock) {

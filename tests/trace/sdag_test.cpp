@@ -43,10 +43,19 @@ SdagTrace make_sdag_trace() {
 
 TEST(Sdag, WhenBlockAbsorbedIntoSerial) {
   auto m = make_sdag_trace();
-  auto rep = compute_sdag_absorption(m.trace);
+  auto rep = sdag_relations(m.trace).rep;
   EXPECT_EQ(rep[static_cast<std::size_t>(m.b_when)], m.b_s1);
   EXPECT_EQ(rep[static_cast<std::size_t>(m.b_s0)], m.b_s0);
   EXPECT_EQ(rep[static_cast<std::size_t>(m.b_s1)], m.b_s1);
+}
+
+TEST(Sdag, SerialNumbersPerBlock) {
+  auto m = make_sdag_trace();
+  const auto serial = sdag_relations(m.trace).serial;
+  ASSERT_EQ(serial.size(), 3u);
+  EXPECT_EQ(serial[static_cast<std::size_t>(m.b_s0)], 0);
+  EXPECT_EQ(serial[static_cast<std::size_t>(m.b_when)], -1);
+  EXPECT_EQ(serial[static_cast<std::size_t>(m.b_s1)], 1);
 }
 
 TEST(Sdag, NonContiguousWhenNotAbsorbed) {
@@ -60,7 +69,7 @@ TEST(Sdag, NonContiguousWhenNotAbsorbed) {
   BlockId b_s1 = tb.begin_block(c, 0, e_s1, 50);  // gap: scheduler ran others
   tb.end_block(b_s1, 60);
   Trace t = tb.finish(1);
-  auto rep = compute_sdag_absorption(t);
+  auto rep = sdag_relations(t).rep;
   EXPECT_EQ(rep[static_cast<std::size_t>(b_when)], b_when);
 }
 
@@ -74,13 +83,13 @@ TEST(Sdag, DifferentProcNotAbsorbed) {
   BlockId b_s1 = tb.begin_block(c, 1, e_s1, 5);  // migrated between blocks
   tb.end_block(b_s1, 10);
   Trace t = tb.finish(2);
-  auto rep = compute_sdag_absorption(t);
+  auto rep = sdag_relations(t).rep;
   EXPECT_EQ(rep[static_cast<std::size_t>(b_when)], b_when);
 }
 
 TEST(Sdag, HappenedBeforeLinksAdjacentSerials) {
   auto m = make_sdag_trace();
-  auto hb = sdag_happened_before(m.trace);
+  auto hb = sdag_relations(m.trace).happened_before;
   ASSERT_EQ(hb.size(), 1u);
   EXPECT_EQ(hb[0].first, m.b_s0);
   EXPECT_EQ(hb[0].second, m.b_s1);
@@ -102,7 +111,7 @@ TEST(Sdag, HappenedBeforeNearestInstanceOnly) {
   BlockId e = tb.begin_block(c, 0, s1, 6);
   tb.end_block(e, 7);
   Trace t = tb.finish(1);
-  auto hb = sdag_happened_before(t);
+  auto hb = sdag_relations(t).happened_before;
   ASSERT_EQ(hb.size(), 2u);
   EXPECT_EQ(hb[0], (std::pair<BlockId, BlockId>{a, b}));
   EXPECT_EQ(hb[1], (std::pair<BlockId, BlockId>{d, e}));
@@ -115,8 +124,8 @@ TEST(Sdag, NoSerialsNoEdges) {
   BlockId b = tb.begin_block(c, 0, e, 0);
   tb.end_block(b, 1);
   Trace t = tb.finish(1);
-  EXPECT_TRUE(sdag_happened_before(t).empty());
-  auto rep = compute_sdag_absorption(t);
+  EXPECT_TRUE(sdag_relations(t).happened_before.empty());
+  auto rep = sdag_relations(t).rep;
   EXPECT_EQ(rep[0], b);
 }
 
@@ -130,7 +139,7 @@ TEST(Sdag, NonConsecutiveSerialNumbersNotLinked) {
   BlockId b = tb.begin_block(c, 0, s2, 2);
   tb.end_block(b, 3);
   Trace t = tb.finish(1);
-  EXPECT_TRUE(sdag_happened_before(t).empty());
+  EXPECT_TRUE(sdag_relations(t).happened_before.empty());
 }
 
 }  // namespace
