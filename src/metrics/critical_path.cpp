@@ -30,10 +30,13 @@ CriticalPath critical_path(const trace::Trace& trace,
   // sender keeps computing while the message flies).
   const BlockGaps gaps = block_gaps(trace, threads);
   const std::vector<trace::TimeNs>& dur = gaps.gap;
-  std::vector<trace::TimeNs> tail(n, 0);
-  for (const BlockGaps::Tail& t : gaps.tail)
-    if (t.last != trace::kNone)
-      tail[static_cast<std::size_t>(t.last)] = t.span;
+  // The tail after e: its block's trailing span if e is the block's last
+  // event, else 0.
+  auto tail = [&gaps](trace::EventId e, trace::BlockId block) {
+    if (block == trace::kNone) return trace::TimeNs{0};
+    const BlockGaps::Tail& t = gaps.tail[static_cast<std::size_t>(block)];
+    return t.last == e ? t.span : 0;
+  };
 
   // Longest distance ending at each event. Process in physical-time order
   // (a valid topological order of both edge families: matching sends
@@ -44,33 +47,32 @@ CriticalPath critical_path(const trace::Trace& trace,
   const std::vector<trace::EventId> order = trace.events_by_time();
 
   // dist_at: longest chain arriving at the event's own timestamp (used by
-  // outgoing message edges). dist_full = dist_at + trailing tail (used by
-  // chare-order continuation and as the final path length).
+  // outgoing message edges). dist_at + trailing tail is the full distance
+  // (used by chare-order continuation and as the final path length); it
+  // is kept only for each chare's last event and for the best event.
   std::vector<trace::TimeNs> dist_at(n, 0);
   std::vector<trace::EventId> pred(n, trace::kNone);
   std::vector<trace::EventId> last_on_chare(
       static_cast<std::size_t>(trace.num_chares()), trace::kNone);
-  auto dist_full = [&](trace::EventId e) {
-    return dist_at[static_cast<std::size_t>(e)] +
-           tail[static_cast<std::size_t>(e)];
-  };
+  std::vector<trace::TimeNs> full_on_chare(
+      static_cast<std::size_t>(trace.num_chares()), 0);
 
   // All dependency edges come from the frozen table's reverse view:
   // matches and fan-out copies (what ev.partner used to give) plus every
   // send of a collective, so the path no longer breaks at reductions.
   IncomingDeps deps(trace);
 
-  trace::EventId best = order.front();
+  trace::EventId best = trace::kNone;
+  trace::TimeNs best_full = 0;
   for (trace::EventId e : order) {
     const trace::Event& ev = trace.event(e);
     trace::TimeNs incoming = 0;
     trace::EventId from = trace::kNone;
 
-    trace::EventId prev =
-        last_on_chare[static_cast<std::size_t>(ev.chare)];
-    if (prev != trace::kNone) {
-      incoming = dist_full(prev);
-      from = prev;
+    const auto c = static_cast<std::size_t>(ev.chare);
+    if (last_on_chare[c] != trace::kNone) {
+      incoming = full_on_chare[c];
+      from = last_on_chare[c];
     }
     for (trace::EventId s : deps.senders(e)) {
       trace::TimeNs latency = ev.time - trace.event(s).time;
@@ -80,11 +82,16 @@ CriticalPath critical_path(const trace::Trace& trace,
         from = s;
       }
     }
-    dist_at[static_cast<std::size_t>(e)] =
-        incoming + dur[static_cast<std::size_t>(e)];
+    const trace::TimeNs at = incoming + dur[static_cast<std::size_t>(e)];
+    const trace::TimeNs full = at + tail(e, ev.block);
+    dist_at[static_cast<std::size_t>(e)] = at;
     pred[static_cast<std::size_t>(e)] = from;
-    last_on_chare[static_cast<std::size_t>(ev.chare)] = e;
-    if (dist_full(e) > dist_full(best)) best = e;
+    last_on_chare[c] = e;
+    full_on_chare[c] = full;
+    if (best == trace::kNone || full > best_full) {
+      best = e;
+      best_full = full;
+    }
   }
 
   for (trace::EventId e = best; e != trace::kNone;
@@ -92,7 +99,7 @@ CriticalPath critical_path(const trace::Trace& trace,
     out.events.push_back(e);
   }
   std::reverse(out.events.begin(), out.events.end());
-  out.length_ns = dist_full(best);
+  out.length_ns = best_full;
   out.coverage = static_cast<double>(out.length_ns) /
                  static_cast<double>(
                      std::max<trace::TimeNs>(trace.end_time(), 1));
@@ -110,8 +117,9 @@ CriticalPath critical_path(const trace::Trace& trace,
       left_by_message =
           std::find(senders.begin(), senders.end(), e) != senders.end();
     }
-    if (!left_by_message) share += tail[static_cast<std::size_t>(e)];
-    out.chare_share[static_cast<std::size_t>(trace.event(e).chare)] += share;
+    const trace::Event ev = trace.event(e);
+    if (!left_by_message) share += tail(e, ev.block);
+    out.chare_share[static_cast<std::size_t>(ev.chare)] += share;
   }
   return out;
 }

@@ -1,8 +1,9 @@
 #include "metrics/duration.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <unordered_map>
 
+#include "metrics/step_slots.hpp"
 #include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
@@ -19,19 +20,12 @@ DifferentialDuration differential_duration(
   std::vector<trace::TimeNs> dur = subblock_durations(trace);
 
   // (phase, step) -> fastest sub-block duration.
-  std::unordered_map<std::int64_t, trace::TimeNs> fastest;
-  auto key = [&](trace::EventId e) {
-    return (static_cast<std::int64_t>(
-                ls.phases.phase_of_event[static_cast<std::size_t>(e)])
-            << 32) |
-           static_cast<std::uint32_t>(
-               ls.global_step[static_cast<std::size_t>(e)]);
-  };
+  const StepSlots slot(ls, /*by_phase=*/true);
+  std::vector<trace::TimeNs> fastest(
+      slot.size(), std::numeric_limits<trace::TimeNs>::max());
   for (trace::EventId e = 0; e < trace.num_events(); ++e) {
-    auto [it, inserted] = fastest.try_emplace(
-        key(e), dur[static_cast<std::size_t>(e)]);
-    if (!inserted)
-      it->second = std::min(it->second, dur[static_cast<std::size_t>(e)]);
+    trace::TimeNs& f = fastest[slot(e)];
+    f = std::min(f, dur[static_cast<std::size_t>(e)]);
   }
   // Chunked max reduction over a grid that depends only on the trace
   // size; partials combine in chunk order, so any thread count — serial
@@ -47,7 +41,7 @@ DifferentialDuration differential_duration(
     for (std::int64_t i = lo; i < hi; ++i) {
       const auto e = static_cast<trace::EventId>(i);
       trace::TimeNs excess =
-          dur[static_cast<std::size_t>(e)] - fastest.at(key(e));
+          dur[static_cast<std::size_t>(e)] - fastest[slot(e)];
       out.per_event[static_cast<std::size_t>(e)] = excess;
       if (excess > part_max[static_cast<std::size_t>(c)]) {
         part_max[static_cast<std::size_t>(c)] = excess;

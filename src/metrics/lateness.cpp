@@ -1,9 +1,10 @@
 #include "metrics/lateness.hpp"
 
+#include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "metrics/depview.hpp"
+#include "metrics/step_slots.hpp"
 #include "obs/obs.hpp"
 #include "util/thread_pool.hpp"
 
@@ -33,22 +34,16 @@ Lateness lateness(const trace::Trace& trace,
   out.degraded_phases = ls.phases.degraded_phases;
   out.per_event.assign(static_cast<std::size_t>(trace.num_events()), 0);
 
-  auto key = [&](trace::EventId e) -> std::int64_t {
-    std::int64_t step = ls.global_step[static_cast<std::size_t>(e)];
-    if (!same_phase_only) return step;
-    return (static_cast<std::int64_t>(
-                ls.phases.phase_of_event[static_cast<std::size_t>(e)])
-            << 32) |
-           static_cast<std::uint32_t>(step);
-  };
-
-  std::unordered_map<std::int64_t, trace::TimeNs> earliest;
-  std::unordered_map<std::int64_t, std::int32_t> peers;
+  // Per step (per phase and step with same_phase_only): the earliest
+  // event time and the number of peers.
+  const StepSlots slot(ls, same_phase_only);
+  std::vector<trace::TimeNs> earliest(
+      slot.size(), std::numeric_limits<trace::TimeNs>::max());
+  std::vector<std::int32_t> peers(slot.size(), 0);
   for (trace::EventId e = 0; e < trace.num_events(); ++e) {
-    const trace::TimeNs t = trace.event_time(e);
-    auto [it, inserted] = earliest.try_emplace(key(e), t);
-    if (!inserted) it->second = std::min(it->second, t);
-    ++peers[key(e)];
+    const std::size_t k = slot(e);
+    earliest[k] = std::min(earliest[k], trace.event_time(e));
+    ++peers[k];
   }
 
   // Per-event lateness + reductions over the fixed chunk grid: each
@@ -69,13 +64,14 @@ Lateness lateness(const trace::Trace& trace,
     const std::int64_t hi = chunk_begin(n, chunks, c + 1);
     for (std::int64_t i = lo; i < hi; ++i) {
       const auto e = static_cast<trace::EventId>(i);
-      trace::TimeNs late = trace.event(e).time - earliest.at(key(e));
+      const std::size_t k = slot(e);
+      trace::TimeNs late = trace.event(e).time - earliest[k];
       out.per_event[static_cast<std::size_t>(e)] = late;
       if (late > part.max_value) {
         part.max_value = late;
         part.max_event = e;
       }
-      if (peers.at(key(e)) > 1) {
+      if (peers[k] > 1) {
         part.sum += static_cast<double>(late);
         ++part.counted;
       }

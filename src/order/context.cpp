@@ -4,7 +4,6 @@
 #include <type_traits>
 
 #include "graph/leaps.hpp"
-#include "order/wclock.hpp"
 #include "util/check.hpp"
 
 namespace logstruct::order {
@@ -21,6 +20,14 @@ const PartitionGraph& OrderContext::pg() const {
 
 void OrderContext::set_pg(PartitionGraph&& pg) {
   pg_.emplace(std::move(pg));
+  leaps_epoch_ = 0;
+  groups_epoch_ = 0;
+}
+
+void OrderContext::release_pg() {
+  pg_.reset();
+  leaps_ = {};
+  groups_ = {};
   leaps_epoch_ = 0;
   groups_epoch_ = 0;
 }
@@ -67,9 +74,9 @@ const BlockUnits& OrderContext::units(bool sdag_absorption) {
   return *slot;
 }
 
-const std::vector<std::int32_t>& OrderContext::collective_of() {
-  if (!collective_of_) collective_of_ = collective_of_events(*trace_);
-  return *collective_of_;
+const EventRows& OrderContext::event_rows() {
+  if (!event_rows_) event_rows_ = order::event_rows(*trace_);
+  return *event_rows_;
 }
 
 std::vector<std::pair<PartId, PartId>>& OrderContext::scratch_pairs() {

@@ -7,21 +7,23 @@
 /// values passes keep re-deriving: leaps and leap groups, keyed on the
 /// graph's structural epoch so a cache entry survives exactly as long as
 /// no pass mutates the graph, and the trace-derived inputs (time order,
-/// SDAG relations, serial block units), built once per analysis. It also
-/// holds arena-style scratch buffers (cleared, never freed, between
-/// passes) and the pipeline products (PhaseResult, LogicalStructure).
+/// SDAG relations, serial block units, event rows), built once per
+/// analysis. It also holds arena-style scratch buffers (cleared, never
+/// freed, between passes) and the pipeline products (PhaseResult,
+/// LogicalStructure).
 ///
 /// Ownership: set_pg() moves a graph into the context (the "initial"
 /// pass does this, and so do tests and benches that start from a
-/// hand-built graph); the context owns it for the rest of the run. A
+/// hand-built graph); the context owns it until release_pg(), which
+/// run_stepping_pipeline calls once the phases are final. A
 /// graph built by build_initial_partitions(ctx) views ctx.by_time(), so
 /// it must not outlive the context.
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
-///  - by_time(), sdag(), units(flavor) and collective_of() depend only
-///    on the immutable trace, so each is computed at most once (per
-///    flavor) per context.
+///  - by_time(), sdag(), units(flavor) and event_rows() depend only on
+///    the immutable trace, so each is computed at most once (per flavor)
+///    per context.
 
 #include <cstdint>
 #include <optional>
@@ -34,6 +36,7 @@
 #include "order/partition_graph.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
+#include "order/wclock.hpp"
 #include "trace/sdag.hpp"
 #include "trace/trace.hpp"
 
@@ -58,6 +61,11 @@ class OrderContext {
   /// Take ownership of a freshly built graph (the "initial" pass).
   void set_pg(PartitionGraph&& pg);
 
+  /// Free the graph and its leap caches. The stepping passes read only
+  /// the final phases, so run_stepping_pipeline drops the graph first
+  /// and its memory goes to their working set instead of on top of it.
+  void release_pg();
+
   // --- epoch-cached derived state --------------------------------------
   /// Leap of every partition; recomputed only when the graph epoch moved.
   [[nodiscard]] const std::vector<std::int32_t>& leaps();
@@ -76,9 +84,10 @@ class OrderContext {
   /// groups blocks by sdag().rep, the raw one keeps every block apart.
   [[nodiscard]] const BlockUnits& units(bool sdag_absorption);
 
-  /// Event -> collective index (-1 none), read by the w clock and by
-  /// stepping; computed once (the trace is immutable).
-  [[nodiscard]] const std::vector<std::int32_t>& collective_of();
+  /// Per-event chare, kind, partner, block and collective rows from one
+  /// scan of the event column: the w clock and stepping read them
+  /// instead of Trace::event().
+  [[nodiscard]] const EventRows& event_rows();
 
   // --- arena scratch ----------------------------------------------------
   /// Reusable merge-pair buffer; returned cleared.
@@ -114,7 +123,7 @@ class OrderContext {
   std::optional<trace::SdagRelations> sdag_;
   std::optional<BlockUnits> units_raw_;
   std::optional<BlockUnits> units_absorbed_;
-  std::optional<std::vector<std::int32_t>> collective_of_;
+  std::optional<EventRows> event_rows_;
 
   std::vector<std::pair<PartId, PartId>> scratch_pairs_;
   std::vector<std::pair<PartId, PartId>> scratch_edges_;

@@ -14,16 +14,21 @@
 #include "order/pass_manager.hpp"
 #include "order/wclock.hpp"
 #include "util/check.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::order {
 
 namespace {
 
-/// One in-phase unit: its §3.2.1 sort keys plus its chare.
+/// One in-phase unit: its §3.2.1 sort keys, its chare group and its
+/// first and last phase positions. A phase numbers its units and its
+/// chare groups in order of first appearance, so a lower unit number
+/// means an earlier first event.
 struct UnitInfo {
-  trace::EventId first = trace::kNone;  ///< earliest in-phase event
-  trace::ChareId chare = trace::kNone;
+  std::int32_t first = 0;  ///< phase position of the earliest event
+  std::int32_t last = 0;   ///< phase position of the latest event so far
+  std::int32_t group = 0;  ///< the group of the first event's chare
   /// Replay position: the maximum w over the unit's receives — the
   /// binding dependency that lets it start. Charm++ units have (at most)
   /// one receive, and it is the first event, so this matches the paper's
@@ -34,28 +39,26 @@ struct UnitInfo {
   /// Partner chare of the initial receive (-1 if none).
   std::int32_t invoker_chare = -1;
   /// The in-phase unit holding that receive's send (-1 if none or not
-  /// materialized in this phase).
+  /// materialized in this phase); the send's unit rep block until the
+  /// phase's units are all numbered.
   std::int32_t invoker_unit = -1;
 };
 
 /// Orders one chare's units (§3.2.1): w, then invoking chare, then
 /// recursion into the invoking units. The (time, id) order of the first
-/// events is the total-order fallback and, without reordering, the whole
-/// order; it is read as the first events' positions in the phase's
-/// time-sorted event list (`local_of`).
+/// events — the unit numbering — is the total-order fallback and,
+/// without reordering, the whole order.
 class UnitOrder {
  public:
-  UnitOrder(const std::vector<std::int32_t>& local_of,
-            const std::vector<UnitInfo>& units, bool reorder)
-      : local_of_(local_of), units_(units), reorder_(reorder) {}
+  UnitOrder(const std::vector<UnitInfo>& units, bool reorder)
+      : units_(units), reorder_(reorder) {}
 
   bool operator()(std::int32_t a, std::int32_t b) const {
     if (reorder_) {
       const int c = compare(a, b, /*depth=*/8);
       if (c != 0) return c < 0;
     }
-    return local_of_[static_cast<std::size_t>(unit(a).first)] <
-           local_of_[static_cast<std::size_t>(unit(b).first)];
+    return a < b;
   }
 
  private:
@@ -76,9 +79,31 @@ class UnitOrder {
     return 0;
   }
 
-  const std::vector<std::int32_t>& local_of_;
   const std::vector<UnitInfo>& units_;
   bool reorder_;
+};
+
+/// One phase's working set, reused from phase to phase: tables keyed by
+/// unit rep block and by chare (scoped to the phase by their stamps),
+/// then rows by unit, by chare group and by phase position.
+struct PhaseScratch {
+  util::StampedTable<std::int32_t> unit_index;   ///< rep block -> unit
+  util::StampedTable<std::int32_t> chare_group;  ///< chare -> group
+  std::vector<UnitInfo> units;
+  /// Units by group: group g's are unit_order[group_begin[g],
+  /// group_begin[g + 1]).
+  std::vector<std::int32_t> group_begin;
+  std::vector<std::int32_t> unit_order;
+  std::vector<std::int32_t> last_step;  ///< per group
+  // Per phase position.
+  std::vector<std::int32_t> group_of;
+  std::vector<std::int32_t> seq_pred;  ///< previous event in the sequence
+  /// Successors in CSR form: succ[succ_begin[i], succ_begin[i + 1]).
+  std::vector<std::int32_t> succ_begin;
+  std::vector<std::int32_t> succ;
+  std::vector<std::int32_t> indeg;
+  std::vector<std::int32_t> step;  ///< -1 = unsettled
+  std::vector<std::int32_t> pred_max;
 };
 
 /// "reorder" pass (§3.2.1): fill ctx.w with the idealized-replay clock,
@@ -86,9 +111,8 @@ class UnitOrder {
 void reorder_pass(OrderContext& ctx) {
   const Options& opts = ctx.options();
   if (opts.step.reorder) {
-    ctx.w = compute_w(ctx.trace(), ctx.phases,
-                      ctx.units(opts.partition.sdag_inference),
-                      ctx.collective_of(), opts.step,
+    ctx.w = compute_w(ctx.trace(), ctx.event_rows(), ctx.phases,
+                      ctx.units(opts.partition.sdag_inference), opts.step,
                       opts.effective_threads());
   } else {
     ctx.w.assign(static_cast<std::size_t>(ctx.trace().num_events()), 0);
@@ -108,156 +132,161 @@ void stepping_pass(OrderContext& ctx) {
   span.attr("events", trace.num_events());
   LogicalStructure& out = ctx.structure;
   const BlockUnits& units = ctx.units(opts.partition.sdag_inference);
-  const std::vector<std::int32_t>& coll_of = ctx.collective_of();
+  const EventRows& rows = ctx.event_rows();
+  auto at = [](auto& v, std::int32_t i) -> auto& {
+    return v[static_cast<std::size_t>(i)];
+  };
 
+  const auto num_events = static_cast<std::size_t>(trace.num_events());
+  const auto num_phases = static_cast<std::size_t>(phases.num_phases());
   out.w = std::move(ctx.w);
-  if (out.w.empty())
-    out.w.assign(static_cast<std::size_t>(trace.num_events()), 0);
+  if (out.w.empty()) out.w.assign(num_events, 0);
+  out.local_step.assign(num_events, 0);
+  out.global_step.assign(num_events, 0);
+  out.phase_offset.assign(num_phases, 0);
+  out.phase_height.assign(num_phases, 0);
 
-  out.local_step.assign(static_cast<std::size_t>(trace.num_events()), 0);
-  out.global_step.assign(static_cast<std::size_t>(trace.num_events()), 0);
-  out.phase_offset.assign(static_cast<std::size_t>(phases.num_phases()), 0);
-  out.phase_height.assign(static_cast<std::size_t>(phases.num_phases()), 0);
-
-  // Per phase, (chare, event) in settle order; stitched globally after
-  // offsets.
-  std::vector<std::vector<std::pair<trace::ChareId, trace::EventId>>>
-      settled(static_cast<std::size_t>(phases.num_phases()));
-  // event -> its position in its phase's event list (time order).
-  std::vector<std::int32_t> local_of(
-      static_cast<std::size_t>(trace.num_events()), 0);
-  std::vector<std::int32_t> conflicts(
-      static_cast<std::size_t>(phases.num_phases()), 0);
+  // Every phase's events in settle order, laid end to end: phase ph owns
+  // settled[phase_begin[ph], phase_begin[ph + 1]).
+  std::vector<std::int32_t> phase_begin(num_phases + 1, 0);
+  for (std::size_t p = 0; p < num_phases; ++p)
+    phase_begin[p + 1] = phase_begin[p] +
+                         static_cast<std::int32_t>(phases.events[p].size());
+  std::vector<trace::EventId> settled(num_events);
+  std::vector<std::int32_t> conflicts(num_phases, 0);
 
   // Phases are mutually independent here: every vector indexed below is
   // written at per-phase or per-event (single owning phase) positions, so
   // the loop parallelizes without synchronization (§3.3). Inside a phase
   // everything is indexed by phase position.
-  auto process_phase = [&](std::int32_t ph) {
-    const auto& events = phases.events[static_cast<std::size_t>(ph)];
+  auto process_phase = [&](std::int32_t ph, PhaseScratch& s) {
+    const auto& events = at(phases.events, ph);
     const auto n = static_cast<std::int32_t>(events.size());
-    auto at = [](auto& v, std::int32_t i) -> auto& {
-      return v[static_cast<std::size_t>(i)];
-    };
-    for (std::int32_t i = 0; i < n; ++i) at(local_of, at(events, i)) = i;
     auto in_phase = [&](trace::EventId e) {
       return at(phases.phase_of_event, e) == ph;
     };
-
-    // Units of this phase: a unit's index is the rank of its rep in the
-    // sorted rep list (-1: not materialized in this phase).
-    std::vector<trace::BlockId> reps;
-    for (trace::EventId e : events) reps.push_back(at(units.unit_of_event, e));
-    std::sort(reps.begin(), reps.end());
-    reps.erase(std::unique(reps.begin(), reps.end()), reps.end());
-    auto unit_index = [&](trace::EventId e) {
-      const trace::BlockId rep = at(units.unit_of_event, e);
-      auto it = std::lower_bound(reps.begin(), reps.end(), rep);
-      return it != reps.end() && *it == rep
-                 ? static_cast<std::int32_t>(it - reps.begin())
-                 : -1;
+    // Until the phase settles, local_step holds each of its events' phase
+    // position.
+    for (std::int32_t i = 0; i < n; ++i) at(out.local_step, at(events, i)) = i;
+    // fn(from) for each in-phase send the event at position i receives
+    // from: its partner, then its collective's sends.
+    auto for_each_sender = [&](std::int32_t i, auto&& fn) {
+      const trace::EventId e = at(events, i);
+      if (at(rows.kind, e) != trace::EventKind::Recv) return;
+      const trace::EventId partner = at(rows.partner, e);
+      if (partner != trace::kNone && in_phase(partner))
+        fn(at(out.local_step, partner));
+      const std::int32_t coll = at(rows.collective, e);
+      if (coll < 0) return;
+      for (trace::EventId snd : trace.collectives()[static_cast<std::size_t>(
+               coll)].sends)
+        if (in_phase(snd)) fn(at(out.local_step, snd));
     };
-    const auto nu = static_cast<std::int32_t>(reps.size());
 
-    // One sweep over the phase's rows: each event's unit, the unit sort
-    // keys, and the message edges (in-phase send -> receive, collective
-    // sends included).
-    std::vector<UnitInfo> info(static_cast<std::size_t>(nu));
-    std::vector<std::int32_t> unit_of(events.size());
-    std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+    s.unit_index.resize(static_cast<std::size_t>(units.num_blocks()));
+    s.chare_group.resize(static_cast<std::size_t>(trace.num_chares()));
+    s.units.clear();
+    s.group_of.resize(events.size());
+    s.seq_pred.resize(events.size());
+    s.indeg.assign(events.size(), 0);
+    // Shifted counts: row i counts at i + 2, so filling at i + 1 leaves
+    // succ_begin[i] at the start of row i.
+    s.succ_begin.assign(events.size() + 2, 0);
+    std::int32_t groups = 0;
+
+    // One sweep in time order: each event's unit, numbered at first
+    // appearance, the unit sort keys, the unit's previous event (its
+    // sequence predecessor inside the unit) and the message edge counts
+    // (in-phase send -> receive, collective sends included).
     for (std::int32_t i = 0; i < n; ++i) {
       const trace::EventId e = at(events, i);
-      const trace::Event ev = trace.event(e);
-      const bool recv = ev.kind == trace::EventKind::Recv;
-      UnitInfo& unit = at(info, at(unit_of, i) = unit_index(e));
-      if (unit.first == trace::kNone) {
-        unit.first = e;
-        unit.chare = ev.chare;
+      const bool recv = at(rows.kind, e) == trace::EventKind::Recv;
+      const trace::BlockId rep = at(units.unit_of_event, e);
+      std::int32_t* index = s.unit_index.find(ph, rep);
+      if (index == nullptr) {
+        index = &s.unit_index.set(ph, rep);
+        *index = static_cast<std::int32_t>(s.units.size());
+        UnitInfo& unit = s.units.emplace_back();
+        unit.first = unit.last = i;
+        const trace::ChareId chare = at(rows.chare, e);
+        const std::int32_t* group = s.chare_group.find(ph, chare);
+        unit.group = group ? *group : (s.chare_group.set(ph, chare) = groups++);
         unit.w = at(out.w, e);
-        if (opts.step.reorder && recv && ev.partner != trace::kNone) {
-          unit.invoker_chare = trace.event(ev.partner).chare;
-          unit.invoker_unit = unit_index(ev.partner);
+        const trace::EventId partner = at(rows.partner, e);
+        if (opts.step.reorder && recv && partner != trace::kNone) {
+          unit.invoker_chare = at(rows.chare, partner);
+          unit.invoker_unit = at(units.unit_of_event, partner);
         }
       }
-      if (!recv) continue;
-      unit.w = std::max(unit.w, at(out.w, e));
-      if (ev.partner != trace::kNone && in_phase(ev.partner))
-        edges.emplace_back(at(local_of, ev.partner), i);
-      if (at(coll_of, e) < 0) continue;
-      for (trace::EventId s : trace.collectives()[static_cast<std::size_t>(
-                                  at(coll_of, e))].sends)
-        if (in_phase(s)) edges.emplace_back(at(local_of, s), i);
+      UnitInfo& unit = at(s.units, *index);
+      at(s.group_of, i) = unit.group;
+      at(s.seq_pred, i) = unit.first == i ? -1 : unit.last;
+      unit.last = i;
+      if (recv) unit.w = std::max(unit.w, at(out.w, e));
+      for_each_sender(i, [&](std::int32_t from) {
+        ++at(s.succ_begin, from + 2);
+        ++at(s.indeg, i);
+      });
+    }
+    for (UnitInfo& unit : s.units) {
+      if (unit.invoker_unit < 0) continue;
+      const std::int32_t* index = s.unit_index.find(ph, unit.invoker_unit);
+      unit.invoker_unit = index ? *index : -1;
     }
 
-    // Chare sequences: units grouped by chare in first-appearance order,
-    // each chare's run sorted by the unit order; events follow their
-    // unit's rank, in time order within the unit.
-    std::vector<std::int32_t> order(static_cast<std::size_t>(nu));
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::int32_t a, std::int32_t b) {
-                const UnitInfo& ua = at(info, a);
-                const UnitInfo& ub = at(info, b);
-                if (ua.chare != ub.chare) return ua.chare < ub.chare;
-                return at(local_of, ua.first) < at(local_of, ub.first);
-              });
-    std::vector<std::int32_t> rank(static_cast<std::size_t>(nu));
-    std::vector<std::int32_t> group(static_cast<std::size_t>(nu));
-    std::int32_t groups = 0;
-    for (std::size_t lo = 0, hi = 0; lo < order.size(); lo = hi, ++groups) {
-      while (hi < order.size() &&
-             at(info, order[hi]).chare == at(info, order[lo]).chare)
-        ++hi;
-      std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
-                order.begin() + static_cast<std::ptrdiff_t>(hi),
-                UnitOrder(local_of, info, opts.step.reorder));
-      for (std::size_t k = lo; k < hi; ++k) {
-        at(rank, order[k]) = static_cast<std::int32_t>(k);
-        at(group, order[k]) = groups;
-      }
-    }
-    auto group_of = [&](std::int32_t i) { return at(group, at(unit_of, i)); };
-    std::vector<std::int32_t> seq(events.size());
-    std::iota(seq.begin(), seq.end(), 0);
-    std::stable_sort(seq.begin(), seq.end(),
-                     [&](std::int32_t a, std::int32_t b) {
-                       return at(rank, at(unit_of, a)) <
-                              at(rank, at(unit_of, b));
-                     });
-    std::vector<std::int32_t> seq_pred(events.size(), -1);
-    for (std::int32_t k = 1; k < n; ++k) {
-      if (group_of(at(seq, k - 1)) != group_of(at(seq, k))) continue;
-      at(seq_pred, at(seq, k)) = at(seq, k - 1);
-      edges.emplace_back(at(seq, k - 1), at(seq, k));
+    // Chare sequences: units grouped by chare by a stable counting
+    // scatter (so each group starts in first-appearance order), each
+    // group sorted by the unit order; events follow their unit's rank,
+    // in time order within the unit, so a unit's first event follows
+    // the last event of the unit sorted before it.
+    s.group_begin.assign(static_cast<std::size_t>(groups) + 2, 0);
+    for (const UnitInfo& unit : s.units) ++at(s.group_begin, unit.group + 2);
+    std::partial_sum(s.group_begin.begin(), s.group_begin.end(),
+                     s.group_begin.begin());
+    s.unit_order.resize(s.units.size());
+    for (std::size_t u = 0; u < s.units.size(); ++u)
+      at(s.unit_order, at(s.group_begin, s.units[u].group + 1)++) =
+          static_cast<std::int32_t>(u);
+    const UnitOrder unit_order(s.units, opts.step.reorder);
+    for (std::int32_t g = 0; g < groups; ++g) {
+      const auto lo = s.unit_order.begin() + at(s.group_begin, g);
+      const auto hi = s.unit_order.begin() + at(s.group_begin, g + 1);
+      std::sort(lo, hi, unit_order);
+      for (auto it = lo; it + 1 < hi; ++it)
+        at(s.seq_pred, at(s.units, it[1]).first) = at(s.units, it[0]).last;
     }
 
-    // Kahn over sequence + message edges: successors in CSR form
-    // (succ[succ_begin[i] .. succ_begin[i + 1])) and indegrees.
-    std::vector<std::int32_t> succ_begin(events.size() + 1, 0);
-    std::vector<std::int32_t> indeg(events.size(), 0);
-    for (auto [from, to] : edges) {
-      ++at(succ_begin, from + 1);
-      ++at(indeg, to);
+    // Kahn over sequence + message edges: each row holds its message
+    // successors in receive order, then its sequence successor.
+    for (std::int32_t i = 0; i < n; ++i) {
+      if (at(s.seq_pred, i) < 0) continue;
+      ++at(s.succ_begin, at(s.seq_pred, i) + 2);
+      ++at(s.indeg, i);
     }
-    std::partial_sum(succ_begin.begin(), succ_begin.end(),
-                     succ_begin.begin());
-    std::vector<std::int32_t> succ(edges.size());
-    {
-      std::vector<std::int32_t> cur(succ_begin);
-      for (auto [from, to] : edges) at(succ, at(cur, from)++) = to;
-    }
+    std::partial_sum(s.succ_begin.begin(), s.succ_begin.end(),
+                     s.succ_begin.begin());
+    s.succ.resize(static_cast<std::size_t>(s.succ_begin.back()));
+    for (std::int32_t i = 0; i < n; ++i)
+      for_each_sender(i, [&](std::int32_t from) {
+        at(s.succ, at(s.succ_begin, from + 1)++) = i;
+      });
+    for (std::int32_t i = 0; i < n; ++i)
+      if (at(s.seq_pred, i) >= 0)
+        at(s.succ, at(s.succ_begin, at(s.seq_pred, i) + 1)++) = i;
 
     // The one step rule (§3.2.2): one past the step of the event settled
     // last on the chare in this phase and of every in-phase send the
     // event receives from (`pred_max`, the largest step a settled
     // predecessor pushed). A chare's in-phase sequence is its settle
     // order, which is its unit order whenever Kahn never stalls.
-    std::vector<std::int32_t> step(events.size(), -1);  // -1 = unsettled
-    std::vector<std::int32_t> pred_max(events.size(), -1);
-    std::vector<std::int32_t> last_step(static_cast<std::size_t>(groups), -1);
-    auto& order_out = at(settled, ph);
-    order_out.reserve(events.size());
-    std::vector<std::int32_t> ready;
+    s.step.assign(events.size(), -1);
+    s.pred_max.assign(events.size(), -1);
+    s.last_step.assign(static_cast<std::size_t>(groups), -1);
+    // Kahn's FIFO is the phase's slice of `settled`: every settled
+    // position passes through it, so it ends as the settle order.
+    std::int32_t* queue = settled.data() + at(phase_begin, ph);
+    std::int32_t tail = 0;
+    std::int32_t height = 0;
     // Conflict candidates by phase position, kept only once Kahn stalls.
     std::priority_queue<std::int32_t, std::vector<std::int32_t>,
                         std::greater<>>
@@ -268,23 +297,22 @@ void stepping_pass(OrderContext& ctx) {
     // sequence predecessor. Only a cross-block sequence edge (an order
     // the unit sort chose) is left unsatisfied.
     auto is_candidate = [&](std::int32_t i) {
-      const std::int32_t p = at(seq_pred, i);
-      return at(step, i) < 0 && at(indeg, i) == 1 && p >= 0 &&
-             at(step, p) < 0 &&
-             trace.event(at(events, p)).block !=
-                 trace.event(at(events, i)).block;
+      const std::int32_t p = at(s.seq_pred, i);
+      return at(s.step, i) < 0 && at(s.indeg, i) == 1 && p >= 0 &&
+             at(s.step, p) < 0 &&
+             at(rows.block, at(events, p)) != at(rows.block, at(events, i));
     };
     auto settle = [&](std::int32_t i) {
-      std::int32_t& last = at(last_step, group_of(i));
-      last = std::max(last, at(pred_max, i)) + 1;
-      at(step, i) = last;
-      order_out.emplace_back(at(info, at(unit_of, i)).chare, at(events, i));
-      for (std::int32_t j = at(succ_begin, i); j < at(succ_begin, i + 1);
+      std::int32_t& last = at(s.last_step, at(s.group_of, i));
+      last = std::max(last, at(s.pred_max, i)) + 1;
+      at(s.step, i) = last;
+      height = std::max(height, last);
+      for (std::int32_t j = at(s.succ_begin, i); j < at(s.succ_begin, i + 1);
            ++j) {
-        const std::int32_t k = at(succ, j);
-        at(pred_max, k) = std::max(at(pred_max, k), last);
-        if (--at(indeg, k) == 0) {
-          if (at(step, k) < 0) ready.push_back(k);
+        const std::int32_t k = at(s.succ, j);
+        at(s.pred_max, k) = std::max(at(s.pred_max, k), last);
+        if (--at(s.indeg, k) == 0) {
+          if (at(s.step, k) < 0) queue[tail++] = k;
         } else if (stalled && is_candidate(k)) {
           candidates.push(k);
         }
@@ -292,34 +320,31 @@ void stepping_pass(OrderContext& ctx) {
     };
 
     for (std::int32_t i = 0; i < n; ++i)
-      if (at(indeg, i) == 0) ready.push_back(i);
-    std::size_t head = 0;
-    for (std::int32_t done = 0; done < n; ++done) {
-      if (head < ready.size()) {
-        settle(ready[head++]);
-        continue;
+      if (at(s.indeg, i) == 0) queue[tail++] = i;
+    for (std::int32_t head = 0; head < n; ++head) {
+      if (head == tail) {
+        // The unit order contradicts the messages (a dependency cycle):
+        // settle the earliest event whose happened-before predecessors
+        // are all settled. One always exists, because happened-before is
+        // acyclic.
+        if (!stalled) {
+          stalled = true;
+          for (std::int32_t i = 0; i < n; ++i)
+            if (is_candidate(i)) candidates.push(i);
+        }
+        while (!candidates.empty() && at(s.step, candidates.top()) >= 0)
+          candidates.pop();
+        LS_CHECK_MSG(!candidates.empty(),
+                     "stepping: cyclic happened-before inside a phase");
+        ++at(conflicts, ph);
+        queue[tail++] = candidates.top();
       }
-      // The unit order contradicts the messages (a dependency cycle):
-      // settle the earliest event whose happened-before predecessors are
-      // all settled. One always exists, because happened-before is
-      // acyclic.
-      if (!stalled) {
-        stalled = true;
-        for (std::int32_t i = 0; i < n; ++i)
-          if (is_candidate(i)) candidates.push(i);
-      }
-      while (!candidates.empty() && at(step, candidates.top()) >= 0)
-        candidates.pop();
-      LS_CHECK_MSG(!candidates.empty(),
-                   "stepping: cyclic happened-before inside a phase");
-      ++at(conflicts, ph);
-      settle(candidates.top());
+      settle(queue[head]);
     }
 
-    std::int32_t height = 0;
     for (std::int32_t i = 0; i < n; ++i) {
-      at(out.local_step, at(events, i)) = at(step, i);
-      height = std::max(height, at(step, i));
+      at(out.local_step, at(events, i)) = at(s.step, i);
+      queue[i] = at(events, queue[i]);
     }
     at(out.phase_height, ph) = height;
   };
@@ -327,8 +352,11 @@ void stepping_pass(OrderContext& ctx) {
   const int threads = opts.effective_threads();
   span.attr("threads", threads);
   obs::Progress progress("order/stepping", phases.num_phases());
+  util::ScratchPool<PhaseScratch> pool;
   util::parallel_for(threads, phases.num_phases(), [&](std::int64_t ph) {
-    process_phase(static_cast<std::int32_t>(ph));
+    pool.with([&](PhaseScratch& s) {
+      process_phase(static_cast<std::int32_t>(ph), s);
+    });
     obs::Progress::tick();
   });
   for (std::int32_t c : conflicts) out.order_conflicts += c;
@@ -337,47 +365,43 @@ void stepping_pass(OrderContext& ctx) {
   for (graph::NodeId p : graph::topological_order(phases.dag)) {
     std::int32_t offset = 0;
     for (graph::NodeId pred : phases.dag.predecessors(p)) {
-      offset = std::max(
-          offset, out.phase_offset[static_cast<std::size_t>(pred)] +
-                      out.phase_height[static_cast<std::size_t>(pred)] + 1);
+      offset = std::max(offset, at(out.phase_offset, pred) +
+                                    at(out.phase_height, pred) + 1);
     }
-    out.phase_offset[static_cast<std::size_t>(p)] = offset;
+    at(out.phase_offset, p) = offset;
   }
 
-  for (trace::EventId e = 0; e < trace.num_events(); ++e) {
-    std::int32_t ph = phases.phase_of_event[static_cast<std::size_t>(e)];
-    out.global_step[static_cast<std::size_t>(e)] =
-        out.phase_offset[static_cast<std::size_t>(ph)] +
-        out.local_step[static_cast<std::size_t>(e)];
-    out.max_step = std::max(out.max_step,
-                            out.global_step[static_cast<std::size_t>(e)]);
+  for (std::size_t e = 0; e < num_events; ++e) {
+    out.global_step[e] =
+        at(out.phase_offset, phases.phase_of_event[e]) + out.local_step[e];
+    out.max_step = std::max(out.max_step, out.global_step[e]);
   }
 
-  // Global per-chare sequences: phases in offset order.
-  out.chare_sequence.assign(static_cast<std::size_t>(trace.num_chares()),
-                            {});
-  {
-    std::vector<std::int32_t> phase_order(
-        static_cast<std::size_t>(phases.num_phases()));
-    for (std::size_t i = 0; i < phase_order.size(); ++i)
-      phase_order[i] = static_cast<std::int32_t>(i);
-    std::sort(phase_order.begin(), phase_order.end(),
-              [&](std::int32_t a, std::int32_t b) {
-                if (out.phase_offset[static_cast<std::size_t>(a)] !=
-                    out.phase_offset[static_cast<std::size_t>(b)])
-                  return out.phase_offset[static_cast<std::size_t>(a)] <
-                         out.phase_offset[static_cast<std::size_t>(b)];
-                return a < b;
-              });
-    for (std::int32_t ph : phase_order)
-      for (auto [chare, e] : settled[static_cast<std::size_t>(ph)])
-        out.chare_sequence[static_cast<std::size_t>(chare)].push_back(e);
+  // Global per-chare sequences: phases in offset order, each in settle
+  // order, scattered by chare into rows sized by a count.
+  std::vector<std::int32_t> phase_order(num_phases);
+  std::iota(phase_order.begin(), phase_order.end(), 0);
+  std::stable_sort(phase_order.begin(), phase_order.end(),
+                   [&](std::int32_t a, std::int32_t b) {
+                     return at(out.phase_offset, a) < at(out.phase_offset, b);
+                   });
+  std::vector<std::int32_t> cursor(static_cast<std::size_t>(trace.num_chares()),
+                                   0);
+  for (trace::ChareId c : rows.chare) ++at(cursor, c);
+  out.chare_sequence.assign(cursor.size(), {});
+  for (std::size_t c = 0; c < cursor.size(); ++c) {
+    out.chare_sequence[c].resize(static_cast<std::size_t>(cursor[c]));
+    cursor[c] = 0;
   }
-  out.pos_in_chare.assign(static_cast<std::size_t>(trace.num_events()), 0);
-  for (const auto& seq : out.chare_sequence) {
-    for (std::size_t i = 0; i < seq.size(); ++i)
-      out.pos_in_chare[static_cast<std::size_t>(seq[i])] =
-          static_cast<std::int32_t>(i);
+  out.pos_in_chare.assign(num_events, 0);
+  for (std::int32_t ph : phase_order) {
+    for (std::int32_t k = at(phase_begin, ph); k < at(phase_begin, ph + 1);
+         ++k) {
+      const trace::EventId e = at(settled, k);
+      const trace::ChareId c = at(rows.chare, e);
+      at(out.pos_in_chare, e) = at(cursor, c);
+      at(at(out.chare_sequence, c), at(cursor, c)++) = e;
+    }
   }
 
   out.phases = std::move(phases);
@@ -390,6 +414,7 @@ void stepping_pass(OrderContext& ctx) {
 
 void run_stepping_pipeline(OrderContext& ctx,
                            std::vector<PassRecord>* records) {
+  ctx.release_pg();
   PassManager pm(ctx.options().partition.check_passes);
   pm.add({.name = "reorder",
           .run = reorder_pass,

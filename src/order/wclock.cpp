@@ -1,89 +1,110 @@
 #include "order/wclock.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
-#include "util/check.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::order {
 
-std::vector<std::int32_t> collective_of_events(const trace::Trace& trace) {
-  std::vector<std::int32_t> coll_of(
-      static_cast<std::size_t>(trace.num_events()), -1);
-  for (std::size_t c = 0; c < trace.collectives().size(); ++c) {
-    for (trace::EventId e : trace.collectives()[c].sends)
-      coll_of[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(c);
-    for (trace::EventId e : trace.collectives()[c].recvs)
-      coll_of[static_cast<std::size_t>(e)] = static_cast<std::int32_t>(c);
+EventRows event_rows(const trace::Trace& trace) {
+  const auto n = static_cast<std::size_t>(trace.num_events());
+  EventRows rows;
+  rows.chare.resize(n);
+  rows.kind.resize(n);
+  rows.partner.resize(n);
+  rows.block.resize(n);
+  rows.collective.assign(n, -1);
+  trace.events().for_each_chunk(
+      [&rows](const trace::Event* ev, std::size_t m, std::size_t base) {
+        for (std::size_t i = 0; i < m; ++i) {
+          rows.chare[base + i] = ev[i].chare;
+          rows.kind[base + i] = ev[i].kind;
+          rows.partner[base + i] = ev[i].partner;
+          rows.block[base + i] = ev[i].block;
+        }
+      });
+  const auto colls = trace.collectives();
+  for (std::size_t c = 0; c < colls.size(); ++c) {
+    const auto index = static_cast<std::int32_t>(c);
+    for (trace::EventId e : colls[c].sends)
+      rows.collective[static_cast<std::size_t>(e)] = index;
+    for (trace::EventId e : colls[c].recvs)
+      rows.collective[static_cast<std::size_t>(e)] = index;
   }
-  return coll_of;
+  return rows;
 }
 
 std::vector<std::int64_t> compute_w(const trace::Trace& trace,
+                                    const EventRows& rows,
                                     const PhaseResult& phases,
                                     const BlockUnits& units,
-                                    const std::vector<std::int32_t>& coll_of,
                                     const StepOptions& opts,
                                     int threads) {
   std::vector<std::int64_t> w(static_cast<std::size_t>(trace.num_events()),
                               0);
+  const bool mpi = opts.mpi_mode;
+  auto at = [](auto& v, std::int32_t i) -> auto& {
+    return v[static_cast<std::size_t>(i)];
+  };
+
+  // Replay state of one phase: the clock of each unit (Charm++ mode: its
+  // last w) or of each chare (MPI mode: its largest receive w), and the
+  // largest send w of each collective. The stamps scope every entry to
+  // the phase that set it.
+  struct Tables {
+    util::StampedTable<std::int64_t> clock;
+    util::StampedTable<std::int64_t> coll_send_max;
+  };
+  util::ScratchPool<Tables> pool;
+  const auto clock_keys = static_cast<std::size_t>(
+      mpi ? trace.num_chares() : units.num_blocks());
 
   // Each iteration writes w only at this phase's events and reads w only
   // at same-phase senders, so the fan-out is race-free and deterministic.
   util::parallel_for(threads, phases.num_phases(), [&](std::int64_t p) {
-    const auto ph = static_cast<std::int32_t>(p);
-    // Per-unit last w (Charm++ mode), per-chare max receive w (MPI mode),
-    // per-collective max send w — all scoped to this phase.
-    std::unordered_map<trace::BlockId, std::int64_t> unit_last;
-    std::unordered_map<trace::ChareId, std::int64_t> chare_recv_max;
-    std::unordered_map<std::int32_t, std::int64_t> coll_send_max;
+    pool.with([&](Tables& t) {
+      t.clock.resize(clock_keys);
+      t.coll_send_max.resize(trace.collectives().size());
+      const auto ph = static_cast<std::int32_t>(p);
+      auto raise = [ph](util::StampedTable<std::int64_t>& table,
+                        std::int32_t key, std::int64_t value) {
+        std::int64_t* cur = table.find(ph, key);
+        if (cur)
+          *cur = std::max(*cur, value);
+        else
+          table.set(ph, key) = value;
+      };
 
-    for (trace::EventId e : phases.events[static_cast<std::size_t>(ph)]) {
-      const trace::Event& ev = trace.event(e);
-      const trace::BlockId unit =
-          units.unit_of_event[static_cast<std::size_t>(e)];
-      std::int64_t value = 0;
+      for (trace::EventId e : at(phases.events, ph)) {
+        const std::int32_t key =
+            mpi ? at(rows.chare, e) : at(units.unit_of_event, e);
+        const std::int64_t* clock = t.clock.find(ph, key);
+        const std::int32_t coll = at(rows.collective, e);
+        std::int64_t value = 0;
 
-      if (ev.kind == trace::EventKind::Send) {
-        if (opts.mpi_mode) {
-          auto it = chare_recv_max.find(ev.chare);
-          value = it == chare_recv_max.end() ? 0 : it->second + 1;
-        } else {
-          auto it = unit_last.find(unit);
-          value = it == unit_last.end() ? 0 : it->second + 1;
+        if (at(rows.kind, e) == trace::EventKind::Send) {
+          value = clock ? *clock + 1 : 0;
+          if (coll >= 0) raise(t.coll_send_max, coll, value);
+        } else {  // Recv
+          std::int64_t base = -1;
+          const trace::EventId partner = at(rows.partner, e);
+          if (partner != trace::kNone &&
+              at(phases.phase_of_event, partner) == ph)
+            base = at(w, partner);
+          if (coll >= 0) {
+            if (const std::int64_t* best = t.coll_send_max.find(ph, coll))
+              base = std::max(base, *best);
+          }
+          value = base + 1;  // base == -1 (untraced / cross-phase) -> 0
+          if (!mpi && clock) value = std::max(value, *clock + 1);
+          if (mpi) raise(t.clock, key, value);
         }
-        const std::int32_t coll = coll_of[static_cast<std::size_t>(e)];
-        if (coll >= 0) {
-          auto& best = coll_send_max[coll];
-          best = std::max(best, value);
-        }
-      } else {  // Recv
-        std::int64_t base = -1;
-        if (ev.partner != trace::kNone &&
-            phases.phase_of_event[static_cast<std::size_t>(ev.partner)] ==
-                ph) {
-          base = w[static_cast<std::size_t>(ev.partner)];
-        }
-        const std::int32_t coll = coll_of[static_cast<std::size_t>(e)];
-        if (coll >= 0) {
-          auto it = coll_send_max.find(coll);
-          if (it != coll_send_max.end()) base = std::max(base, it->second);
-        }
-        value = base + 1;  // base == -1 (untraced / cross-phase) -> 0
-        if (!opts.mpi_mode) {
-          auto it = unit_last.find(unit);
-          if (it != unit_last.end()) value = std::max(value, it->second + 1);
-        }
-        if (opts.mpi_mode) {
-          auto& best = chare_recv_max[ev.chare];
-          auto it = chare_recv_max.find(ev.chare);
-          best = it == chare_recv_max.end() ? value : std::max(best, value);
-        }
+
+        at(w, e) = value;
+        if (!mpi) t.clock.set(ph, key) = value;
       }
-
-      w[static_cast<std::size_t>(e)] = value;
-      if (!opts.mpi_mode) unit_last[unit] = value;
-    }
+    });
   });
   return w;
 }

@@ -25,10 +25,20 @@
 
 namespace logstruct::order {
 
-/// Event -> index of the collective it is a member of (as a send or a
-/// receive), -1 for none. The one collective lookup of the w clock and
-/// of step assignment.
-std::vector<std::int32_t> collective_of_events(const trace::Trace& trace);
+/// The event fields step assignment reads, one flat row per field, from
+/// one scan of the event column (plus the collective membership lists):
+/// the w clock and stepping read these rows instead of Trace::event(),
+/// which pays a block-cache lookup per call on the blocked backend.
+struct EventRows {
+  std::vector<trace::ChareId> chare;
+  std::vector<trace::EventKind> kind;
+  std::vector<trace::EventId> partner;
+  std::vector<trace::BlockId> block;
+  /// Index of the collective the event is a member of (as a send or a
+  /// receive), -1 for none.
+  std::vector<std::int32_t> collective;
+};
+EventRows event_rows(const trace::Trace& trace);
 
 /// w per event. Events outside any phase never occur (every event is
 /// partitioned); processing is per phase in physical-time order, which is
@@ -40,9 +50,9 @@ std::vector<std::int32_t> collective_of_events(const trace::Trace& trace);
 /// loop fans out over `threads` workers with bit-identical results;
 /// threads <= 1 runs serially, 0 follows util::default_parallelism().
 std::vector<std::int64_t> compute_w(const trace::Trace& trace,
+                                    const EventRows& rows,
                                     const PhaseResult& phases,
                                     const BlockUnits& units,
-                                    const std::vector<std::int32_t>& coll_of,
                                     const StepOptions& opts,
                                     int threads = 1);
 

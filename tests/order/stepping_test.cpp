@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_fixtures.hpp"
 #include "order_fixtures.hpp"
 #include "random_trace.hpp"
 #include "trace/builder.hpp"
+#include "trace/storage/options.hpp"
 
 namespace logstruct::order {
 namespace {
@@ -27,6 +29,78 @@ TEST(Stepping, SkewCycleTerminatesValid) {
   EXPECT_GT(ls.order_conflicts, 0);
   std::vector<std::string> problems = validate_structure(t, ls);
   EXPECT_TRUE(problems.empty()) << problems.front();
+}
+
+/// The conflict path, pinned bit for bit. The goldens never stall Kahn,
+/// so these skewed fuzz traces (±2000 ns; each stalls under at least one
+/// preset) carry their recorded structure hash and conflict count under
+/// all five presets, the mpi ones taking the w clock's MPI branch: at
+/// threads 1 and 4, on the mem backend and on the blocked one with a
+/// 4 MiB cache.
+TEST(Stepping, ConflictPathPinnedAcrossPresetsAndBackends) {
+  struct Expected {
+    std::int32_t conflicts;
+    std::uint64_t hash;
+  };
+  struct Case {
+    std::uint64_t seed;
+    Expected preset[5];
+  };
+  // Presets: charm, charm_no_inference, charm_no_reorder, mpi,
+  // mpi_baseline13.
+  static constexpr Case kCases[] = {
+      {1,
+       {{6, 0x871ae2e5214e6a7aull},
+        {5, 0xc1fa5677bd15fa7dull},
+        {0, 0xa6a3b004adfa4267ull},
+        {6, 0x6f8e6e7581446dddull},
+        {0, 0x4f74983f161e2b62ull}}},
+      {3,
+       {{0, 0x68e424338fb9a466ull},
+        {0, 0x364c61fb12407dfaull},
+        {0, 0x08824485da01f359ull},
+        {4, 0x98788cc673451770ull},
+        {0, 0xca296b86afe95d08ull}}},
+      {7,
+       {{1, 0x77951aad71583b4dull},
+        {1, 0x91d821b9905d0472ull},
+        {0, 0x4d1c3f717cbcde59ull},
+        {2, 0xfcc267985da022bbull},
+        {0, 0x7d5acfe31748096bull}}},
+      {20,
+       {{1, 0xba554af8315c68f8ull},
+        {1, 0xc150779762d95f39ull},
+        {0, 0xc168b2394ffe17e3ull},
+        {1, 0xd4fd03b5c989b7baull},
+        {0, 0x0f9bdfd9f806b94aull}}},
+  };
+  Options (*const presets[5])() = {
+      Options::charm, Options::charm_no_inference, Options::charm_no_reorder,
+      Options::mpi, Options::mpi_baseline13};
+  using trace::storage::BackendKind;
+  for (const BackendKind kind : {BackendKind::Mem, BackendKind::Blocked}) {
+    trace::storage::StorageOptions storage;
+    storage.kind = kind;
+    storage.cache_bytes = 4 << 20;
+    trace::storage::ScopedStorageOptions scope(storage);
+    for (const Case& c : kCases) {
+      const trace::Trace t =
+          testing::skewed(testing::random_trace(c.seed), 2000, c.seed);
+      ASSERT_EQ(t.storage_backend(), kind);
+      for (int p = 0; p < 5; ++p) {
+        for (const int threads : {1, 4}) {
+          Options opts = presets[p]();
+          opts.threads = threads;
+          const LogicalStructure ls = extract_structure(t, opts);
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << c.seed << " preset " << p << " threads "
+                       << threads << " blocked " << (kind != BackendKind::Mem));
+          EXPECT_EQ(ls.order_conflicts, c.preset[p].conflicts);
+          EXPECT_EQ(golden::structure_hash(t, ls), c.preset[p].hash);
+        }
+      }
+    }
+  }
 }
 
 TEST(Stepping, SimpleChainSteps) {

@@ -26,6 +26,8 @@
 #include "metrics/lateness.hpp"
 #include "metrics/subblock.hpp"
 #include "metrics/windows.hpp"
+#include "order/context.hpp"
+#include "order/phases.hpp"
 #include "order/validate.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
@@ -254,6 +256,47 @@ TEST(StorageGolden, MetricsMatchAcrossBackends) {
         << "efficiency_suite";
 
     EXPECT_EQ(metric_hashes(t, ls), mem_hashes);
+  }
+}
+
+/// The §3.2 passes read the trace only through the context's event rows
+/// and serial-block units, so at 4 KiB blocks and two blocks per cache
+/// shard each of "reorder" and "stepping" goes to the cache at most once
+/// per Events column block per scan it makes, plus a slack of 4. The
+/// first of them to run builds the rows (one scan) and, under SDAG
+/// inference, the absorbed units the partition passes never asked for
+/// (one more); the other reads flat arrays only.
+TEST(StorageGolden, StepPassLookupsBoundedByColumnScans) {
+  ScopedDefaultParallelism serial(1);
+  for (const Golden& g : kGoldens) {
+    SCOPED_TRACE(g.name);
+    StorageOptions opts;
+    opts.kind = BackendKind::Blocked;
+    opts.block_bytes = 4096;
+    opts.cache_bytes = 2 * 16 * 4096;
+    ScopedStorageOptions sscope(opts);
+    const trace::Trace t = g.make();
+    ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
+    const Options eopts = g.opts();
+    OrderContext ctx(t, eopts);
+    run_partition_pipeline(ctx, nullptr, nullptr);
+    std::vector<PassRecord> records;
+    run_stepping_pipeline(ctx, &records);
+
+    const auto scans =
+        static_cast<std::int64_t>(eopts.partition.sdag_inference ? 2 : 1);
+    const auto events_col = static_cast<std::int64_t>(
+        blocks_4k(t.num_events(), sizeof(trace::Event)));
+    int checked = 0;
+    for (const PassRecord& r : records) {
+      if (r.name != "reorder" && r.name != "stepping") continue;
+      ++checked;
+      const bool first = (r.name == "reorder") == eopts.step.reorder;
+      EXPECT_LE(r.cache_lookups, (first ? scans : 0) * events_col + 4)
+          << r.name << ": Events column blocks " << events_col;
+    }
+    EXPECT_EQ(checked, 2);
+    EXPECT_EQ(structure_hash(t, ctx.structure), g.expected);
   }
 }
 

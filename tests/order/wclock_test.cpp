@@ -16,8 +16,8 @@ std::vector<std::int64_t> w_of(const trace::Trace& t, bool mpi_mode) {
   OrderContext ctx(t, Options{});
   StepOptions sopts;
   sopts.mpi_mode = mpi_mode;
-  return compute_w(t, phases, ctx.units(popts.sdag_inference),
-                   collective_of_events(t), sopts);
+  return compute_w(t, ctx.event_rows(), phases,
+                   ctx.units(popts.sdag_inference), sopts);
 }
 
 TEST(WClock, SendsCountUpAlongSerialBlock) {
