@@ -9,7 +9,7 @@
 ///  - Registry: process-wide counters / gauges / histograms, lock-free on
 ///    the hot path (one atomic add per update).
 ///  - PipelineTracer: begin/end spans for pipeline stages, exportable as
-///    JSON or — dogfooding — as a trace::Trace (trace/selftrace.hpp).
+///    JSON or as a Chrome trace (obs/export_chrome.hpp).
 ///  - Logger: leveled, rate-limited structured logging (obs/log.hpp).
 ///
 /// All instrumentation call sites go through the OBS_* macros below so a

@@ -6,8 +6,8 @@
 /// A span is one timed stage execution (builder ingest, order/initial,
 /// order/stepping, each metric, ...) with optional integer attributes
 /// (event / partition / merge counts). Spans nest through a per-thread
-/// stack, so the recording doubles as a call tree; trace/selftrace.hpp
-/// converts it into a trace::Trace the library's own viewers can render.
+/// stack, so the recording doubles as a call tree; obs/export_chrome.hpp
+/// renders it as a Chrome trace (`--obs-chrome`).
 ///
 /// Recording takes one mutex acquisition per begin/end — spans are coarse
 /// (stage granularity, not per event), so this is off any hot path. The

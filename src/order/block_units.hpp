@@ -37,12 +37,15 @@ struct BlockUnits {
   }
 };
 
-/// The units of `rep` (block -> representative block): one scan of the
-/// event column maps every event to rep[its block], and one counting
-/// scatter of `by_time` (Trace::events_by_time()) fills the rows, so
-/// each comes out in Trace::before order without a comparison.
+/// The units of `rep` (block -> representative block): every event maps
+/// to rep[its block], and one counting scatter of `by_time`
+/// (Trace::events_by_time()) fills the rows, so each comes out in
+/// Trace::before order without a comparison. `block_of_event` gives each
+/// event's block; when it is empty, one scan of the event column reads
+/// them.
 BlockUnits compute_block_units(const trace::Trace& trace,
                                std::vector<trace::BlockId> rep,
+                               std::span<const trace::BlockId> block_of_event,
                                std::span<const trace::EventId> by_time);
 
 }  // namespace logstruct::order

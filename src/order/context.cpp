@@ -63,14 +63,20 @@ const trace::SdagRelations& OrderContext::sdag() {
 const BlockUnits& OrderContext::units(bool sdag_absorption) {
   auto& slot = sdag_absorption ? units_absorbed_ : units_raw_;
   if (slot) return *slot;
-  std::vector<trace::BlockId> rep;
   if (sdag_absorption) {
-    rep = sdag().rep;
-  } else {
-    rep.resize(static_cast<std::size_t>(trace_->num_blocks()));
-    std::iota(rep.begin(), rep.end(), 0);
+    // Each event's block comes from an array the context already holds,
+    // never from a second scan of the event column: the raw flavor's
+    // unit_of_event when "initial" built it, else the event rows (a
+    // context that only runs the stepping passes).
+    const std::vector<trace::BlockId>& block =
+        units_raw_ ? units_raw_->unit_of_event : event_rows().block;
+    slot = compute_block_units(*trace_, sdag().rep, block, by_time());
+    return *slot;
   }
-  slot = compute_block_units(*trace_, std::move(rep), by_time());
+  std::vector<trace::BlockId> rep(
+      static_cast<std::size_t>(trace_->num_blocks()));
+  std::iota(rep.begin(), rep.end(), 0);
+  slot = compute_block_units(*trace_, std::move(rep), {}, by_time());
   return *slot;
 }
 

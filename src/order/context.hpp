@@ -80,8 +80,11 @@ class OrderContext {
   /// SDAG serial numbers, absorption and serial adjacency (§2.1).
   [[nodiscard]] const trace::SdagRelations& sdag();
 
-  /// Serial-block units, one per absorption flavor: the absorbed flavor
-  /// groups blocks by sdag().rep, the raw one keeps every block apart.
+  /// Serial-block units, one per absorption flavor: the raw one keeps
+  /// every block apart and reads the blocks with one scan of the event
+  /// column; the absorbed flavor groups blocks by sdag().rep and maps
+  /// each event's block from the raw flavor, or from event_rows() when
+  /// the raw flavor was never built.
   [[nodiscard]] const BlockUnits& units(bool sdag_absorption);
 
   /// Per-event chare, kind, partner, block and collective rows from one

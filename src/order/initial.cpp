@@ -11,22 +11,28 @@ namespace logstruct::order {
 
 BlockUnits compute_block_units(const trace::Trace& trace,
                                std::vector<trace::BlockId> rep,
+                               std::span<const trace::BlockId> block_of_event,
                                std::span<const trace::EventId> by_time) {
   BlockUnits u;
   u.rep = std::move(rep);
   u.begin.assign(u.rep.size() + 1, 0);
   u.unit_of_event.assign(static_cast<std::size_t>(trace.num_events()),
                          trace::kNone);
-  trace.events().for_each_chunk(
-      [&u](const trace::Event* ev, std::size_t n, std::size_t base) {
-        for (std::size_t i = 0; i < n; ++i) {
-          if (ev[i].block == trace::kNone) continue;
-          const trace::BlockId r =
-              u.rep[static_cast<std::size_t>(ev[i].block)];
-          u.unit_of_event[base + i] = r;
-          ++u.begin[static_cast<std::size_t>(r) + 1];
-        }
-      });
+  auto add = [&u](std::size_t e, trace::BlockId block) {
+    if (block == trace::kNone) return;
+    const trace::BlockId r = u.rep[static_cast<std::size_t>(block)];
+    u.unit_of_event[e] = r;
+    ++u.begin[static_cast<std::size_t>(r) + 1];
+  };
+  if (block_of_event.empty()) {
+    trace.events().for_each_chunk(
+        [&add](const trace::Event* ev, std::size_t n, std::size_t base) {
+          for (std::size_t i = 0; i < n; ++i) add(base + i, ev[i].block);
+        });
+  } else {
+    for (std::size_t e = 0; e < block_of_event.size(); ++e)
+      add(e, block_of_event[e]);
+  }
   std::partial_sum(u.begin.begin(), u.begin.end(), u.begin.begin());
   std::vector<std::int32_t> at(u.begin.begin(), u.begin.end() - 1);
   u.flat.resize(static_cast<std::size_t>(u.begin.back()));

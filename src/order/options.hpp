@@ -18,9 +18,6 @@ struct PartitionOptions {
   /// add serial-n -> serial-(n+1) happened-before edges.
   bool sdag_inference = true;
 
-  /// §3.1.3 (Algorithm 2): restore merges broken by the app/runtime split.
-  bool repair_serial_blocks = true;
-
   /// §3.1.3, second rule: merge partitions of neighboring serials entered
   /// by the same multi-chare group.
   bool neighbor_serial_merge = true;

@@ -124,7 +124,6 @@ void register_partition_passes(PassManager& pm,
           .checks = kCheckDag | kCheckCoverage});
   pm.add({.name = "repair",  // §3.1.3, Algorithm 2
           .run = [](OrderContext& ctx) { repair_merge(ctx); },
-          .enabled = opts.repair_serial_blocks,
           .checks = kCheckDag | kCheckCoverage});
   pm.add({.name = "neighbor_serial",  // §3.1.3, second rule
           .run = [](OrderContext& ctx) { neighbor_serial_merge(ctx); },

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstddef>
 #include <cstring>
 #include <sstream>
 
@@ -54,14 +55,12 @@ Body body_of(const std::vector<std::string>& lines) {
 /// data blocks end and the tail (tables + directory + metadata) begins.
 struct LsblkShape {
   bool valid = false;
-  std::uint32_t version = 0;
   std::uint64_t directory_offset = 0;
   std::uint64_t data_end = 0;  ///< first byte past the last data block
 };
 
 LsblkShape lsblk_shape(const std::string& bytes) {
   using storage::ColumnDesc;
-  using storage::ColumnDescV2;
   using storage::FileHeader;
   LsblkShape shape;
   if (bytes.size() < sizeof(FileHeader)) return shape;
@@ -70,23 +69,21 @@ LsblkShape lsblk_shape(const std::string& bytes) {
   if (header.magic != storage::kMagic || header.directory_offset == 0 ||
       header.directory_offset > bytes.size())
     return shape;
-  const std::size_t desc_bytes = header.version >= 2
-                                     ? sizeof(ColumnDescV2)
-                                     : sizeof(ColumnDesc);
-  if (header.directory_offset + header.num_columns * desc_bytes >
+  if (header.directory_offset + header.num_columns * sizeof(ColumnDesc) >
       bytes.size())
     return shape;
   // The data region ends at the lowest table offset any column records.
   std::uint64_t data_end = header.directory_offset;
   for (std::uint32_t i = 0; i < header.num_columns; ++i) {
-    std::uint64_t offsets_offset = 0;  // field at +16 in both desc layouts
+    std::uint64_t offsets_offset = 0;
     std::memcpy(&offsets_offset,
-                bytes.data() + header.directory_offset + i * desc_bytes + 16,
+                bytes.data() + header.directory_offset +
+                    i * sizeof(ColumnDesc) +
+                    offsetof(ColumnDesc, offsets_offset),
                 sizeof(offsets_offset));
     if (offsets_offset >= sizeof(FileHeader) && offsets_offset < data_end)
       data_end = offsets_offset;
   }
-  shape.version = header.version;
   shape.directory_offset = header.directory_offset;
   shape.data_end = data_end;
   shape.valid = data_end > sizeof(FileHeader);
@@ -347,8 +344,7 @@ std::string TraceCorruptor::lsblk_truncate_dir(const std::string& bytes,
 std::string TraceCorruptor::lsblk_zero_footer(std::string bytes,
                                               CorruptionSummary& s) {
   const LsblkShape shape = lsblk_shape(bytes);
-  if (!shape.valid || shape.version < 2 ||
-      bytes.size() < sizeof(storage::CommitFooter))
+  if (!shape.valid || bytes.size() < sizeof(storage::CommitFooter))
     return bytes;
   std::memset(bytes.data() + bytes.size() - sizeof(storage::CommitFooter),
               0, sizeof(storage::CommitFooter));

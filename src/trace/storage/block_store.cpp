@@ -36,23 +36,15 @@ std::string block_msg(const std::string& path, ColumnId col,
 // ---------------------------------------------------------------- writer
 
 BlockStoreWriter::BlockStoreWriter(const std::string& path,
-                                   std::uint32_t block_bytes,
-                                   std::uint32_t version)
-    : io_(&IoEngine::current()),
-      path_(path),
-      block_bytes_(block_bytes),
-      version_(version) {
+                                   std::uint32_t block_bytes)
+    : io_(&IoEngine::current()), path_(path), block_bytes_(block_bytes) {
   if (block_bytes_ < 4096) block_bytes_ = 4096;
-  if (version_ != kFormatVersionV1 && version_ != kFormatVersion)
-    throw StorageError(DiagCode::IoError,
-                       open_msg("create", path, "unsupported writer version"));
   fd_ = io_->open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR | O_CLOEXEC,
                   0644);
   if (fd_ < 0)
     throw StorageError(DiagCode::IoError,
                        open_msg("create", path, std::strerror(errno)));
   FileHeader header;
-  header.version = version_;
   header.block_bytes = block_bytes_;
   write_raw(&header, sizeof(header));
 }
@@ -106,9 +98,7 @@ void BlockStoreWriter::append(ColumnId col, const void* data,
 void BlockStoreWriter::flush_block(ColState& col) {
   if (col.buffer.empty()) return;
   col.block_offsets.push_back(file_pos_);
-  if (version_ >= 2)
-    col.block_crcs.push_back(
-        util::crc32c(col.buffer.data(), col.buffer.size()));
+  col.block_crcs.push_back(util::crc32c(col.buffer.data(), col.buffer.size()));
   write_raw(col.buffer.data(), col.buffer.size());
   col.buffer.clear();
 }
@@ -137,37 +127,25 @@ void BlockStoreWriter::finish(const std::string& metadata) {
     write_tail(c.block_offsets.data(),
                c.block_offsets.size() * sizeof(std::uint64_t));
   }
-  if (version_ >= 2) {
-    for (std::uint32_t i = 0; i < kNumColumns; ++i) {
-      ColState& c = cols_[i];
-      if (c.block_crcs.empty()) continue;
-      crcs_offsets[i] = file_pos_;
-      write_tail(c.block_crcs.data(),
-                 c.block_crcs.size() * sizeof(std::uint32_t));
-    }
+  for (std::uint32_t i = 0; i < kNumColumns; ++i) {
+    ColState& c = cols_[i];
+    if (c.block_crcs.empty()) continue;
+    crcs_offsets[i] = file_pos_;
+    write_tail(c.block_crcs.data(),
+               c.block_crcs.size() * sizeof(std::uint32_t));
   }
 
   FileHeader header;
-  header.version = version_;
   header.block_bytes = block_bytes_;
   header.directory_offset = file_pos_;
   for (std::uint32_t i = 0; i < kNumColumns; ++i) {
-    if (version_ >= 2) {
-      ColumnDescV2 desc;
-      desc.id = i;
-      desc.elem_bytes = cols_[i].elem_bytes;
-      desc.byte_size = cols_[i].byte_size;
-      desc.offsets_offset = offsets_offsets[i];
-      desc.crcs_offset = crcs_offsets[i];
-      write_tail(&desc, sizeof(desc));
-    } else {
-      ColumnDesc desc;
-      desc.id = i;
-      desc.elem_bytes = cols_[i].elem_bytes;
-      desc.byte_size = cols_[i].byte_size;
-      desc.offsets_offset = offsets_offsets[i];
-      write_tail(&desc, sizeof(desc));
-    }
+    ColumnDesc desc;
+    desc.id = i;
+    desc.elem_bytes = cols_[i].elem_bytes;
+    desc.byte_size = cols_[i].byte_size;
+    desc.offsets_offset = offsets_offsets[i];
+    desc.crcs_offset = crcs_offsets[i];
+    write_tail(&desc, sizeof(desc));
   }
 
   header.meta_offset = file_pos_;
@@ -182,18 +160,14 @@ void BlockStoreWriter::finish(const std::string& metadata) {
   pwrite_all(*io_, fd_, &header, sizeof(header), 0, hdr_ctx);
   fsync_all(*io_, fd_, sync_ctx);
 
-  if (version_ >= 2) {
-    CommitFooter footer;
-    footer.version = version_;
-    footer.header_crc = util::crc32c(&header, sizeof(header));
-    footer.tail_offset = tail_offset;
-    footer.file_bytes = file_pos_ + sizeof(CommitFooter);
-    footer.tail_crc = tail_crc_;
-    footer.footer_crc =
-        util::crc32c(&footer, offsetof(CommitFooter, footer_crc));
-    write_raw(&footer, sizeof(footer));
-    fsync_all(*io_, fd_, sync_ctx);
-  }
+  CommitFooter footer;
+  footer.header_crc = util::crc32c(&header, sizeof(header));
+  footer.tail_offset = tail_offset;
+  footer.file_bytes = file_pos_ + sizeof(CommitFooter);
+  footer.tail_crc = tail_crc_;
+  footer.footer_crc = util::crc32c(&footer, offsetof(CommitFooter, footer_crc));
+  write_raw(&footer, sizeof(footer));
+  fsync_all(*io_, fd_, sync_ctx);
 
   // (3) The directory entry itself, for freshly created files.
   fsync_parent_dir(*io_, path_);
@@ -245,13 +219,12 @@ void BlockStore::open_impl(const OpenOptions& options) {
   if (header.magic != kMagic)
     throw StorageError(DiagCode::BadHeader,
                        open_msg("open", path_, "bad magic"));
-  if (header.version != kFormatVersionV1 && header.version != kFormatVersion)
+  if (header.version != kFormatVersion)
     throw StorageError(DiagCode::BadHeader,
                        open_msg("open", path_, "unsupported version"));
   if (header.num_columns != kNumColumns || header.block_bytes == 0)
     throw StorageError(DiagCode::BadHeader,
                        open_msg("open", path_, "corrupt header"));
-  version_ = header.version;
   block_bytes_ = header.block_bytes;
   if (header.directory_offset == 0 ||
       header.directory_offset > static_cast<std::uint64_t>(fsize))
@@ -260,85 +233,81 @@ void BlockStore::open_impl(const OpenOptions& options) {
         open_msg("open", path_,
                  "never finalized (torn mid-freeze?): no directory"));
 
-  // --- v2 commit footer -------------------------------------------------
+  // --- commit footer --------------------------------------------------
   std::uint64_t tail_offset = header.directory_offset;
-  if (version_ >= 2) {
-    const auto verify_footer = [&]() -> std::string {
-      if (fsize < static_cast<std::int64_t>(sizeof(FileHeader) +
-                                            sizeof(CommitFooter)))
-        return "file too short for a footer";
-      CommitFooter footer;
-      IoContext ctx;
-      ctx.op = "read footer";
-      ctx.path = &path_;
-      try {
-        pread_all(*io_, fd_, &footer, sizeof(footer),
-                  static_cast<std::uint64_t>(fsize) - sizeof(CommitFooter),
-                  ctx);
-      } catch (const std::exception& e) {
-        return e.what();
-      }
-      if (footer.magic != kFooterMagic) return "footer magic missing";
-      if (util::crc32c(&footer, offsetof(CommitFooter, footer_crc)) !=
-          footer.footer_crc)
-        return "footer checksum mismatch";
-      if (footer.version != version_) return "footer version mismatch";
-      if (footer.file_bytes != static_cast<std::uint64_t>(fsize))
-        return "footer disagrees with file size";
-      if (footer.header_crc != util::crc32c(&header, sizeof(header)))
-        return "header checksum mismatch";
-      if (footer.tail_offset >
-          static_cast<std::uint64_t>(fsize) - sizeof(CommitFooter))
-        return "footer tail offset out of range";
-      std::uint64_t tail_bytes = static_cast<std::uint64_t>(fsize) -
-                                 sizeof(CommitFooter) - footer.tail_offset;
-      // Stream the tail CRC in bounded chunks: the tail carries the
-      // metadata blob, which can be tens of MB on large traces, and the
-      // open must not spike RSS by its full size.
-      std::vector<char> chunk(
-          static_cast<std::size_t>(std::min<std::uint64_t>(
-              tail_bytes > 0 ? tail_bytes : 1, 1u << 20)));
-      ctx.op = "read tail";
-      std::uint32_t tail_crc = 0;
-      std::uint64_t at = footer.tail_offset;
-      try {
-        while (tail_bytes > 0) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(tail_bytes, chunk.size()));
-          pread_all(*io_, fd_, chunk.data(), n, at, ctx);
-          tail_crc = util::crc32c_extend(tail_crc, chunk.data(), n);
-          at += n;
-          tail_bytes -= n;
-        }
-      } catch (const std::exception& e) {
-        return e.what();
-      }
-      if (tail_crc != footer.tail_crc) return "tail checksum mismatch";
-      tail_offset = footer.tail_offset;
-      return {};
-    };
-    const std::string bad = verify_footer();
-    if (bad.empty()) {
-      footer_valid_ = true;
-    } else if (!options.recover) {
-      throw StorageError(DiagCode::ContainerTruncated,
-                         open_msg("open", path_,
-                                  "commit footer invalid (" + bad + ")"));
-    } else {
-      options.report->add(
-          DiagCode::ContainerTruncated, Severity::Error,
-          open_msg("open", path_,
-                   "commit footer invalid (" + bad +
-                       "); salvaging from the directory scan"));
-      tail_offset = header.directory_offset;
+  const auto verify_footer = [&]() -> std::string {
+    if (fsize < static_cast<std::int64_t>(sizeof(FileHeader) +
+                                          sizeof(CommitFooter)))
+      return "file too short for a footer";
+    CommitFooter footer;
+    IoContext ctx;
+    ctx.op = "read footer";
+    ctx.path = &path_;
+    try {
+      pread_all(*io_, fd_, &footer, sizeof(footer),
+                static_cast<std::uint64_t>(fsize) - sizeof(CommitFooter),
+                ctx);
+    } catch (const std::exception& e) {
+      return e.what();
     }
+    if (footer.magic != kFooterMagic) return "footer magic missing";
+    if (util::crc32c(&footer, offsetof(CommitFooter, footer_crc)) !=
+        footer.footer_crc)
+      return "footer checksum mismatch";
+    if (footer.version != kFormatVersion) return "footer version mismatch";
+    if (footer.file_bytes != static_cast<std::uint64_t>(fsize))
+      return "footer disagrees with file size";
+    if (footer.header_crc != util::crc32c(&header, sizeof(header)))
+      return "header checksum mismatch";
+    if (footer.tail_offset >
+        static_cast<std::uint64_t>(fsize) - sizeof(CommitFooter))
+      return "footer tail offset out of range";
+    std::uint64_t tail_bytes = static_cast<std::uint64_t>(fsize) -
+                               sizeof(CommitFooter) - footer.tail_offset;
+    // Stream the tail CRC in bounded chunks: the tail carries the
+    // metadata blob, which can be tens of MB on large traces, and the
+    // open must not spike RSS by its full size.
+    std::vector<char> chunk(
+        static_cast<std::size_t>(std::min<std::uint64_t>(
+            tail_bytes > 0 ? tail_bytes : 1, 1u << 20)));
+    ctx.op = "read tail";
+    std::uint32_t tail_crc = 0;
+    std::uint64_t at = footer.tail_offset;
+    try {
+      while (tail_bytes > 0) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(tail_bytes, chunk.size()));
+        pread_all(*io_, fd_, chunk.data(), n, at, ctx);
+        tail_crc = util::crc32c_extend(tail_crc, chunk.data(), n);
+        at += n;
+        tail_bytes -= n;
+      }
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    if (tail_crc != footer.tail_crc) return "tail checksum mismatch";
+    tail_offset = footer.tail_offset;
+    return {};
+  };
+  const std::string bad = verify_footer();
+  if (bad.empty()) {
+    footer_valid_ = true;
+  } else if (!options.recover) {
+    throw StorageError(DiagCode::ContainerTruncated,
+                       open_msg("open", path_,
+                                "commit footer invalid (" + bad + ")"));
+  } else {
+    options.report->add(
+        DiagCode::ContainerTruncated, Severity::Error,
+        open_msg("open", path_,
+                 "commit footer invalid (" + bad +
+                     "); salvaging from the directory scan"));
+    tail_offset = header.directory_offset;
   }
   data_limit_ = tail_offset;
 
   // --- directory, offset tables, checksum tables ------------------------
-  const std::size_t desc_bytes =
-      version_ >= 2 ? sizeof(ColumnDescV2) : sizeof(ColumnDesc);
-  if (header.directory_offset + kNumColumns * desc_bytes >
+  if (header.directory_offset + kNumColumns * sizeof(ColumnDesc) >
       static_cast<std::uint64_t>(fsize))
     throw StorageError(DiagCode::ContainerTruncated,
                        open_msg("open", path_, "directory out of range"));
@@ -354,19 +323,9 @@ void BlockStore::open_impl(const OpenOptions& options) {
   dir_ctx.op = "read directory";
   dir_ctx.path = &path_;
   for (std::uint32_t i = 0; i < kNumColumns; ++i) {
-    ColumnDescV2 desc;
-    if (version_ >= 2) {
-      pread_all(*io_, fd_, &desc, sizeof(ColumnDescV2), pos, dir_ctx);
-    } else {
-      ColumnDesc v1;
-      pread_all(*io_, fd_, &v1, sizeof(ColumnDesc), pos, dir_ctx);
-      desc.id = v1.id;
-      desc.elem_bytes = v1.elem_bytes;
-      desc.byte_size = v1.byte_size;
-      desc.offsets_offset = v1.offsets_offset;
-      desc.crcs_offset = 0;
-    }
-    pos += desc_bytes;
+    ColumnDesc desc;
+    pread_all(*io_, fd_, &desc, sizeof(desc), pos, dir_ctx);
+    pos += sizeof(desc);
     if (desc.id != i) throw corrupt_dir("column ids out of order");
     ColState& c = cols_[i];
     c.byte_size = desc.byte_size;
@@ -388,19 +347,17 @@ void BlockStore::open_impl(const OpenOptions& options) {
     tab_ctx.column = static_cast<std::int32_t>(i);
     pread_all(*io_, fd_, c.block_offsets.data(),
               blocks * sizeof(std::uint64_t), desc.offsets_offset, tab_ctx);
-    if (version_ >= 2) {
-      if (desc.crcs_offset < sizeof(FileHeader) ||
-          desc.crcs_offset + blocks * sizeof(std::uint32_t) >
-              static_cast<std::uint64_t>(fsize))
-        throw corrupt_dir("checksum table out of range");
-      c.block_crcs.resize(static_cast<std::size_t>(blocks));
-      tab_ctx.op = "read checksum table";
-      pread_all(*io_, fd_, c.block_crcs.data(),
-                blocks * sizeof(std::uint32_t), desc.crcs_offset, tab_ctx);
-      // Value-initialized (all zero): nothing is verified yet.
-      c.verified.reset(
-          new std::atomic<std::uint8_t>[static_cast<std::size_t>(blocks)]());
-    }
+    if (desc.crcs_offset < sizeof(FileHeader) ||
+        desc.crcs_offset + blocks * sizeof(std::uint32_t) >
+            static_cast<std::uint64_t>(fsize))
+      throw corrupt_dir("checksum table out of range");
+    c.block_crcs.resize(static_cast<std::size_t>(blocks));
+    tab_ctx.op = "read checksum table";
+    pread_all(*io_, fd_, c.block_crcs.data(), blocks * sizeof(std::uint32_t),
+              desc.crcs_offset, tab_ctx);
+    // Value-initialized (all zero): nothing is verified yet.
+    c.verified.reset(
+        new std::atomic<std::uint8_t>[static_cast<std::size_t>(blocks)]());
     // Pre-quarantine blocks whose recorded offsets cannot be right: in
     // strict mode that is a corrupt directory; in recover mode only the
     // affected blocks are lost, not the file.
@@ -461,20 +418,17 @@ void BlockStore::read_block_checked(ColumnId col, std::uint32_t block,
   ctx.column = static_cast<std::int32_t>(col);
   ctx.block = static_cast<std::int64_t>(block);
   pread_all(*io_, fd_, out, size, offset, ctx);
-  if (version_ < 2 || c.block_crcs.empty()) return;
   // Verify-once-per-open: the first read of each block pays the CRC;
   // later cache re-faults of a block that already verified serve the
   // same immutable committed bytes and skip it (a starved cache would
   // otherwise pay the full checksum rate on every eviction cycle).
   // Audit surfaces (verify_block / scan_blocks) always re-check.
   std::atomic<std::uint8_t>* verified = c.verified.get();
-  if (!audit && verified != nullptr &&
-      verified[block].load(std::memory_order_relaxed) != 0)
+  if (!audit && verified[block].load(std::memory_order_relaxed) != 0)
     return;
   const std::uint32_t want = c.block_crcs[block];
   if (util::crc32c(out, size) == want) {
-    if (verified != nullptr)
-      verified[block].store(1, std::memory_order_relaxed);
+    verified[block].store(1, std::memory_order_relaxed);
     return;
   }
   // One re-read: corruption picked up in flight heals; rot on the
@@ -484,8 +438,7 @@ void BlockStore::read_block_checked(ColumnId col, std::uint32_t block,
   pread_all(*io_, fd_, out, size, offset, ctx);
   const std::uint32_t got = util::crc32c(out, size);
   if (got == want) {
-    if (verified != nullptr)
-      verified[block].store(1, std::memory_order_relaxed);
+    verified[block].store(1, std::memory_order_relaxed);
     return;
   }
   OBS_COUNTER_INC("trace/storage/io/gave_up");
@@ -519,7 +472,7 @@ BlockStatus BlockStore::verify_block(ColumnId col,
                ? BlockStatus::ChecksumMismatch
                : BlockStatus::Unreadable;
   }
-  return checksums_present() ? BlockStatus::Ok : BlockStatus::ChecksumAbsent;
+  return BlockStatus::Ok;
 }
 
 std::int64_t BlockStore::scan_blocks(RecoveryReport* report) {

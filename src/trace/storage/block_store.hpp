@@ -13,7 +13,7 @@
 /// valid footer proves a complete commit across power loss.
 ///
 /// BlockStore mmap-free reads: read_block() pread()s one block into a
-/// caller buffer and verifies its checksum (v2) before returning, so
+/// caller buffer and verifies its checksum before returning, so
 /// corrupt bytes can never reach the block cache or a pinned span.
 /// Opening is cheap — header, footer, directory, offset + CRC tables,
 /// and the metadata blob only. All I/O goes through the process
@@ -45,11 +45,8 @@ namespace logstruct::trace::storage {
 class BlockStoreWriter {
  public:
   /// Opens `path` for writing (truncates). Throws StorageError on I/O
-  /// failure, here and in append/finish. `version` selects the on-disk
-  /// format; v1 (no checksums, no footer) exists for compatibility
-  /// tests only.
-  BlockStoreWriter(const std::string& path, std::uint32_t block_bytes,
-                   std::uint32_t version = kFormatVersion);
+  /// failure, here and in append/finish.
+  BlockStoreWriter(const std::string& path, std::uint32_t block_bytes);
   ~BlockStoreWriter();
 
   BlockStoreWriter(const BlockStoreWriter&) = delete;
@@ -90,7 +87,6 @@ class BlockStoreWriter {
   std::string path_;
   int fd_ = -1;
   std::uint32_t block_bytes_ = 0;
-  std::uint32_t version_ = kFormatVersion;
   std::uint64_t file_pos_ = 0;
   std::uint32_t tail_crc_ = 0;
   bool finished_ = false;
@@ -117,17 +113,17 @@ struct OpenOptions {
 
 /// Verification status of one block (fsck surface).
 enum class BlockStatus : std::uint8_t {
-  Ok = 0,              ///< readable; checksum matched (or v1: no checksum)
-  ChecksumAbsent = 1,  ///< readable; v1 container carries no checksums
-  ChecksumMismatch = 2,
-  Unreadable = 3,
+  Ok = 0,  ///< readable; checksum matched
+  ChecksumMismatch = 1,
+  Unreadable = 2,
 };
 
 class BlockStore {
  public:
   /// Opens an existing container. Strict mode throws StorageError on a
-  /// missing file, bad magic/version, torn tail, or invalid footer;
-  /// recover mode records diagnostics instead (see OpenOptions).
+  /// missing file, bad magic, a version other than kFormatVersion, a
+  /// torn tail, or an invalid footer; recover mode records diagnostics
+  /// instead (see OpenOptions).
   explicit BlockStore(const std::string& path,
                       const OpenOptions& options = {});
   ~BlockStore();
@@ -144,12 +140,7 @@ class BlockStore {
   [[nodiscard]] const std::string& metadata() const { return metadata_; }
   [[nodiscard]] const std::string& path() const { return path_; }
 
-  /// On-disk format version (1 or 2).
-  [[nodiscard]] std::uint32_t version() const { return version_; }
-  /// True when the container carries per-block CRC32C tables (v2).
-  [[nodiscard]] bool checksums_present() const { return version_ >= 2; }
-  /// True when a valid commit footer proved a complete commit (v2 only;
-  /// always false for v1 files).
+  /// True when a valid commit footer proved a complete commit.
   [[nodiscard]] bool footer_valid() const { return footer_valid_; }
   /// Recover mode: true when header + directory + metadata parsed well
   /// enough to serve reads. Strict opens are always salvageable (they
@@ -176,10 +167,10 @@ class BlockStore {
   }
 
   /// pread one whole block into `out` (must hold block_size()) and
-  /// verify its checksum (v2; a mismatch is re-read once before it
-  /// counts). Throws StorageError — BlockChecksumMismatch,
-  /// BlockUnreadable, or ContainerTruncated — instead of ever returning
-  /// corrupt bytes. Thread-safe (stateless pread).
+  /// verify its checksum (a mismatch is re-read once before it counts).
+  /// Throws StorageError — BlockChecksumMismatch, BlockUnreadable, or
+  /// ContainerTruncated — instead of ever returning corrupt bytes.
+  /// Thread-safe (stateless pread).
   void read_block(ColumnId col, std::uint32_t block, void* out) const;
 
   /// Verify one block without keeping the bytes (fsck / scan surface).
@@ -205,9 +196,9 @@ class BlockStore {
  private:
   struct ColState {
     std::vector<std::uint64_t> block_offsets;
-    std::vector<std::uint32_t> block_crcs;    ///< empty for v1
-    std::vector<std::uint8_t> quarantined;    ///< filled by scan_blocks
-    /// Verify-once-per-open memo (v2): set after a block's checksum
+    std::vector<std::uint32_t> block_crcs;
+    std::vector<std::uint8_t> quarantined;  ///< filled by scan_blocks
+    /// Verify-once-per-open memo: set after a block's checksum
     /// first verifies. The file is immutable while open, so a cache
     /// re-fault of an already-verified block serves the same committed
     /// bytes and skips the CRC — otherwise a starved cache would pay
@@ -230,7 +221,6 @@ class BlockStore {
   int fd_ = -1;
   std::string path_;
   std::uint32_t block_bytes_ = 0;
-  std::uint32_t version_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t data_limit_ = 0;  ///< every data block ends at/before this
   bool footer_valid_ = false;

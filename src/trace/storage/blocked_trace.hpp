@@ -27,8 +27,7 @@ namespace logstruct::trace::storage {
 // void spill_to_blocked(Trace& trace);
 // Trace open_blocked_trace(const std::string& path);
 // void write_blocked_file(const Trace& trace, const std::string& path,
-//                         std::uint32_t block_bytes,
-//                         std::uint32_t version);
+//                         std::uint32_t block_bytes);
 // std::string serialize_trace_metadata(const Trace& trace);
 // std::uint64_t trace_structure_hash(const Trace& trace);
 

@@ -45,8 +45,7 @@ namespace storage {
 void spill_to_blocked(Trace& trace);
 Trace open_blocked_trace(const std::string& path);
 void write_blocked_file(const Trace& trace, const std::string& path,
-                        std::uint32_t block_bytes,
-                        std::uint32_t version = kFormatVersion);
+                        std::uint32_t block_bytes);
 std::string serialize_trace_metadata(const Trace& trace);
 void deserialize_trace_metadata(const std::string& blob, Trace& trace);
 std::uint64_t trace_structure_hash(const Trace& trace);
@@ -261,8 +260,7 @@ class Trace {
   friend Trace storage::open_blocked_trace(const std::string& path);
   friend void storage::write_blocked_file(const Trace& trace,
                                           const std::string& path,
-                                          std::uint32_t block_bytes,
-                                          std::uint32_t version);
+                                          std::uint32_t block_bytes);
   friend std::string storage::serialize_trace_metadata(const Trace& trace);
   friend void storage::deserialize_trace_metadata(const std::string& blob,
                                                   Trace& trace);

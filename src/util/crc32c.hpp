@@ -3,7 +3,7 @@
 /// \file crc32c.hpp
 /// CRC32C (Castagnoli, polynomial 0x1EDC6F41) over byte ranges.
 ///
-/// The checksum the `.lsblk` v2 container uses for its blocks, directory
+/// The checksum the `.lsblk` container uses for its blocks, directory
 /// tail, and commit footer (storage/format.hpp). Dispatches once at
 /// startup to the SSE4.2 / ARMv8 CRC instructions when the host has
 /// them; otherwise a slice-by-8 table fallback — both produce the

@@ -9,9 +9,6 @@
 #include "apps/jacobi2d.hpp"
 #include "obs/obs.hpp"
 #include "order/stepping.hpp"
-#include "trace/selftrace.hpp"
-#include "trace/validate.hpp"
-#include "vis/ascii.hpp"
 
 namespace logstruct::obs {
 namespace {
@@ -127,31 +124,6 @@ TEST(PipelineSpans, EveryOrderStageEmitsOneBalancedSpan) {
   // Every span's duration also landed in the registry histogram.
   EXPECT_GE(
       Registry::global().histogram("order/find_phases").count(), 1);
-}
-
-// Dogfooding: the recorded spans convert into a valid trace::Trace the
-// pipeline and viewers accept.
-TEST(PipelineSpans, SelfTraceIsValidAndRenderable) {
-  PipelineTracer& tracer = PipelineTracer::global();
-  tracer.reset();
-
-  apps::Jacobi2DConfig cfg;
-  trace::Trace t = apps::run_jacobi2d(cfg);
-  order::LogicalStructure ls =
-      order::extract_structure(t, order::Options::charm());
-  (void)ls;
-
-  trace::Trace self = trace::self_trace();
-  EXPECT_GT(self.num_events(), 0);
-  auto problems = trace::validate(self);
-  EXPECT_TRUE(problems.empty()) << problems.front();
-
-  order::LogicalStructure self_ls =
-      order::extract_structure(self, order::Options::charm_no_reorder());
-  EXPECT_GT(self_ls.num_phases(), 0);
-  std::string art = vis::render_physical_ascii(self, self_ls);
-  EXPECT_FALSE(art.empty());
-  EXPECT_NE(art.find("find_phases"), std::string::npos);
 }
 
 #else  // LOGSTRUCT_OBS == 0

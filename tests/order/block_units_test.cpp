@@ -9,6 +9,7 @@
 #include "order/context.hpp"
 #include "trace/builder.hpp"
 #include "trace/sdag.hpp"
+#include "trace/storage/block_cache.hpp"
 #include "trace/storage/options.hpp"
 
 namespace logstruct::order {
@@ -192,6 +193,40 @@ TEST(BlockUnits, AbsorbedUnitBreaksTimeTiesById) {
     EXPECT_EQ(rows(got)[static_cast<std::size_t>(b_serial)],
               (std::vector<trace::EventId>{send, recv}));
     EXPECT_EQ(rows(got), sorted_units(t, true).events);
+  }
+}
+
+/// The absorbed flavor never scans the event column: it maps the blocks
+/// that the raw flavor ("initial") or, in a context that runs only the
+/// stepping passes, the event rows already hold, so once either exists
+/// it makes no block-cache lookup.
+TEST(BlockUnits, AbsorbedFlavorRescansNoColumn) {
+  trace::storage::StorageOptions opts;
+  opts.kind = trace::storage::BackendKind::Blocked;
+  opts.block_bytes = 4096;
+  trace::storage::ScopedStorageOptions scope(opts);
+  const golden::Golden& g = golden::kGoldens[0];
+  const trace::Trace t = g.make();
+  ASSERT_GT(static_cast<std::size_t>(t.num_events()) * sizeof(trace::Event),
+            2u * 4096u);
+  auto lookups = [] {
+    const auto s = trace::storage::BlockCache::global().stats();
+    return s.hits + s.misses;
+  };
+  for (const bool after_raw : {true, false}) {
+    SCOPED_TRACE(after_raw ? "after the raw units" : "after the event rows");
+    OrderContext ctx(t, g.opts());
+    (void)ctx.by_time();
+    (void)ctx.sdag();
+    if (after_raw)
+      (void)ctx.units(false);
+    else
+      (void)ctx.event_rows();
+    const std::uint64_t before = lookups();
+    const BlockUnits& absorbed = ctx.units(true);
+    EXPECT_EQ(lookups() - before, 0u);
+    EXPECT_EQ(absorbed.unit_of_event.size(),
+              static_cast<std::size_t>(t.num_events()));
   }
 }
 

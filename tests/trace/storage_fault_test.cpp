@@ -1,6 +1,6 @@
 /// Fault-injection tests for the crash-safe storage layer: the FaultSpec
 /// grammar, the deterministic FaultyIoEngine, the retry/backoff policy in
-/// pread_all/pwrite_all, and the end-to-end contract of the `.lsblk` v2
+/// pread_all/pwrite_all, and the end-to-end contract of the `.lsblk`
 /// container — every injected fault resolves to exactly one of
 /// {transparent retry success, quarantine with provenance, clean
 /// structured refusal}; never a crash, never silently wrong data.
@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +32,7 @@
 #include "trace/storage/io_engine.hpp"
 #include "trace/storage/options.hpp"
 #include "trace_fixtures.hpp"
+#include "util/crc32c.hpp"
 
 namespace logstruct::trace::storage {
 namespace {
@@ -264,13 +266,12 @@ struct CleanContainer {
 
 /// One mini-trace container written with the system engine (4 KiB blocks
 /// force several blocks per primary column).
-CleanContainer make_clean(const char* tag,
-                          std::uint32_t version = kFormatVersion) {
+CleanContainer make_clean(const char* tag) {
   CleanContainer c;
   c.path = temp_path(tag);
   testing::MiniTrace m = testing::make_mini_trace();
   c.hash = trace_structure_hash(m.trace);
-  write_blocked_file(m.trace, c.path, 4096, version);
+  write_blocked_file(m.trace, c.path, 4096);
   c.image = read_file(c.path);
   BlockStore store(c.path);
   c.end_of_data = data_end(store);
@@ -494,36 +495,50 @@ TEST(StorageFault, QuarantineFailsFastWithProvenance) {
   std::remove(clean.path.c_str());
 }
 
-TEST(StorageFault, V1ContainersStayReadable) {
-  testing::MiniTrace m = testing::make_mini_trace();
-  const std::uint64_t hash = trace_structure_hash(m.trace);
-  const std::string path = temp_path("v1");
-  write_blocked_file(m.trace, path, 4096, kFormatVersionV1);
+/// Version 2 is the one container version: a clean container whose
+/// header version field says 1 is refused as a bad header, by a throw on
+/// a strict open and by one Fatal diagnostic on a recovering one.
+TEST(StorageFault, OtherVersionHeadersAreRefused) {
+  const CleanContainer clean = make_clean("v1_header");
+  std::string image = clean.image;
+  const std::uint32_t v1 = 1;
+  std::memcpy(image.data() + offsetof(FileHeader, version), &v1,
+              sizeof(v1));
+  write_file(clean.path, image);
 
-  // Strict open: v1 is not an error, just checksum-less.
-  {
-    BlockStore store(path);
-    EXPECT_EQ(store.version(), kFormatVersionV1);
-    EXPECT_FALSE(store.checksums_present());
-    EXPECT_FALSE(store.footer_valid());
-    bool saw_block = false;
-    for (std::uint32_t c = 0; c < kNumColumns; ++c) {
-      const auto col = static_cast<ColumnId>(c);
-      if (store.num_blocks(col) == 0) continue;
-      saw_block = true;
-      EXPECT_EQ(store.verify_block(col, 0), BlockStatus::ChecksumAbsent);
-    }
-    EXPECT_TRUE(saw_block);
+  try {
+    BlockStore store(clean.path);
+    ADD_FAILURE() << "a version 1 header opened";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.code(), DiagCode::BadHeader);
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(trace_structure_hash(open_blocked_trace(path)), hash);
 
-  // Recovering open: an intact v1 file is served clean, no diagnostics.
   RecoveryReport report;
   Trace t =
-      open_blocked_trace(path, StorageOptions::recovering(), report);
-  EXPECT_TRUE(report.empty()) << report.to_string();
-  EXPECT_EQ(trace_structure_hash(t), hash);
-  std::remove(path.c_str());
+      open_blocked_trace(clean.path, StorageOptions::recovering(), report);
+  EXPECT_TRUE(report.fatal()) << report.to_string();
+  EXPECT_EQ(report.total(), 1) << report.to_string();
+  EXPECT_EQ(report.count(DiagCode::BadHeader), 1);
+  EXPECT_EQ(t.num_events(), 0);
+  std::remove(clean.path.c_str());
+}
+
+/// The writer's bytes are pinned: two writes of one trace are identical
+/// (record padding goes to disk zeroed, not as whatever memory held),
+/// and the container's CRC32C is the value recorded from the writer that
+/// still had a v1 branch, with its padding zeroed and the checksums that
+/// cover it recomputed, so dropping that branch changed no other byte.
+TEST(StorageFault, WriterBytesArePinned) {
+  const CleanContainer first = make_clean("pin_a");
+  const CleanContainer second = make_clean("pin_b");
+  EXPECT_EQ(first.image, second.image);
+  EXPECT_EQ(util::crc32c(first.image.data(), first.image.size()),
+            0x34fba8bcu);
+  std::remove(first.path.c_str());
+  std::remove(second.path.c_str());
 }
 
 TEST(StorageFault, WriterSurfacesOpenFailureWithPath) {
