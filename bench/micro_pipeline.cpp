@@ -354,7 +354,10 @@ void emit_pipeline_trajectory() {
   // so the mem backend's resident columns and the blocked backend's
   // bounded cache both show up in the per-workload peak_rss_kb. The
   // gate (tools/bench_gate.py) tracks that number per workload across
-  // PRs; the blocked rows must stay materially below the mem row.
+  // PRs; the blocked rows must stay materially below the mem row. Each
+  // row records the lifecycle's layers: `sim/lulesh` (simulation and
+  // freeze), `trace/structure_hash` (the column sweep), every pass of
+  // the extraction, and the whole as `storage/lifecycle`.
   {
     struct StorageCase {
       const char* name;
@@ -373,10 +376,29 @@ void emit_pipeline_trajectory() {
       sopts.kind = c.kind;
       if (c.cache_bytes != 0) sopts.cache_bytes = c.cache_bytes;
       trace::storage::ScopedStorageOptions scope(sopts);
-      trace::storage::BlockCache::global().reset_stats();
+      trace::storage::BlockCache& cache = trace::storage::BlockCache::global();
+      cache.reset_stats();
       obs::reset_peak_rss();
       const std::int64_t rss_start = obs::current_rss_kb();
-      obs::AllocScope allocs;
+      bench::PipelineWorkload w;
+      // A harness-timed layer from `since` to now, with its allocations
+      // and block-cache traffic.
+      auto add_layer = [&w, &cache](const char* name, double seconds,
+                                    const obs::AllocScope& allocs,
+                                    const trace::storage::BlockCache::Stats&
+                                        since) {
+        const trace::storage::BlockCache::Stats now = cache.stats();
+        order::PassRecord rec;
+        rec.name = name;
+        rec.seconds = seconds;
+        rec.alloc_bytes = allocs.delta().bytes;
+        rec.cache_lookups = static_cast<std::int64_t>(
+            now.hits + now.misses - since.hits - since.misses);
+        rec.cache_misses = static_cast<std::int64_t>(now.misses - since.misses);
+        rec.ran = true;
+        w.passes.push_back(std::move(rec));
+      };
+      const obs::AllocScope allocs;
       util::Stopwatch sw;
 
       apps::LuleshConfig cfg;
@@ -384,16 +406,24 @@ void emit_pipeline_trajectory() {
       cfg.num_pes = 8;
       cfg.iterations = 40;
       trace::Trace t = apps::run_lulesh_charm(cfg);
-      benchmark::DoNotOptimize(
-          trace::storage::trace_structure_hash(t));  // full column sweep
-      order::LogicalStructure ls =
-          order::extract_structure(t, order::Options::charm());
-      benchmark::DoNotOptimize(ls.max_step);
+      add_layer("sim/lulesh", sw.seconds(), allocs, {});
+      {
+        const obs::AllocScope sweep_allocs;
+        const trace::storage::BlockCache::Stats since = cache.stats();
+        util::Stopwatch sweep_sw;
+        benchmark::DoNotOptimize(
+            trace::storage::trace_structure_hash(t));  // full column sweep
+        add_layer("trace/structure_hash", sweep_sw.seconds(), sweep_allocs,
+                  since);
+      }
+      order::OrderContext ctx(t, order::Options::charm());
+      order::run_partition_pipeline(ctx, nullptr, &w.passes);
+      order::run_stepping_pipeline(ctx, &w.passes);
+      benchmark::DoNotOptimize(ctx.structure.max_step);
 
-      bench::PipelineWorkload w;
       w.name = std::string("lulesh-large/storage=") + c.name;
       w.events = t.num_events();
-      w.phases = ls.num_phases();
+      w.phases = ctx.structure.num_phases();
       w.threads = 1;
       w.total_seconds = sw.seconds();
       // Workload-attributed growth, not the process high-water mark:
@@ -401,17 +431,10 @@ void emit_pipeline_trajectory() {
       const std::int64_t grown = obs::peak_rss_kb() - rss_start;
       w.peak_rss_kb = grown > 0 ? grown : 0;
       w.storage = c.name;
-      const trace::storage::BlockCache::Stats stats =
-          trace::storage::BlockCache::global().stats();
+      const trace::storage::BlockCache::Stats stats = cache.stats();
       w.cache_hits = static_cast<std::int64_t>(stats.hits);
       w.cache_misses = static_cast<std::int64_t>(stats.misses);
-      order::PassRecord alloc_rec;
-      alloc_rec.name = "storage/lifecycle";
-      alloc_rec.seconds = w.total_seconds;
-      alloc_rec.alloc_bytes = allocs.delta().bytes;
-      alloc_rec.threads = 1;
-      alloc_rec.ran = true;
-      w.passes.push_back(std::move(alloc_rec));
+      add_layer("storage/lifecycle", w.total_seconds, allocs, {});
       traj.add_workload(std::move(w));
     }
   }

@@ -60,24 +60,33 @@ const trace::SdagRelations& OrderContext::sdag() {
   return *sdag_;
 }
 
-const BlockUnits& OrderContext::units(bool sdag_absorption) {
-  auto& slot = sdag_absorption ? units_absorbed_ : units_raw_;
-  if (slot) return *slot;
-  if (sdag_absorption) {
-    // Each event's block comes from an array the context already holds,
-    // never from a second scan of the event column: the raw flavor's
-    // unit_of_event when "initial" built it, else the event rows (a
-    // context that only runs the stepping passes).
-    const std::vector<trace::BlockId>& block =
-        units_raw_ ? units_raw_->unit_of_event : event_rows().block;
-    slot = compute_block_units(*trace_, sdag().rep, block, by_time());
-    return *slot;
+const BlockUnits& OrderContext::units() {
+  if (units_) return *units_;
+  // One counting scatter of the time order keyed by each event's block,
+  // so every row comes out in Trace::before order without a comparison.
+  const std::vector<trace::BlockId>& block = event_rows().block;
+  BlockUnits& u = units_.emplace();
+  u.begin.assign(static_cast<std::size_t>(trace_->num_blocks()) + 1, 0);
+  for (const trace::BlockId b : block)
+    if (b != trace::kNone) ++u.begin[static_cast<std::size_t>(b) + 1];
+  std::partial_sum(u.begin.begin(), u.begin.end(), u.begin.begin());
+  std::vector<std::int32_t> at(u.begin.begin(), u.begin.end() - 1);
+  u.flat.resize(static_cast<std::size_t>(u.begin.back()));
+  for (const trace::EventId e : by_time()) {
+    const trace::BlockId b = block[static_cast<std::size_t>(e)];
+    if (b != trace::kNone)
+      u.flat[static_cast<std::size_t>(at[static_cast<std::size_t>(b)]++)] = e;
   }
-  std::vector<trace::BlockId> rep(
-      static_cast<std::size_t>(trace_->num_blocks()));
-  std::iota(rep.begin(), rep.end(), 0);
-  slot = compute_block_units(*trace_, std::move(rep), {}, by_time());
-  return *slot;
+  return u;
+}
+
+const std::vector<trace::BlockId>& OrderContext::unit_of_block() {
+  if (opts_.partition.sdag_inference) return sdag().rep;
+  if (identity_units_.empty()) {
+    identity_units_.resize(static_cast<std::size_t>(trace_->num_blocks()));
+    std::iota(identity_units_.begin(), identity_units_.end(), 0);
+  }
+  return identity_units_;
 }
 
 const EventRows& OrderContext::event_rows() {

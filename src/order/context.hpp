@@ -21,9 +21,9 @@
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
-///  - by_time(), sdag(), units(flavor) and event_rows() depend only on
-///    the immutable trace, so each is computed at most once (per flavor)
-///    per context.
+///  - by_time(), sdag(), units(), unit_of_block() and event_rows()
+///    depend only on the immutable trace, so each is computed at most
+///    once per context.
 
 #include <cstdint>
 #include <optional>
@@ -36,7 +36,6 @@
 #include "order/partition_graph.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
-#include "order/wclock.hpp"
 #include "trace/sdag.hpp"
 #include "trace/trace.hpp"
 
@@ -80,16 +79,21 @@ class OrderContext {
   /// SDAG serial numbers, absorption and serial adjacency (§2.1).
   [[nodiscard]] const trace::SdagRelations& sdag();
 
-  /// Serial-block units, one per absorption flavor: the raw one keeps
-  /// every block apart and reads the blocks with one scan of the event
-  /// column; the absorbed flavor groups blocks by sdag().rep and maps
-  /// each event's block from the raw flavor, or from event_rows() when
-  /// the raw flavor was never built.
-  [[nodiscard]] const BlockUnits& units(bool sdag_absorption);
+  /// Each serial block's events in Trace::before order, the rows the
+  /// partition passes read: one counting scatter of by_time() keyed by
+  /// event_rows().block.
+  [[nodiscard]] const BlockUnits& units();
+
+  /// The step-assignment unit of every block, as its representative
+  /// block: sdag().rep under SDAG inference (§2.1 absorption), the
+  /// identity otherwise. The w clock and stepping key an event's unit as
+  /// unit_of_block()[event_rows().block[e]].
+  [[nodiscard]] const std::vector<trace::BlockId>& unit_of_block();
 
   /// Per-event chare, kind, partner, block and collective rows from one
-  /// scan of the event column: the w clock and stepping read them
-  /// instead of Trace::event().
+  /// scan of the event column, built by "initial" (or by the first
+  /// stepping pass of a context that runs only those): the order passes
+  /// read them instead of Trace::event().
   [[nodiscard]] const EventRows& event_rows();
 
   // --- arena scratch ----------------------------------------------------
@@ -124,8 +128,8 @@ class OrderContext {
 
   std::optional<std::vector<trace::EventId>> by_time_;
   std::optional<trace::SdagRelations> sdag_;
-  std::optional<BlockUnits> units_raw_;
-  std::optional<BlockUnits> units_absorbed_;
+  std::optional<BlockUnits> units_;
+  std::vector<trace::BlockId> identity_units_;
   std::optional<EventRows> event_rows_;
 
   std::vector<std::pair<PartId, PartId>> scratch_pairs_;

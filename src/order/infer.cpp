@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_set>
 
 #include "graph/leaps.hpp"
 #include "order/context.hpp"
 #include "util/check.hpp"
+#include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::order {
@@ -30,18 +30,28 @@ std::vector<std::vector<ChareSource>> collect_initial_sources(
   // the result is deterministic for any thread count.
   std::vector<std::vector<std::pair<trace::ChareId, ChareSource>>>
       per_part(static_cast<std::size_t>(pg.num_partitions()));
-  util::parallel_for(threads, pg.num_partitions(), [&](std::int64_t pi) {
-    const auto p = static_cast<PartId>(pi);
-    std::unordered_set<std::int64_t> seen;  // chares already seen in p
-    for (trace::EventId e : pg.events(p)) {
-      const trace::Event& ev = trace.event(e);
-      std::int64_t key = static_cast<std::int64_t>(ev.chare);
-      if (!seen.insert(key).second) continue;  // not the chare's first
-      if (ev.kind == trace::EventKind::Send)
-        per_part[static_cast<std::size_t>(pi)].emplace_back(
-            ev.chare, ChareSource{ev.time, p});
-    }
-  });
+  // Per chare, the last partition that saw it: partition ids stamp the
+  // entries, so a worker's vector serves all its partitions uncleared.
+  // Partitions go in chunks, so a vector is borrowed once per chunk.
+  util::ScratchPool<std::vector<PartId>> pool;
+  util::parallel_for_chunks(
+      threads, pg.num_partitions(), /*grain=*/64,
+      [&](std::int64_t lo, std::int64_t hi) {
+        pool.with([&](std::vector<PartId>& seen) {
+          seen.resize(static_cast<std::size_t>(trace.num_chares()), -1);
+          for (std::int64_t pi = lo; pi < hi; ++pi) {
+            const auto p = static_cast<PartId>(pi);
+            for (trace::EventId e : pg.events(p)) {
+              const trace::Event& ev = trace.event(e);
+              PartId& last = seen[static_cast<std::size_t>(ev.chare)];
+              if (std::exchange(last, p) == p) continue;  // not the first
+              if (ev.kind == trace::EventKind::Send)
+                per_part[static_cast<std::size_t>(pi)].emplace_back(
+                    ev.chare, ChareSource{ev.time, p});
+            }
+          }
+        });
+      });
   std::vector<std::vector<ChareSource>> per_chare(
       static_cast<std::size_t>(trace.num_chares()));
   for (const auto& list : per_part) {

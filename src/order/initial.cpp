@@ -1,6 +1,5 @@
 #include "order/initial.hpp"
 
-#include <numeric>
 #include <utility>
 
 #include "obs/progress.hpp"
@@ -9,70 +8,51 @@
 
 namespace logstruct::order {
 
-BlockUnits compute_block_units(const trace::Trace& trace,
-                               std::vector<trace::BlockId> rep,
-                               std::span<const trace::BlockId> block_of_event,
-                               std::span<const trace::EventId> by_time) {
-  BlockUnits u;
-  u.rep = std::move(rep);
-  u.begin.assign(u.rep.size() + 1, 0);
-  u.unit_of_event.assign(static_cast<std::size_t>(trace.num_events()),
-                         trace::kNone);
-  auto add = [&u](std::size_t e, trace::BlockId block) {
-    if (block == trace::kNone) return;
-    const trace::BlockId r = u.rep[static_cast<std::size_t>(block)];
-    u.unit_of_event[e] = r;
-    ++u.begin[static_cast<std::size_t>(r) + 1];
-  };
-  if (block_of_event.empty()) {
-    trace.events().for_each_chunk(
-        [&add](const trace::Event* ev, std::size_t n, std::size_t base) {
-          for (std::size_t i = 0; i < n; ++i) add(base + i, ev[i].block);
-        });
-  } else {
-    for (std::size_t e = 0; e < block_of_event.size(); ++e)
-      add(e, block_of_event[e]);
-  }
-  std::partial_sum(u.begin.begin(), u.begin.end(), u.begin.begin());
-  std::vector<std::int32_t> at(u.begin.begin(), u.begin.end() - 1);
-  u.flat.resize(static_cast<std::size_t>(u.begin.back()));
-  for (trace::EventId e : by_time) {
-    const trace::BlockId r = u.unit_of_event[static_cast<std::size_t>(e)];
-    if (r != trace::kNone)
-      u.flat[static_cast<std::size_t>(at[static_cast<std::size_t>(r)]++)] = e;
-  }
-  return u;
-}
-
-std::vector<std::uint8_t> runtime_event_flags(const trace::Trace& trace) {
+EventRows event_rows(const trace::Trace& trace) {
   const auto n = static_cast<std::size_t>(trace.num_events());
-  std::vector<std::uint8_t> rt(n, 0);
-  const auto chares = trace.chares();
-  // Per event: kOwn iff its own chare is a runtime chare, kSend iff it is
-  // a send.
-  constexpr std::uint8_t kOwn = 1;
-  constexpr std::uint8_t kSend = 2;
-  std::vector<std::uint8_t> own(n);
-  std::vector<trace::EventId> partner(n);
+  EventRows rows;
+  rows.chare.resize(n);
+  rows.kind.resize(n);
+  rows.partner.resize(n);
+  rows.block.resize(n);
+  rows.collective.assign(n, -1);
   trace.events().for_each_chunk(
-      [&](const trace::Event* ev, std::size_t m, std::size_t base) {
+      [&rows](const trace::Event* ev, std::size_t m, std::size_t base) {
         for (std::size_t i = 0; i < m; ++i) {
-          own[base + i] = static_cast<std::uint8_t>(
-              (chares[static_cast<std::size_t>(ev[i].chare)].runtime ? kOwn
-                                                                     : 0) |
-              (ev[i].kind == trace::EventKind::Send ? kSend : 0));
-          partner[base + i] = ev[i].partner;
+          rows.chare[base + i] = ev[i].chare;
+          rows.kind[base + i] = ev[i].kind;
+          rows.partner[base + i] = ev[i].partner;
+          rows.block[base + i] = ev[i].block;
         }
       });
+  const auto colls = trace.collectives();
+  for (std::size_t c = 0; c < colls.size(); ++c) {
+    const auto index = static_cast<std::int32_t>(c);
+    for (trace::EventId e : colls[c].sends)
+      rows.collective[static_cast<std::size_t>(e)] = index;
+    for (trace::EventId e : colls[c].recvs)
+      rows.collective[static_cast<std::size_t>(e)] = index;
+  }
+  return rows;
+}
+
+std::vector<std::uint8_t> runtime_event_flags(
+    const EventRows& rows, std::span<const trace::ChareInfo> chares) {
+  const std::size_t n = rows.chare.size();
+  std::vector<std::uint8_t> rt(n, 0);
+  auto own = [&](std::size_t e) -> std::uint8_t {
+    return chares[static_cast<std::size_t>(rows.chare[e])].runtime ? 1 : 0;
+  };
   for (std::size_t e = 0; e < n; ++e) {
-    rt[e] |= own[e] & kOwn;
-    const trace::EventId p = partner[e];
+    rt[e] |= own(e);
+    const trace::EventId p = rows.partner[e];
     if (p == trace::kNone) continue;
     const auto pz = static_cast<std::size_t>(p);
-    rt[e] |= own[pz] & kOwn;
+    rt[e] |= own(pz);
     // A receive naming send p is one of p's receivers.
-    if ((own[e] & kSend) == 0 && (own[pz] & kSend) != 0)
-      rt[pz] |= own[e] & kOwn;
+    if (rows.kind[e] != trace::EventKind::Send &&
+        rows.kind[pz] == trace::EventKind::Send)
+      rt[pz] |= own(e);
   }
   return rt;
 }
@@ -80,10 +60,12 @@ std::vector<std::uint8_t> runtime_event_flags(const trace::Trace& trace) {
 PartitionGraph build_initial_partitions(OrderContext& ctx) {
   const trace::Trace& trace = ctx.trace();
   const PartitionOptions& opts = ctx.options().partition;
-  const BlockUnits& units = ctx.units(/*sdag_absorption=*/false);
+  const BlockUnits& units = ctx.units();
+  const EventRows& rows = ctx.event_rows();
   PartitionGraph pg(trace);
   obs::Progress progress("order/initial", trace.num_events());
-  const std::vector<std::uint8_t> is_rt = runtime_event_flags(trace);
+  const std::vector<std::uint8_t> is_rt =
+      runtime_event_flags(rows, trace.chares());
 
   // Split each block into runs at application/runtime boundaries and
   // chain the runs (edge type 2).
@@ -166,7 +148,8 @@ PartitionGraph build_initial_partitions(OrderContext& ctx) {
               pg.add_edge(pg.part_of(prev), pg.part_of(e));
             prev = e;
           } else {
-            if (trace.event(e).kind == trace::EventKind::Send) {
+            if (rows.kind[static_cast<std::size_t>(e)] ==
+                trace::EventKind::Send) {
               for (trace::EventId w : window)
                 pg.add_edge(pg.part_of(w), pg.part_of(e));
               window.clear();

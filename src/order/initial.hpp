@@ -11,8 +11,10 @@
 /// order (§3.4).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "order/block_units.hpp"
 #include "order/partition_graph.hpp"
 #include "trace/trace.hpp"
 
@@ -22,15 +24,16 @@ class OrderContext;
 
 /// Per event, 1 iff Trace::is_runtime_event(e): its own chare, its
 /// partner's chare, or (for a send) one of its receivers' chares is a
-/// runtime chare. One sequential scan of the event column reads each
-/// event's chare, kind and partner; one pass over that scan then settles
-/// both ends of every partner link, since a send's receivers are exactly
-/// the receives naming it as partner.
-std::vector<std::uint8_t> runtime_event_flags(const trace::Trace& trace);
+/// runtime chare. One pass over the event rows settles both ends of
+/// every partner link, since a send's receivers are exactly the receives
+/// naming it as partner.
+std::vector<std::uint8_t> runtime_event_flags(
+    const EventRows& rows, std::span<const trace::ChareInfo> chares);
 
 /// Builds the initial partition graph of ctx.trace() under
-/// ctx.options().partition. Partitioning works on the RAW serial blocks,
-/// ctx.units(false): SDAG absorption (§2.1) contributes happened-before
+/// ctx.options().partition, building ctx.event_rows() on the way.
+/// Partitioning works on the RAW serial blocks, ctx.units(): SDAG
+/// absorption (§2.1) contributes happened-before
 /// EDGES here, read from ctx.sdag() (paper Fig. 3 draws the
 /// when-relationship as a chare happened-before edge); the event-level
 /// merge of a when-execution into its serial only applies to the ordering

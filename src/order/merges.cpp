@@ -30,7 +30,7 @@ void repair_merge(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
   // Raw serial blocks: the repair restores merges broken by the
   // app/runtime split within one block (paper Fig. 4).
-  const BlockUnits& units = ctx.units(/*sdag_absorption=*/false);
+  const BlockUnits& units = ctx.units();
 
   // Paper Algorithm 2, literally: an event's "serial happened-before" is
   // the adjacent previous event in its block; merge their partitions when
@@ -57,7 +57,7 @@ void repair_merge(OrderContext& ctx) {
 
 void neighbor_serial_merge(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
-  const BlockUnits& units = ctx.units(/*sdag_absorption=*/false);
+  const BlockUnits& units = ctx.units();
   const trace::SdagRelations& sdag = ctx.sdag();
 
   // For each (partition of serial n, serial number n+1): the partitions in
@@ -73,8 +73,8 @@ void neighbor_serial_merge(OrderContext& ctx) {
   std::vector<Flow> flows;
   for (std::size_t i = 0; i < sdag.happened_before.size(); ++i) {
     const auto [b1, b2] = sdag.happened_before[i];
-    const auto from = units.events(units.rep[static_cast<std::size_t>(b1)]);
-    const auto to = units.events(units.rep[static_cast<std::size_t>(b2)]);
+    const auto from = units.events(b1);
+    const auto to = units.events(b2);
     if (from.empty() || to.empty()) continue;
     flows.push_back({pg.part_of(from.back()),
                      sdag.serial[static_cast<std::size_t>(b2)],

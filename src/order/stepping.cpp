@@ -112,7 +112,7 @@ void reorder_pass(OrderContext& ctx) {
   const Options& opts = ctx.options();
   if (opts.step.reorder) {
     ctx.w = compute_w(ctx.trace(), ctx.event_rows(), ctx.phases,
-                      ctx.units(opts.partition.sdag_inference), opts.step,
+                      ctx.unit_of_block(), opts.step,
                       opts.effective_threads());
   } else {
     ctx.w.assign(static_cast<std::size_t>(ctx.trace().num_events()), 0);
@@ -131,7 +131,7 @@ void stepping_pass(OrderContext& ctx) {
   span.attr("phases", phases.num_phases());
   span.attr("events", trace.num_events());
   LogicalStructure& out = ctx.structure;
-  const BlockUnits& units = ctx.units(opts.partition.sdag_inference);
+  const std::vector<trace::BlockId>& unit_of_block = ctx.unit_of_block();
   const EventRows& rows = ctx.event_rows();
   auto at = [](auto& v, std::int32_t i) -> auto& {
     return v[static_cast<std::size_t>(i)];
@@ -183,7 +183,7 @@ void stepping_pass(OrderContext& ctx) {
         if (in_phase(snd)) fn(at(out.local_step, snd));
     };
 
-    s.unit_index.resize(static_cast<std::size_t>(units.num_blocks()));
+    s.unit_index.resize(unit_of_block.size());
     s.chare_group.resize(static_cast<std::size_t>(trace.num_chares()));
     s.units.clear();
     s.group_of.resize(events.size());
@@ -201,7 +201,7 @@ void stepping_pass(OrderContext& ctx) {
     for (std::int32_t i = 0; i < n; ++i) {
       const trace::EventId e = at(events, i);
       const bool recv = at(rows.kind, e) == trace::EventKind::Recv;
-      const trace::BlockId rep = at(units.unit_of_event, e);
+      const trace::BlockId rep = at(unit_of_block, at(rows.block, e));
       std::int32_t* index = s.unit_index.find(ph, rep);
       if (index == nullptr) {
         index = &s.unit_index.set(ph, rep);
@@ -215,7 +215,7 @@ void stepping_pass(OrderContext& ctx) {
         const trace::EventId partner = at(rows.partner, e);
         if (opts.step.reorder && recv && partner != trace::kNone) {
           unit.invoker_chare = at(rows.chare, partner);
-          unit.invoker_unit = at(units.unit_of_event, partner);
+          unit.invoker_unit = at(unit_of_block, at(rows.block, partner));
         }
       }
       UnitInfo& unit = at(s.units, *index);

@@ -53,8 +53,9 @@ class OrderContext;
 
 /// Run the §3.2 passes ("reorder" then "stepping") over ctx: consumes
 /// ctx.phases and fills ctx.structure. Shared by assign_steps and
-/// extract_structure so the stepping passes reuse the context's cached
-/// serial-block units. Appends the per-pass records when asked.
+/// extract_structure so the stepping passes reuse the event rows and
+/// unit keys the context already holds. Appends the per-pass records
+/// when asked.
 void run_stepping_pipeline(OrderContext& ctx,
                            std::vector<PassRecord>* records = nullptr);
 

@@ -7,40 +7,10 @@
 
 namespace logstruct::order {
 
-EventRows event_rows(const trace::Trace& trace) {
-  const auto n = static_cast<std::size_t>(trace.num_events());
-  EventRows rows;
-  rows.chare.resize(n);
-  rows.kind.resize(n);
-  rows.partner.resize(n);
-  rows.block.resize(n);
-  rows.collective.assign(n, -1);
-  trace.events().for_each_chunk(
-      [&rows](const trace::Event* ev, std::size_t m, std::size_t base) {
-        for (std::size_t i = 0; i < m; ++i) {
-          rows.chare[base + i] = ev[i].chare;
-          rows.kind[base + i] = ev[i].kind;
-          rows.partner[base + i] = ev[i].partner;
-          rows.block[base + i] = ev[i].block;
-        }
-      });
-  const auto colls = trace.collectives();
-  for (std::size_t c = 0; c < colls.size(); ++c) {
-    const auto index = static_cast<std::int32_t>(c);
-    for (trace::EventId e : colls[c].sends)
-      rows.collective[static_cast<std::size_t>(e)] = index;
-    for (trace::EventId e : colls[c].recvs)
-      rows.collective[static_cast<std::size_t>(e)] = index;
-  }
-  return rows;
-}
-
-std::vector<std::int64_t> compute_w(const trace::Trace& trace,
-                                    const EventRows& rows,
-                                    const PhaseResult& phases,
-                                    const BlockUnits& units,
-                                    const StepOptions& opts,
-                                    int threads) {
+std::vector<std::int64_t> compute_w(
+    const trace::Trace& trace, const EventRows& rows,
+    const PhaseResult& phases, std::span<const trace::BlockId> unit_of_block,
+    const StepOptions& opts, int threads) {
   std::vector<std::int64_t> w(static_cast<std::size_t>(trace.num_events()),
                               0);
   const bool mpi = opts.mpi_mode;
@@ -58,7 +28,7 @@ std::vector<std::int64_t> compute_w(const trace::Trace& trace,
   };
   util::ScratchPool<Tables> pool;
   const auto clock_keys = static_cast<std::size_t>(
-      mpi ? trace.num_chares() : units.num_blocks());
+      mpi ? trace.num_chares() : trace.num_blocks());
 
   // Each iteration writes w only at this phase's events and reads w only
   // at same-phase senders, so the fan-out is race-free and deterministic.
@@ -78,7 +48,7 @@ std::vector<std::int64_t> compute_w(const trace::Trace& trace,
 
       for (trace::EventId e : at(phases.events, ph)) {
         const std::int32_t key =
-            mpi ? at(rows.chare, e) : at(units.unit_of_event, e);
+            mpi ? at(rows.chare, e) : at(unit_of_block, at(rows.block, e));
         const std::int64_t* clock = t.clock.find(ph, key);
         const std::int32_t coll = at(rows.collective, e);
         std::int64_t value = 0;

@@ -16,6 +16,7 @@
 /// that followed them.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "order/block_units.hpp"
@@ -24,21 +25,6 @@
 #include "trace/trace.hpp"
 
 namespace logstruct::order {
-
-/// The event fields step assignment reads, one flat row per field, from
-/// one scan of the event column (plus the collective membership lists):
-/// the w clock and stepping read these rows instead of Trace::event(),
-/// which pays a block-cache lookup per call on the blocked backend.
-struct EventRows {
-  std::vector<trace::ChareId> chare;
-  std::vector<trace::EventKind> kind;
-  std::vector<trace::EventId> partner;
-  std::vector<trace::BlockId> block;
-  /// Index of the collective the event is a member of (as a send or a
-  /// receive), -1 for none.
-  std::vector<std::int32_t> collective;
-};
-EventRows event_rows(const trace::Trace& trace);
 
 /// w per event. Events outside any phase never occur (every event is
 /// partitioned); processing is per phase in physical-time order, which is
@@ -49,11 +35,11 @@ EventRows event_rows(const trace::Trace& trace);
 /// send, is taken only when the send is in the same phase), so the phase
 /// loop fans out over `threads` workers with bit-identical results;
 /// threads <= 1 runs serially, 0 follows util::default_parallelism().
-std::vector<std::int64_t> compute_w(const trace::Trace& trace,
-                                    const EventRows& rows,
-                                    const PhaseResult& phases,
-                                    const BlockUnits& units,
-                                    const StepOptions& opts,
-                                    int threads = 1);
+/// In Charm++ mode an event's unit is unit_of_block[rows.block[e]]
+/// (OrderContext::unit_of_block()).
+std::vector<std::int64_t> compute_w(
+    const trace::Trace& trace, const EventRows& rows,
+    const PhaseResult& phases, std::span<const trace::BlockId> unit_of_block,
+    const StepOptions& opts, int threads = 1);
 
 }  // namespace logstruct::order

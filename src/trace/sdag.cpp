@@ -9,10 +9,20 @@ SdagRelations sdag_relations(const Trace& trace) {
   SdagRelations out;
   const auto num_blocks = static_cast<std::size_t>(trace.num_blocks());
   out.serial.resize(num_blocks);
+  // The fields the absorption test reads, kept from the one scan so the
+  // per-chare walk below reads no block again.
+  struct BlockRow {
+    EntryId entry;
+    ProcId proc;
+    TimeNs begin, end;
+  };
+  std::vector<BlockRow> rows(num_blocks);
   trace.blocks().for_each_chunk(
       [&](const SerialBlock* b, std::size_t n, std::size_t base) {
-        for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t i = 0; i < n; ++i) {
           out.serial[base + i] = trace.entry(b[i].entry).sdag_serial;
+          rows[base + i] = {b[i].entry, b[i].proc, b[i].begin, b[i].end};
+        }
       });
   auto serial = [&out](BlockId b) {
     return out.serial[static_cast<std::size_t>(b)];
@@ -25,8 +35,8 @@ SdagRelations sdag_relations(const Trace& trace) {
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       // Absorption: the block right before a serial may be its `when`.
       if (i + 1 < blocks.size() && serial(blocks[i + 1]) >= 0) {
-        const SerialBlock cb = trace.block(blocks[i]);
-        const SerialBlock nb = trace.block(blocks[i + 1]);
+        const BlockRow& cb = rows[static_cast<std::size_t>(blocks[i])];
+        const BlockRow& nb = rows[static_cast<std::size_t>(blocks[i + 1])];
         const EntryInfo& ne = trace.entry(nb.entry);
         const bool is_when =
             std::find(ne.when_entries.begin(), ne.when_entries.end(),

@@ -33,9 +33,9 @@ struct SdagRelations {
   std::vector<std::pair<BlockId, BlockId>> happened_before;
 };
 
-/// Both SDAG relations of the trace. The serial numbers come from one
-/// sequential read of the block column; only blocks followed by a serial
-/// on their chare are read again, for the absorption test.
+/// Both SDAG relations of the trace, from one sequential read of the
+/// block column and one of the per-chare block lists: no block is read
+/// twice.
 SdagRelations sdag_relations(const Trace& trace);
 
 }  // namespace logstruct::trace

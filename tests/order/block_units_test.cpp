@@ -9,7 +9,6 @@
 #include "order/context.hpp"
 #include "trace/builder.hpp"
 #include "trace/sdag.hpp"
-#include "trace/storage/block_cache.hpp"
 #include "trace/storage/options.hpp"
 
 namespace logstruct::order {
@@ -45,38 +44,45 @@ AbsorbTrace make_absorb_trace() {
   return m;
 }
 
-/// The unit rows as plain lists, indexed by block.
+/// The block rows as plain lists, indexed by block.
 std::vector<std::vector<trace::EventId>> rows(const BlockUnits& u) {
   std::vector<std::vector<trace::EventId>> out;
-  for (trace::BlockId r = 0; r < u.num_blocks(); ++r)
-    out.emplace_back(u.events(r).begin(), u.events(r).end());
+  for (trace::BlockId b = 0; b < u.num_blocks(); ++b)
+    out.emplace_back(u.events(b).begin(), u.events(b).end());
   return out;
+}
+
+Options with_inference(bool sdag_inference) {
+  Options o;
+  o.partition.sdag_inference = sdag_inference;
+  return o;
 }
 
 TEST(BlockUnits, AbsorptionGroupsWhenIntoSerial) {
   AbsorbTrace m = make_absorb_trace();
-  OrderContext ctx(m.trace, Options{});
-  const BlockUnits& u = ctx.units(/*sdag_absorption=*/true);
-  EXPECT_EQ(u.rep[static_cast<std::size_t>(m.b_when)], m.b_serial);
-  // The serial's unit holds both events, time-ordered.
-  const auto unit = u.events(m.b_serial);
-  ASSERT_EQ(unit.size(), 2u);
-  EXPECT_EQ(unit[0], m.recv);
-  EXPECT_EQ(unit[1], m.send);
-  EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.recv)], m.b_serial);
-  EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.send)], m.b_serial);
-  // The absorbed block's own bucket is empty.
-  EXPECT_TRUE(u.events(m.b_when).empty());
+  OrderContext ctx(m.trace, with_inference(true));
+  const std::vector<trace::BlockId>& unit = ctx.unit_of_block();
+  EXPECT_EQ(unit[static_cast<std::size_t>(m.b_when)], m.b_serial);
+  EXPECT_EQ(unit[static_cast<std::size_t>(m.b_serial)], m.b_serial);
+  // Both events key the serial's unit.
+  const EventRows& ev = ctx.event_rows();
+  for (const trace::EventId e : {m.recv, m.send})
+    EXPECT_EQ(unit[static_cast<std::size_t>(
+                  ev.block[static_cast<std::size_t>(e)])],
+              m.b_serial);
+  // The block rows the partition passes read stay apart.
+  EXPECT_EQ(ctx.units().events(m.b_when).size(), 1u);
+  EXPECT_EQ(ctx.units().events(m.b_serial).size(), 1u);
 }
 
 TEST(BlockUnits, WithoutAbsorptionBlocksStaySeparate) {
   AbsorbTrace m = make_absorb_trace();
-  OrderContext ctx(m.trace, Options{});
-  const BlockUnits& u = ctx.units(/*sdag_absorption=*/false);
-  EXPECT_EQ(u.rep[static_cast<std::size_t>(m.b_when)], m.b_when);
-  EXPECT_EQ(u.events(m.b_when).size(), 1u);
-  EXPECT_EQ(u.events(m.b_serial).size(), 1u);
-  EXPECT_EQ(u.unit_of_event[static_cast<std::size_t>(m.recv)], m.b_when);
+  OrderContext ctx(m.trace, with_inference(false));
+  const std::vector<trace::BlockId>& unit = ctx.unit_of_block();
+  EXPECT_EQ(unit[static_cast<std::size_t>(m.b_when)], m.b_when);
+  EXPECT_EQ(unit[static_cast<std::size_t>(m.b_serial)], m.b_serial);
+  EXPECT_EQ(ctx.units().events(m.b_when).size(), 1u);
+  EXPECT_EQ(ctx.units().events(m.b_serial).size(), 1u);
 }
 
 TEST(BlockUnits, EventlessBlocksHaveEmptyUnits) {
@@ -87,7 +93,8 @@ TEST(BlockUnits, EventlessBlocksHaveEmptyUnits) {
   tb.end_block(b, 10);
   trace::Trace t = tb.finish(1);
   OrderContext ctx(t, Options{});
-  EXPECT_TRUE(ctx.units(true).events(b).empty());
+  EXPECT_TRUE(ctx.units().events(b).empty());
+  EXPECT_EQ(ctx.unit_of_block().size(), 1u);
 }
 
 /// Reference units as plain per-block lists.
@@ -126,8 +133,10 @@ ListUnits sorted_units(const trace::Trace& t, bool sdag_absorption) {
   return u;
 }
 
-/// Units read off the frozen orders equal the sort-built ones on every
-/// golden trace, for both flavors and both storage backends.
+/// The block rows read off the frozen orders equal the sort-built raw
+/// units, and each event's unit key, unit_of_block()[rows.block[e]],
+/// equals the sort-built unit of either absorption setting, on every
+/// golden trace and both storage backends.
 TEST(BlockUnits, MatchSortBuiltUnitsOnGoldens) {
   using trace::storage::BackendKind;
   bool absorbed_multi_block = false;
@@ -139,95 +148,29 @@ TEST(BlockUnits, MatchSortBuiltUnitsOnGoldens) {
       trace::storage::ScopedStorageOptions scope(opts);
       const trace::Trace t = g.make();
       ASSERT_EQ(t.storage_backend(), kind);
+      const ListUnits raw = sorted_units(t, false);
       for (const bool absorb : {false, true}) {
         SCOPED_TRACE(std::string(g.name) + (absorb ? " absorbed" : " raw") +
                      (kind == BackendKind::Mem ? " mem" : " blocked"));
-        OrderContext ctx(t, Options{});
-        const BlockUnits& got = ctx.units(absorb);
-        const ListUnits want = sorted_units(t, absorb);
-        EXPECT_EQ(got.rep, want.rep);
-        EXPECT_EQ(rows(got), want.events);
-        EXPECT_EQ(got.unit_of_event, want.unit_of_event);
-        for (std::size_t b = 0; b < got.rep.size(); ++b)
+        OrderContext ctx(t, with_inference(absorb));
+        EXPECT_EQ(rows(ctx.units()), raw.events);
+        const ListUnits want = absorb ? sorted_units(t, true) : raw;
+        const std::vector<trace::BlockId>& unit = ctx.unit_of_block();
+        const EventRows& ev = ctx.event_rows();
+        std::vector<trace::BlockId> got(ev.block.size());
+        for (std::size_t e = 0; e < got.size(); ++e)
+          got[e] = unit[static_cast<std::size_t>(ev.block[e])];
+        EXPECT_EQ(got, want.unit_of_event);
+        for (std::size_t b = 0; b < unit.size(); ++b)
           absorbed_multi_block |=
-              absorb && got.rep[b] != static_cast<trace::BlockId>(b) &&
+              absorb && unit[b] != static_cast<trace::BlockId>(b) &&
               !t.events_of_block(static_cast<trace::BlockId>(b)).empty();
       }
     }
   }
-  // Some golden merges a when-block into its serial, so the scatter of
-  // the by-time order is exercised, not only the one-block copy.
+  // Some golden merges a when-block into its serial, so the absorbed
+  // keys differ from the block ids somewhere.
   EXPECT_TRUE(absorbed_multi_block);
-}
-
-/// An absorbed unit whose blocks meet at one timestamp, where the serial
-/// block's event has the smaller id: before() puts it ahead of the
-/// when-block's event, so block-order concatenation would be wrong.
-TEST(BlockUnits, AbsorbedUnitBreaksTimeTiesById) {
-  using trace::storage::BackendKind;
-  for (const BackendKind kind : {BackendKind::Mem, BackendKind::Blocked}) {
-    trace::storage::StorageOptions opts;
-    opts.kind = kind;
-    trace::storage::ScopedStorageOptions scope(opts);
-    trace::TraceBuilder tb;
-    const trace::ChareId c = tb.add_chare("c");
-    const trace::ChareId d = tb.add_chare("d");
-    const trace::EntryId e_when = tb.add_entry("recvResult");
-    const trace::EntryId e_serial =
-        tb.add_entry("serial_1", false, 1, {e_when});
-    const trace::EntryId e_plain = tb.add_entry("plain");
-    const trace::BlockId b_when = tb.begin_block(c, 0, e_when, 0);
-    const trace::BlockId b_serial = tb.begin_block(c, 0, e_serial, 10);
-    const trace::EventId send = tb.add_send(b_serial, 10);
-    const trace::EventId recv = tb.add_recv(b_when, 10, trace::kNone);
-    tb.end_block(b_when, 10);
-    tb.end_block(b_serial, 20);
-    const trace::BlockId bd = tb.begin_block(d, 1, e_plain, 100);
-    tb.add_recv(bd, 100, send);
-    tb.end_block(bd, 110);
-    const trace::Trace t = tb.finish(2);
-
-    OrderContext ctx(t, Options{});
-    const BlockUnits& got = ctx.units(/*sdag_absorption=*/true);
-    ASSERT_EQ(got.rep[static_cast<std::size_t>(b_when)], b_serial);
-    EXPECT_EQ(rows(got)[static_cast<std::size_t>(b_serial)],
-              (std::vector<trace::EventId>{send, recv}));
-    EXPECT_EQ(rows(got), sorted_units(t, true).events);
-  }
-}
-
-/// The absorbed flavor never scans the event column: it maps the blocks
-/// that the raw flavor ("initial") or, in a context that runs only the
-/// stepping passes, the event rows already hold, so once either exists
-/// it makes no block-cache lookup.
-TEST(BlockUnits, AbsorbedFlavorRescansNoColumn) {
-  trace::storage::StorageOptions opts;
-  opts.kind = trace::storage::BackendKind::Blocked;
-  opts.block_bytes = 4096;
-  trace::storage::ScopedStorageOptions scope(opts);
-  const golden::Golden& g = golden::kGoldens[0];
-  const trace::Trace t = g.make();
-  ASSERT_GT(static_cast<std::size_t>(t.num_events()) * sizeof(trace::Event),
-            2u * 4096u);
-  auto lookups = [] {
-    const auto s = trace::storage::BlockCache::global().stats();
-    return s.hits + s.misses;
-  };
-  for (const bool after_raw : {true, false}) {
-    SCOPED_TRACE(after_raw ? "after the raw units" : "after the event rows");
-    OrderContext ctx(t, g.opts());
-    (void)ctx.by_time();
-    (void)ctx.sdag();
-    if (after_raw)
-      (void)ctx.units(false);
-    else
-      (void)ctx.event_rows();
-    const std::uint64_t before = lookups();
-    const BlockUnits& absorbed = ctx.units(true);
-    EXPECT_EQ(lookups() - before, 0u);
-    EXPECT_EQ(absorbed.unit_of_event.size(),
-              static_cast<std::size_t>(t.num_events()));
-  }
 }
 
 }  // namespace

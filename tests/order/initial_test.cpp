@@ -25,7 +25,8 @@ TEST(RuntimeFlags, MatchTraceOracleOnGoldens) {
       trace::storage::ScopedStorageOptions scope(opts);
       const trace::Trace t = g.make();
       ASSERT_EQ(t.storage_backend(), kind);
-      const std::vector<std::uint8_t> flags = runtime_event_flags(t);
+      const std::vector<std::uint8_t> flags =
+          runtime_event_flags(event_rows(t), t.chares());
       ASSERT_EQ(flags.size(), static_cast<std::size_t>(t.num_events()));
       std::int64_t mismatches = 0;
       for (trace::EventId e = 0; e < t.num_events(); ++e) {
@@ -63,7 +64,8 @@ TEST(RuntimeFlags, FanoutReceiverMakesItsSendRuntime) {
   const trace::Trace t = tb.finish(1);
   ASSERT_EQ(t.event(send).partner, to_b);
 
-  const std::vector<std::uint8_t> flags = runtime_event_flags(t);
+  const std::vector<std::uint8_t> flags =
+      runtime_event_flags(event_rows(t), t.chares());
   EXPECT_EQ(flags[static_cast<std::size_t>(send)], 1);
   EXPECT_EQ(flags[static_cast<std::size_t>(to_b)], 0);
   EXPECT_EQ(flags[static_cast<std::size_t>(to_mgr)], 1);

@@ -222,19 +222,25 @@ TEST(OrderContext, LeapCacheInvalidatesOnEpoch) {
   }
 }
 
-TEST(OrderContext, UnitsComputedOncePerFlavor) {
+TEST(OrderContext, UnitsComputedOnce) {
   trace::Trace t = small_jacobi();
   OrderContext ctx(t, Options::charm());
-  const BlockUnits& raw = ctx.units(false);
-  const BlockUnits& absorbed = ctx.units(true);
-  EXPECT_EQ(&ctx.units(false), &raw);
-  EXPECT_EQ(&ctx.units(true), &absorbed);
-  EXPECT_EQ(raw.unit_of_event.size(),
-            static_cast<std::size_t>(t.num_events()));
-  // Both flavors are rows over the one time order the context holds.
-  EXPECT_EQ(raw.flat.size(), ctx.by_time().size());
-  EXPECT_EQ(absorbed.flat.size(), ctx.by_time().size());
-  EXPECT_EQ(absorbed.rep, ctx.sdag().rep);
+  const BlockUnits& units = ctx.units();
+  EXPECT_EQ(&ctx.units(), &units);
+  // The rows cover the one time order the context holds.
+  EXPECT_EQ(units.flat.size(), ctx.by_time().size());
+  EXPECT_EQ(units.num_blocks(), t.num_blocks());
+  // Under SDAG inference the unit keys are the absorption's
+  // representatives; without it, the blocks themselves.
+  EXPECT_EQ(&ctx.unit_of_block(), &ctx.sdag().rep);
+  Options no_sdag = Options::charm();
+  no_sdag.partition.sdag_inference = false;
+  OrderContext plain(t, no_sdag);
+  const std::vector<trace::BlockId>& identity = plain.unit_of_block();
+  EXPECT_EQ(&plain.unit_of_block(), &identity);
+  ASSERT_EQ(identity.size(), static_cast<std::size_t>(t.num_blocks()));
+  for (std::size_t b = 0; b < identity.size(); ++b)
+    EXPECT_EQ(identity[b], static_cast<trace::BlockId>(b));
 }
 
 TEST(OrderContext, ScratchBuffersComeBackCleared) {

@@ -35,6 +35,7 @@
 #include "order/context.hpp"
 #include "order/phases.hpp"
 #include "order/validate.hpp"
+#include "trace/sdag.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
@@ -267,15 +268,16 @@ TEST(StorageGolden, MetricsMatchAcrossBackends) {
 }
 
 /// The §3.2 passes read the trace only through the context's event rows
-/// and serial-block units, so at 4 KiB blocks and two blocks per cache
-/// shard each of "reorder" and "stepping" goes to the cache at most once
-/// per Events column block, plus a slack of 1. The first of them to run
-/// builds the rows with one scan; the absorbed units it may also be the
-/// first to ask for take each event's block from the raw units "initial"
-/// built, so every golden makes one scan whether or not SDAG inference
-/// is on. The other pass reads flat arrays only. The goldens' Events
-/// columns are 1-4 blocks long, so the slack stays at 1: a larger one
-/// would hide a second scan.
+/// and unit keys, so at 4 KiB blocks and two blocks per cache shard each
+/// of "reorder" and "stepping" goes to the cache at most once per column
+/// block it scans, plus a slack of 1. In the one-context pipeline
+/// "initial" has built the rows and the SDAG relations, so neither pass
+/// scans a column. A context that holds only the phases, as
+/// assign_steps builds one, has its first stepping pass build the rows
+/// with one Events scan and, under SDAG inference, the unit keys with
+/// one Blocks and one ChareBlocks scan; the other pass reads flat arrays
+/// only. The goldens' Events columns are 1-4 blocks long, so the slack
+/// stays at 1: a larger one would hide a second scan.
 TEST(StorageGolden, StepPassLookupsBoundedByColumnScans) {
   ScopedDefaultParallelism serial(1);
   for (const Golden& g : kGoldens) {
@@ -292,19 +294,61 @@ TEST(StorageGolden, StepPassLookupsBoundedByColumnScans) {
     run_partition_pipeline(ctx, nullptr, nullptr);
     std::vector<PassRecord> records;
     run_stepping_pipeline(ctx, &records);
+    OrderContext fresh(t, eopts);
+    fresh.phases = ctx.structure.phases;
+    std::vector<PassRecord> fresh_records;
+    run_stepping_pipeline(fresh, &fresh_records);
 
     const auto events_col = static_cast<std::int64_t>(
         blocks_4k(t.num_events(), sizeof(trace::Event)));
-    int checked = 0;
-    for (const PassRecord& r : records) {
-      if (r.name != "reorder" && r.name != "stepping") continue;
-      ++checked;
-      const bool first = (r.name == "reorder") == eopts.step.reorder;
-      EXPECT_LE(r.cache_lookups, (first ? events_col : 0) + 1)
-          << r.name << ": Events column blocks " << events_col;
+    const auto sdag_cols = static_cast<std::int64_t>(
+        blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock)) +
+        blocks_4k(t.num_blocks(), sizeof(trace::BlockId)));
+    const std::int64_t fresh_scans =
+        events_col + (eopts.partition.sdag_inference ? sdag_cols : 0);
+    for (const bool after_partition : {true, false}) {
+      SCOPED_TRACE(after_partition ? "one context" : "phases only");
+      int checked = 0;
+      for (const PassRecord& r : after_partition ? records : fresh_records) {
+        if (r.name != "reorder" && r.name != "stepping") continue;
+        ++checked;
+        const bool first = (r.name == "reorder") == eopts.step.reorder;
+        const std::int64_t scans =
+            first && !after_partition ? fresh_scans : 0;
+        EXPECT_LE(r.cache_lookups, scans + 1)
+            << r.name << ": Events column blocks " << events_col
+            << ", Blocks + ChareBlocks column blocks " << sdag_cols;
+      }
+      EXPECT_EQ(checked, 2);
     }
-    EXPECT_EQ(checked, 2);
     EXPECT_EQ(structure_hash(t, ctx.structure), g.expected);
+    EXPECT_EQ(structure_hash(t, fresh.structure), g.expected);
+  }
+}
+
+/// trace::sdag_relations reads the Blocks column once in sequence and
+/// the per-chare block lists once in chare order, and keeps what the
+/// absorption test needs from that scan, so at 4 KiB blocks it goes to
+/// the cache at most once per Blocks and ChareBlocks column block.
+TEST(StorageGolden, SdagRelationsReadEachBlockOnce) {
+  for (const Golden& g : kGoldens) {
+    SCOPED_TRACE(g.name);
+    StorageOptions opts;
+    opts.kind = BackendKind::Blocked;
+    opts.block_bytes = 4096;
+    opts.cache_bytes = 2 * 16 * 4096;
+    ScopedStorageOptions sscope(opts);
+    const trace::Trace t = g.make();
+    ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
+    const std::uint64_t cols =
+        blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock)) +
+        blocks_4k(t.num_blocks(), sizeof(trace::BlockId));
+    const BlockCache::Stats before = BlockCache::global().stats();
+    const trace::SdagRelations sdag = trace::sdag_relations(t);
+    const BlockCache::Stats after = BlockCache::global().stats();
+    EXPECT_LE(after.hits + after.misses - before.hits - before.misses, cols)
+        << "Blocks + ChareBlocks column blocks " << cols;
+    EXPECT_EQ(sdag.rep.size(), static_cast<std::size_t>(t.num_blocks()));
   }
 }
 

@@ -13,11 +13,12 @@ std::vector<std::int64_t> w_of(const trace::Trace& t, bool mpi_mode) {
   PartitionOptions popts;
   if (mpi_mode) popts = Options::mpi().partition;
   PhaseResult phases = find_phases(t, popts);
-  OrderContext ctx(t, Options{});
+  Options opts;
+  opts.partition = popts;
+  OrderContext ctx(t, opts);
   StepOptions sopts;
   sopts.mpi_mode = mpi_mode;
-  return compute_w(t, ctx.event_rows(), phases,
-                   ctx.units(popts.sdag_inference), sopts);
+  return compute_w(t, ctx.event_rows(), phases, ctx.unit_of_block(), sopts);
 }
 
 TEST(WClock, SendsCountUpAlongSerialBlock) {
