@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #if defined(__GLIBC__)
@@ -22,7 +24,9 @@
 #include "metrics/efficiency.hpp"
 #include "metrics/windows.hpp"
 #include "obs/memstats.hpp"
+#include "obs/pipeline.hpp"
 #include "order/initial.hpp"
+#include "trace/io.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
@@ -437,6 +441,79 @@ void emit_pipeline_trajectory() {
       add_layer("storage/lifecycle", w.total_seconds, allocs, {});
       traj.add_workload(std::move(w));
     }
+  }
+  // The `.lstrace` ingest path end to end (ROADMAP "One ingest pass"):
+  // LULESH 10^3 x 40 (~1M events) written with save_trace, read back
+  // with load_trace, extracted and run through the efficiency suite.
+  // The write and read layers are the spans the library opens
+  // (`trace/write`, `trace/read` and its children `trace/parse`,
+  // `trace/repair`, `trace/freeze`), folded from the tracer; the
+  // extraction records every order pass and the suite is a pseudo-pass.
+  {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         "micro_pipeline_lstrace_1m.lstrace")
+            .string();
+    bench::PipelineWorkload w;
+    {
+      apps::LuleshConfig cfg;
+      cfg.nx = cfg.ny = cfg.nz = 10;
+      cfg.num_pes = 8;
+      cfg.iterations = 40;
+      const trace::Trace sim = apps::run_lulesh_charm(cfg);
+      obs::PipelineTracer::global().reset();
+      if (!trace::save_trace(sim, path)) {
+        std::fprintf(stderr, "micro_pipeline: cannot write %s\n",
+                     path.c_str());
+        std::abort();
+      }
+    }
+    obs::reset_peak_rss();
+    const std::int64_t rss_start = obs::current_rss_kb();
+    util::Stopwatch sw;
+    const trace::Trace t = trace::load_trace(path);
+    std::filesystem::remove(path);
+    order::OrderContext ctx(t, order::Options::charm());
+    order::run_partition_pipeline(ctx, nullptr, &w.passes);
+    order::run_stepping_pipeline(ctx, &w.passes);
+    {
+      const obs::AllocScope suite_allocs;
+      util::Stopwatch suite_sw;
+      const metrics::WindowSet ws =
+          metrics::WindowSet::phases(t, ctx.structure.phases);
+      const metrics::EfficiencySuite suite =
+          metrics::efficiency_suite(t, ws, 1);
+      benchmark::DoNotOptimize(suite.parallel.summary.mean);
+      order::PassRecord rec;
+      rec.name = "metrics/efficiency_suite";
+      rec.seconds = suite_sw.seconds();
+      rec.alloc_bytes = suite_allocs.delta().bytes;
+      rec.ran = true;
+      w.passes.push_back(std::move(rec));
+    }
+    w.total_seconds = sw.seconds();  // read, extraction and suite
+    const std::int64_t grown = obs::peak_rss_kb() - rss_start;
+    w.peak_rss_kb = grown > 0 ? grown : 0;
+    std::vector<order::PassRecord> io_layers;
+    for (const obs::Span& s : obs::PipelineTracer::global().snapshot()) {
+      if (s.open ||
+          (s.name != "trace/write" && s.name != "trace/read" &&
+           s.name != "trace/parse" && s.name != "trace/repair" &&
+           s.name != "trace/freeze"))
+        continue;
+      order::PassRecord rec;
+      rec.name = s.name;
+      rec.seconds = static_cast<double>(s.end_ns - s.begin_ns) * 1e-9;
+      rec.alloc_bytes = s.alloc_bytes;
+      rec.ran = true;
+      io_layers.push_back(std::move(rec));
+    }
+    w.passes.insert(w.passes.begin(), io_layers.begin(), io_layers.end());
+    w.name = "e2e/lstrace-1m";
+    w.events = t.num_events();
+    w.phases = ctx.structure.num_phases();
+    w.threads = 1;
+    traj.add_workload(std::move(w));
   }
   // Checksum kernel probe: CRC32C over a 32 MiB buffer, recorded as the
   // `trace/storage/checksum` pseudo-pass. Every v2 `.lsblk` block write

@@ -81,35 +81,44 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
 
   const std::vector<trace::TimeNs> dur = subblock_durations(trace);
 
-  // Every event's proc (high 32 bits) and rank in per-processor
-  // execution order (low 32 bits; blocks on a proc run serially in
-  // begin-time order, events within a block in physical order; events on
-  // no proc's list keep rank 0). The zero-latency replay keeps this
-  // serialization — the POP ideal network removes transfer time, not
-  // processors — which also guarantees ideal_span >= busy_max, so
-  // serialization <= 1 and comm = serialization x transfer holds
-  // exactly. Procs and times come from one sequential event scan.
-  std::vector<std::int64_t> proc_rank(num_events, 0);
+  // Every event's proc and time, from one sequential event scan.
+  std::vector<trace::ProcId> proc(num_events);
   std::vector<trace::TimeNs> time(num_events);
   trace.events().for_each_chunk(
       [&](const trace::Event* ev, std::size_t n, std::size_t base) {
         for (std::size_t i = 0; i < n; ++i) {
-          proc_rank[base + i] = static_cast<std::int64_t>(ev[i].proc) << 32;
+          proc[base + i] = ev[i].proc;
           time[base + i] = ev[i].time;
         }
       });
-  for (std::int32_t p = 0; p < trace.num_procs(); ++p) {
-    std::uint32_t rank = 0;
-    for (trace::BlockId b : trace.blocks_of_proc(p))
-      for (trace::EventId e : trace.events_of_block(b)) {
-        std::int64_t& key = proc_rank[static_cast<std::size_t>(e)];
-        key = (key & ~std::int64_t{0xffffffff}) | rank++;
-      }
-  }
   auto proc_of = [&](trace::EventId e) {
-    return static_cast<std::size_t>(proc_rank[static_cast<std::size_t>(e)] >>
-                                    32);
+    return static_cast<std::size_t>(proc[static_cast<std::size_t>(e)]);
   };
+
+  // Per-window predecessor in per-processor execution order (blocks on
+  // a proc run serially in begin-time order, events within a block in
+  // physical order), restricted to in-window events: a phase's events
+  // interleave with other phases on a proc, so the global proc chain
+  // cannot be reused directly. The zero-latency replay keeps this
+  // serialization — the POP ideal network removes transfer time, not
+  // processors — which also guarantees ideal_span >= busy_max, so
+  // serialization <= 1 and comm = serialization x transfer holds
+  // exactly. One walk of every proc's list builds all the chains: each
+  // window keeps its last event, stamped with the proc that set it.
+  std::vector<trace::EventId> prev_in_window(num_events, trace::kNone);
+  {
+    std::vector<trace::EventId> last(num_windows, trace::kNone);
+    std::vector<trace::ProcId> last_proc(num_windows, -1);
+    for (trace::ProcId p = 0; p < trace.num_procs(); ++p)
+      for (trace::BlockId b : trace.blocks_of_proc(p))
+        for (trace::EventId e : trace.events_of_block(b)) {
+          const auto w = static_cast<std::size_t>(windows.window_of(e));
+          if (last_proc[w] == p)
+            prev_in_window[static_cast<std::size_t>(e)] = last[w];
+          last[w] = e;
+          last_proc[w] = p;
+        }
+  }
 
   IncomingDeps deps(trace);
 
@@ -132,10 +141,6 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   // finish time before it reads it, so finish reuses the time buffer.
   std::vector<trace::TimeNs> finish = std::move(time);
   std::vector<std::uint8_t> state(num_events, 0);  // 0 new, 1 open, 2 done
-  // Per-window predecessor in proc order, restricted to in-window
-  // events (a phase's events interleave with other phases on a proc, so
-  // the global proc chain cannot be reused directly).
-  std::vector<trace::EventId> prev_in_window(num_events, trace::kNone);
 
   obs::Progress progress("metrics/window_loads",
                          static_cast<std::int64_t>(num_windows));
@@ -162,20 +167,6 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
 
         loads.messages[wz] =
             static_cast<std::int64_t>(windows.deps_of(w).size());
-
-        // Chain this window's events per proc in execution order.
-        std::vector<trace::EventId> order(events.begin(), events.end());
-        std::sort(order.begin(), order.end(),
-                  [&](trace::EventId a, trace::EventId b) {
-                    return proc_rank[static_cast<std::size_t>(a)] <
-                           proc_rank[static_cast<std::size_t>(b)];
-                  });
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          const bool same_proc =
-              i > 0 && proc_of(order[i - 1]) == proc_of(order[i]);
-          prev_in_window[static_cast<std::size_t>(order[i])] =
-              same_proc ? order[i - 1] : trace::kNone;
-        }
 
         // Zero-latency replay: longest chain of sub-block compute over
         // per-proc serialization order and in-window dependencies.

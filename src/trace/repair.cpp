@@ -350,34 +350,58 @@ void repair(RawTrace& raw, RecoveryReport& report) {
   // and re-contains events itself — the block-level diagnostic covers
   // the events dragged along with the span.
   {
-    std::vector<std::size_t> order(raw.blocks.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    // Blocks grouped by proc with a counting scatter in index order. A
+    // per-PE log lists its blocks in time order, so a run is usually in
+    // (begin, id) order already; only the runs that are not get sorted.
+    std::int32_t max_proc = -1;
+    for (const RawBlock& b : raw.blocks) max_proc = std::max(max_proc, b.proc);
+    std::vector<std::int32_t> first(static_cast<std::size_t>(max_proc) + 2, 0);
+    for (const RawBlock& b : raw.blocks)
+      ++first[static_cast<std::size_t>(b.proc) + 1];
+    for (std::size_t p = 1; p < first.size(); ++p) first[p] += first[p - 1];
+    std::vector<std::int32_t> of_proc(raw.blocks.size());
+    {
+      std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
+      for (std::size_t i = 0; i < raw.blocks.size(); ++i)
+        of_proc[static_cast<std::size_t>(
+            fill[static_cast<std::size_t>(raw.blocks[i].proc)]++)] =
+            static_cast<std::int32_t>(i);
+    }
+    const auto by_begin = [&](std::int32_t a, std::int32_t b) {
+      const TimeNs ta = raw.blocks[static_cast<std::size_t>(a)].begin;
+      const TimeNs tb = raw.blocks[static_cast<std::size_t>(b)].begin;
+      return ta != tb ? ta < tb : a < b;
+    };
+    std::int64_t sorted_runs = 0;
     bool moved_any = false;
     bool changed = true;
     while (changed) {
       changed = false;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const RawBlock& ba = raw.blocks[a];
-                  const RawBlock& bb = raw.blocks[b];
-                  if (ba.proc != bb.proc) return ba.proc < bb.proc;
-                  if (ba.begin != bb.begin) return ba.begin < bb.begin;
-                  return a < b;
-                });
-      for (std::size_t i = 1; i < order.size(); ++i) {
-        const RawBlock& prev = raw.blocks[order[i - 1]];
-        RawBlock& cur = raw.blocks[order[i]];
-        if (cur.proc != prev.proc || cur.begin >= prev.end) continue;
-        report.add(DiagCode::ClampedTimestamp, Severity::Warning,
-                   cat("block ", cur.id, " began at t=", cur.begin,
-                       " inside block ", prev.id, " on proc ", cur.proc,
-                       "; begin clamped to t=", prev.end));
-        cur.begin = prev.end;
-        if (cur.end < cur.begin) cur.end = cur.begin;
-        changed = true;
-        moved_any = true;
+      for (std::size_t p = 0; p + 1 < first.size(); ++p) {
+        const std::span<std::int32_t> run(
+            of_proc.data() + first[p],
+            static_cast<std::size_t>(first[p + 1] - first[p]));
+        if (!std::is_sorted(run.begin(), run.end(), by_begin)) {
+          std::sort(run.begin(), run.end(), by_begin);
+          ++sorted_runs;
+        }
+        for (std::size_t i = 1; i < run.size(); ++i) {
+          const RawBlock& prev =
+              raw.blocks[static_cast<std::size_t>(run[i - 1])];
+          RawBlock& cur = raw.blocks[static_cast<std::size_t>(run[i])];
+          if (cur.begin >= prev.end) continue;
+          report.add(DiagCode::ClampedTimestamp, Severity::Warning,
+                     cat("block ", cur.id, " began at t=", cur.begin,
+                         " inside block ", prev.id, " on proc ", cur.proc,
+                         "; begin clamped to t=", prev.end));
+          cur.begin = prev.end;
+          if (cur.end < cur.begin) cur.end = cur.begin;
+          changed = true;
+          moved_any = true;
+        }
       }
     }
+    OBS_COUNTER_ADD("trace/repair/sorted_proc_runs", sorted_runs);
     if (moved_any) {
       for (RawEvent& e : raw.events) {
         const RawBlock& blk = raw.blocks[static_cast<std::size_t>(e.block)];

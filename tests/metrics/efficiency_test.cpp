@@ -9,6 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "metrics/depview.hpp"
+#include "metrics/subblock.hpp"
 #include "metrics/windows.hpp"
 #include "order/stepping.hpp"
 #include "trace/builder.hpp"
@@ -111,6 +118,167 @@ TEST(EfficiencyGolden, FingerprintsAndThreadMatrix) {
         << g.name << " bins hash 0x" << std::hex << suite_hash(bins1);
     expect_identical(phases1, phases4, "phases threads 1 vs 4");
     expect_identical(bins1, bins4, "bins threads 1 vs 4");
+  }
+}
+
+/// The window loads as computed before the replay chains came from one
+/// walk of the proc lists: every window sorts its events by (proc, rank
+/// in the proc's execution order) and chains neighbours on one proc.
+/// Serial; the reference for EfficiencyReplay below.
+WindowLoads sorted_chain_loads(const trace::Trace& trace,
+                               const WindowSet& windows) {
+  const auto num_windows = static_cast<std::size_t>(windows.size());
+  const auto num_procs = static_cast<std::size_t>(trace.num_procs());
+  const auto num_events = static_cast<std::size_t>(trace.num_events());
+  WindowLoads loads;
+  loads.num_procs = trace.num_procs();
+  loads.busy.assign(num_windows * num_procs, 0);
+  loads.procs_active.assign(num_windows, 0);
+  loads.events.assign(num_windows, 0);
+  loads.messages.assign(num_windows, 0);
+  loads.transfer_wait.assign(num_windows, 0);
+  loads.busy_sum.assign(num_windows, 0);
+  loads.busy_max.assign(num_windows, 0);
+  loads.ideal_span.assign(num_windows, 0);
+  const std::vector<trace::TimeNs> dur = subblock_durations(trace);
+
+  // (proc << 32 | rank in the proc's execution order) per event.
+  std::vector<std::int64_t> proc_rank(num_events, 0);
+  for (trace::EventId e = 0; e < trace.num_events(); ++e)
+    proc_rank[static_cast<std::size_t>(e)] =
+        static_cast<std::int64_t>(trace.event(e).proc) << 32;
+  for (std::int32_t p = 0; p < trace.num_procs(); ++p) {
+    std::uint32_t rank = 0;
+    for (trace::BlockId b : trace.blocks_of_proc(p))
+      for (trace::EventId e : trace.events_of_block(b)) {
+        std::int64_t& key = proc_rank[static_cast<std::size_t>(e)];
+        key = (key & ~std::int64_t{0xffffffff}) | rank++;
+      }
+  }
+  auto proc_of = [&](trace::EventId e) {
+    return static_cast<std::size_t>(proc_rank[static_cast<std::size_t>(e)] >>
+                                    32);
+  };
+
+  const IncomingDeps deps(trace);
+  const auto dep_sends = trace.dep_sends();
+  const auto dep_recvs = trace.dep_recvs();
+  for (std::size_t r = 0; r < dep_sends.size(); ++r) {
+    const trace::TimeNs latency =
+        trace.event(dep_recvs[r]).time - trace.event(dep_sends[r]).time;
+    loads.transfer_wait[static_cast<std::size_t>(
+        windows.window_of(dep_recvs[r]))] +=
+        std::max<trace::TimeNs>(0, latency);
+  }
+
+  std::vector<trace::TimeNs> finish(num_events, 0);
+  std::vector<std::uint8_t> state(num_events, 0);
+  std::vector<trace::EventId> prev_in_window(num_events, trace::kNone);
+  for (std::int32_t w = 0; w < windows.size(); ++w) {
+    const auto wz = static_cast<std::size_t>(w);
+    const auto events = windows.events_of(w);
+    loads.events[wz] = static_cast<std::int32_t>(events.size());
+    trace::TimeNs* busy = loads.busy.data() + wz * num_procs;
+    std::vector<std::uint8_t> touched(num_procs, 0);
+    for (trace::EventId e : events) {
+      busy[proc_of(e)] += dur[static_cast<std::size_t>(e)];
+      touched[proc_of(e)] = 1;
+    }
+    for (std::size_t p = 0; p < num_procs; ++p) {
+      if (!touched[p]) continue;
+      ++loads.procs_active[wz];
+      loads.busy_sum[wz] += busy[p];
+      loads.busy_max[wz] = std::max(loads.busy_max[wz], busy[p]);
+    }
+    loads.messages[wz] = static_cast<std::int64_t>(windows.deps_of(w).size());
+
+    std::vector<trace::EventId> order(events.begin(), events.end());
+    std::sort(order.begin(), order.end(),
+              [&](trace::EventId a, trace::EventId b) {
+                return proc_rank[static_cast<std::size_t>(a)] <
+                       proc_rank[static_cast<std::size_t>(b)];
+              });
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const bool same_proc =
+          i > 0 && proc_of(order[i - 1]) == proc_of(order[i]);
+      prev_in_window[static_cast<std::size_t>(order[i])] =
+          same_proc ? order[i - 1] : trace::kNone;
+    }
+
+    auto for_each_pred = [&](trace::EventId v, auto&& fn) {
+      const trace::EventId prev = prev_in_window[static_cast<std::size_t>(v)];
+      if (prev != trace::kNone) fn(prev);
+      for (trace::EventId s : deps.senders(v))
+        if (windows.window_of(s) == w) fn(s);
+    };
+    std::vector<trace::EventId> stack;
+    for (trace::EventId e : events) {
+      if (state[static_cast<std::size_t>(e)] == 2) continue;
+      stack.push_back(e);
+      while (!stack.empty()) {
+        const trace::EventId v = stack.back();
+        const auto vz = static_cast<std::size_t>(v);
+        if (state[vz] == 2) {
+          stack.pop_back();
+          continue;
+        }
+        if (state[vz] == 0) {
+          state[vz] = 1;
+          for_each_pred(v, [&](trace::EventId pred) {
+            if (state[static_cast<std::size_t>(pred)] == 0)
+              stack.push_back(pred);
+          });
+          continue;
+        }
+        trace::TimeNs chain = 0;
+        for_each_pred(v, [&](trace::EventId pred) {
+          if (state[static_cast<std::size_t>(pred)] == 2)
+            chain = std::max(chain, finish[static_cast<std::size_t>(pred)]);
+        });
+        finish[vz] = chain + dur[vz];
+        state[vz] = 2;
+        stack.pop_back();
+      }
+    }
+    for (trace::EventId e : events)
+      loads.ideal_span[wz] =
+          std::max(loads.ideal_span[wz], finish[static_cast<std::size_t>(e)]);
+  }
+  return loads;
+}
+
+void expect_same_loads(const WindowLoads& got, const WindowLoads& want) {
+  EXPECT_EQ(got.num_procs, want.num_procs);
+  EXPECT_EQ(got.busy, want.busy);
+  EXPECT_EQ(got.procs_active, want.procs_active);
+  EXPECT_EQ(got.events, want.events);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.transfer_wait, want.transfer_wait);
+  EXPECT_EQ(got.busy_sum, want.busy_sum);
+  EXPECT_EQ(got.busy_max, want.busy_max);
+  EXPECT_EQ(got.ideal_span, want.ideal_span);
+}
+
+TEST(EfficiencyReplay, ChainsMatchPerWindowSortOnGoldens) {
+  for (const auto& g : kGoldens) {
+    SCOPED_TRACE(g.name);
+    ScopedDefaultParallelism serial(1);
+    const trace::Trace t = g.make();
+    const order::LogicalStructure ls =
+        order::extract_structure(t, g.opts());
+    std::vector<std::pair<std::string, WindowSet>> sets;
+    sets.emplace_back("phases", WindowSet::phases(t, ls.phases));
+    for (std::int32_t bins : {1, 8, 64, 1000})
+      sets.emplace_back(std::to_string(bins) + " bins",
+                        WindowSet::time_bins(t, bins));
+    for (const auto& [name, set] : sets) {
+      SCOPED_TRACE(name);
+      const WindowLoads want = sorted_chain_loads(t, set);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expect_same_loads(compute_window_loads(t, set, threads), want);
+      }
+    }
   }
 }
 

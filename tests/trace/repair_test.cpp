@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "trace/diagnostics.hpp"
 #include "trace/validate.hpp"
@@ -164,6 +166,58 @@ TEST(Repair, DropsEventsOfLostBlocks) {
   Trace t = build_trace(std::move(raw), 1);
   EXPECT_EQ(t.num_events(), 2);
   EXPECT_TRUE(validate(t).empty());
+}
+
+TEST(Repair, ClampsOverlappingBlocksOnOneProc) {
+  // Blocks listed out of begin order on both procs. Proc 0: block 0
+  // begins inside block 4. Proc 1: block 2 begins inside block 3, and
+  // clamping it makes it cover block 1's begin, a chained overlap.
+  RawTrace raw;
+  raw.num_procs = 2;
+  raw.chares.push_back({0, ChareInfo{"c0", kNone, -1, 0, false}});
+  raw.chares.push_back({1, ChareInfo{"c1", kNone, -1, 1, false}});
+  raw.entries.push_back({0, EntryInfo{"e0", false, -1, {}}});
+  raw.blocks.push_back({0, 0, 0, 0, 100, 200, true});
+  raw.blocks.push_back({1, 1, 1, 0, 150, 180, true});
+  raw.blocks.push_back({2, 1, 1, 0, 100, 200, true});
+  raw.blocks.push_back({3, 1, 1, 0, 0, 150, true});
+  raw.blocks.push_back({4, 0, 0, 0, 0, 150, true});
+  raw.events.push_back({0, EventKind::Send, 120, 0, kNone});
+  raw.events.push_back({1, EventKind::Send, 180, 0, kNone});
+  raw.events.push_back({2, EventKind::Send, 110, 2, kNone});
+  raw.events.push_back({3, EventKind::Send, 160, 1, kNone});
+  raw.events.push_back({4, EventKind::Send, 10, 3, kNone});
+  RecoveryReport report;
+  repair(raw, report);
+
+  const std::vector<std::string> want = {
+      "block 0 began at t=100 inside block 4 on proc 0; begin clamped to "
+      "t=150",
+      "block 2 began at t=100 inside block 3 on proc 1; begin clamped to "
+      "t=150",
+      "block 1 began at t=150 inside block 2 on proc 1; begin clamped to "
+      "t=200",
+  };
+  ASSERT_EQ(report.diagnostics().size(), want.size()) << report.to_string();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(report.diagnostics()[i].code, DiagCode::ClampedTimestamp);
+    EXPECT_EQ(report.diagnostics()[i].detail, want[i]);
+  }
+
+  // (begin, end) per block: 0 and 2 start at their predecessor's end,
+  // and 1, pushed past its own end, becomes an empty span.
+  const std::vector<std::pair<TimeNs, TimeNs>> spans = {
+      {150, 200}, {200, 200}, {150, 200}, {0, 150}, {0, 150}};
+  for (std::size_t b = 0; b < spans.size(); ++b) {
+    EXPECT_EQ(raw.blocks[b].begin, spans[b].first) << "block " << b;
+    EXPECT_EQ(raw.blocks[b].end, spans[b].second) << "block " << b;
+  }
+  // Events the clamps left behind are dragged into the new spans; the
+  // rest keep their times.
+  const std::vector<TimeNs> times = {150, 180, 150, 200, 10};
+  for (std::size_t e = 0; e < times.size(); ++e)
+    EXPECT_EQ(raw.events[e].time, times[e]) << "event " << e;
+  EXPECT_TRUE(validate(build_trace(std::move(raw), 1)).empty());
 }
 
 TEST(Repair, CleansIdleSpans) {
