@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
           .add(s.parallel.per_window[wz], 3)
           .add(s.balance.per_window[wz], 3)
           .add(s.communication.per_window[wz], 3)
-          .add(s.sertrans.serialization[wz], 3)
-          .add(s.sertrans.transfer[wz], 3);
+          .add(s.serialization.per_window[wz], 3)
+          .add(s.transfer.per_window[wz], 3);
     }
     table.print();
     std::printf(
@@ -114,11 +114,11 @@ int main(int argc, char** argv) {
       // are checkable.
       const double lb_comm =
           s->balance.per_window[wz] * s->communication.per_window[wz];
-      const double ser_tr = s->sertrans.serialization[wz] *
-                            s->sertrans.transfer[wz];
+      const double ser_tr = s->serialization.per_window[wz] *
+                            s->transfer.per_window[wz];
       const bool comm_clamped = s->communication.per_window[wz] >= 1.0;
-      const bool ser_clamped = s->sertrans.serialization[wz] >= 1.0 ||
-                               s->sertrans.transfer[wz] >= 1.0;
+      const bool ser_clamped = s->serialization.per_window[wz] >= 1.0 ||
+                               s->transfer.per_window[wz] >= 1.0;
       if ((!comm_clamped &&
            std::fabs(s->parallel.per_window[wz] - lb_comm) > 1e-9) ||
           (!ser_clamped &&

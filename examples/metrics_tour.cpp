@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
         .add(eff.parallel.per_window[wz], 3)
         .add(eff.balance.per_window[wz], 3)
         .add(eff.communication.per_window[wz], 3)
-        .add(eff.sertrans.serialization[wz], 3)
-        .add(eff.sertrans.transfer[wz], 3);
+        .add(eff.serialization.per_window[wz], 3)
+        .add(eff.transfer.per_window[wz], 3);
   }
   eff_table.print();
   std::printf("  worst load balance: %.3f in phase window %d "

@@ -1,42 +1,13 @@
 #include "graph/digraph.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.hpp"
+#include "util/csr.hpp"
 
 namespace logstruct::graph {
 
-namespace {
-
 using Edge = std::pair<NodeId, NodeId>;
-
-/// Stable counting scatter of `edges` into CSR rows by `key` in [0, n):
-/// out[...] = value(edge); returns the n + 1 row offsets. Each row keeps
-/// the edges' input order.
-template <typename Key, typename Value, typename Out>
-std::vector<std::int32_t> scatter(const std::vector<Edge>& edges,
-                                  std::size_t n, Key key, Value value,
-                                  std::vector<Out>& out) {
-  std::vector<std::int32_t> begin(n + 1, 0);
-  for (const Edge& e : edges) ++begin[static_cast<std::size_t>(key(e)) + 1];
-  std::partial_sum(begin.begin(), begin.end(), begin.begin());
-  out.resize(edges.size());
-  // Placing advances each row's start to its end, the next row's start:
-  // shifting the array back by one restores the offsets.
-  for (const Edge& e : edges)
-    out[static_cast<std::size_t>(begin[static_cast<std::size_t>(key(e))]++)] =
-        value(e);
-  std::copy_backward(begin.begin(), begin.end() - 1, begin.end());
-  begin[0] = 0;
-  return begin;
-}
-
-NodeId from(const Edge& e) { return e.first; }
-NodeId to(const Edge& e) { return e.second; }
-Edge whole(const Edge& e) { return e; }
-
-}  // namespace
 
 void Digraph::reset(NodeId num_nodes) {
   LS_CHECK(num_nodes >= 0);
@@ -72,16 +43,25 @@ void Digraph::build_rows(std::vector<Edge>& edges) {
   const auto n = static_cast<std::size_t>(num_nodes_);
   // Radix sort on (u, v): a stable scatter by v, then one by u; the
   // sorted list then drops its adjacent duplicates.
+  std::vector<std::int32_t> begin;
   std::vector<Edge> by_v;
-  scatter(edges, n, to, whole, by_v);
-  scatter(by_v, n, from, whole, edges);
+  util::csr_scatter(
+      n, [&](auto emit) { for (const Edge& e : edges) emit(e.second, e); },
+      begin, by_v);
+  util::csr_scatter(
+      n, [&](auto emit) { for (const Edge& e : by_v) emit(e.first, e); },
+      begin, edges);
   by_v = {};
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   // Cutting the sorted list at each u gives rows sorted by v; scattering
   // it by v gives rows sorted by u.
-  succ_begin_ = scatter(edges, n, from, to, succ_);
-  pred_begin_ = scatter(edges, n, to, from, pred_);
+  util::csr_scatter(
+      n, [&](auto emit) { for (auto [u, v] : edges) emit(u, v); },
+      succ_begin_, succ_);
+  util::csr_scatter(
+      n, [&](auto emit) { for (auto [u, v] : edges) emit(v, u); },
+      pred_begin_, pred_);
 }
 
 bool Digraph::has_edge(NodeId u, NodeId v) const {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "metrics/depview.hpp"
 #include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
+#include "trace/depview.hpp"
 
 namespace logstruct::metrics {
 
@@ -60,7 +60,7 @@ CriticalPath critical_path(const trace::Trace& trace,
   // All dependency edges come from the frozen table's reverse view:
   // matches and fan-out copies (what ev.partner used to give) plus every
   // send of a collective, so the path no longer breaks at reductions.
-  IncomingDeps deps(trace);
+  trace::IncomingDeps deps(trace);
 
   trace::EventId best = trace::kNone;
   trace::TimeNs best_full = 0;

@@ -4,12 +4,12 @@
 #include <fstream>
 #include <utility>
 
-#include "metrics/depview.hpp"
 #include "metrics/subblock.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
+#include "trace/depview.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
@@ -19,37 +19,39 @@ namespace {
 
 double clamp01(double v) { return std::min(1.0, std::max(0.0, v)); }
 
-/// Shared shape of the four kernels: map every window to a ratio, then
-/// summarize over non-empty windows in fixed (window-id) order. The
-/// per-window writes are index-owned, so the fan-out is race-free and
-/// bit-identical for any thread count.
+/// Every ratio's shape: map every window to a ratio, then summarize over
+/// non-empty windows in fixed (window-id) order. The per-window writes
+/// are index-owned, so the fan-out is race-free and bit-identical for
+/// any thread count.
 template <typename Fn>
-void per_window_ratio(const WindowSet& windows, const WindowLoads& loads,
-                      int threads, std::vector<double>& out,
-                      EffSummary& summary, Fn&& ratio) {
+WindowRatio window_ratio(const WindowSet& windows, const WindowLoads& loads,
+                         int threads, Fn&& ratio) {
   const std::int64_t n = windows.size();
-  out.assign(static_cast<std::size_t>(n), 0.0);
+  WindowRatio out;
+  out.per_window.assign(static_cast<std::size_t>(n), 0.0);
   util::parallel_for(threads, n, [&](std::int64_t w) {
     const auto i = static_cast<std::size_t>(w);
     if (loads.events[i] == 0) return;  // empty window stays 0
     const trace::TimeNs span = windows.window(
         static_cast<std::int32_t>(w)).span();
-    out[i] = span == 0 ? 1.0 : clamp01(ratio(i, span));
+    out.per_window[i] = span == 0 ? 1.0 : clamp01(ratio(i, span));
   });
-  summary = EffSummary{};
   double sum = 0;
   std::int64_t counted = 0;
+  EffSummary& summary = out.summary;
   for (std::int64_t w = 0; w < n; ++w) {
     const auto i = static_cast<std::size_t>(w);
     if (loads.events[i] == 0) continue;
-    sum += out[i];
+    const double v = out.per_window[i];
+    sum += v;
     ++counted;
-    if (summary.min_window < 0 || out[i] < summary.min) {
-      summary.min = out[i];
+    if (summary.min_window < 0 || v < summary.min) {
+      summary.min = v;
       summary.min_window = static_cast<std::int32_t>(w);
     }
   }
   summary.mean = counted ? sum / static_cast<double>(counted) : 0.0;
+  return out;
 }
 
 double busy_avg(const WindowLoads& loads, std::size_t w) {
@@ -120,7 +122,7 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
         }
   }
 
-  IncomingDeps deps(trace);
+  trace::IncomingDeps deps(trace);
 
   // Transfer wait: one pass over the message rows, each summed into the
   // window of its receive (the rows WindowSet::deps_of lists).
@@ -220,73 +222,6 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   return loads;
 }
 
-ParallelEfficiency parallel_efficiency(const WindowSet& windows,
-                                       const WindowLoads& loads,
-                                       int threads) {
-  OBS_SPAN_ANON("metrics/parallel_efficiency");
-  ParallelEfficiency out;
-  out.degraded_windows = windows.degraded_windows();
-  per_window_ratio(windows, loads, threads, out.per_window, out.summary,
-                   [&](std::size_t w, trace::TimeNs span) {
-                     return busy_avg(loads, w) /
-                            static_cast<double>(span);
-                   });
-  return out;
-}
-
-LoadBalance load_balance(const WindowSet& windows, const WindowLoads& loads,
-                         int threads) {
-  OBS_SPAN_ANON("metrics/load_balance");
-  LoadBalance out;
-  out.degraded_windows = windows.degraded_windows();
-  per_window_ratio(windows, loads, threads, out.per_window, out.summary,
-                   [&](std::size_t w, trace::TimeNs) {
-                     return loads.busy_max[w] > 0
-                                ? busy_avg(loads, w) /
-                                      static_cast<double>(loads.busy_max[w])
-                                : 1.0;
-                   });
-  return out;
-}
-
-CommunicationEfficiency communication_efficiency(const WindowSet& windows,
-                                                 const WindowLoads& loads,
-                                                 int threads) {
-  OBS_SPAN_ANON("metrics/communication_efficiency");
-  CommunicationEfficiency out;
-  out.degraded_windows = windows.degraded_windows();
-  per_window_ratio(windows, loads, threads, out.per_window, out.summary,
-                   [&](std::size_t w, trace::TimeNs span) {
-                     return static_cast<double>(loads.busy_max[w]) /
-                            static_cast<double>(span);
-                   });
-  return out;
-}
-
-SerializationTransfer serialization_transfer(const WindowSet& windows,
-                                             const WindowLoads& loads,
-                                             int threads) {
-  OBS_SPAN_ANON("metrics/serialization_transfer");
-  SerializationTransfer out;
-  out.degraded_windows = windows.degraded_windows();
-  per_window_ratio(windows, loads, threads, out.serialization,
-                   out.serialization_summary,
-                   [&](std::size_t w, trace::TimeNs) {
-                     return loads.ideal_span[w] > 0
-                                ? static_cast<double>(loads.busy_max[w]) /
-                                      static_cast<double>(
-                                          loads.ideal_span[w])
-                                : 1.0;
-                   });
-  per_window_ratio(windows, loads, threads, out.transfer,
-                   out.transfer_summary,
-                   [&](std::size_t w, trace::TimeNs span) {
-                     return static_cast<double>(loads.ideal_span[w]) /
-                            static_cast<double>(span);
-                   });
-  return out;
-}
-
 EfficiencySuite efficiency_suite(const trace::Trace& trace,
                                  const WindowSet& windows, int threads) {
   OBS_SPAN(sp, "metrics/efficiency_suite");
@@ -296,11 +231,31 @@ EfficiencySuite efficiency_suite(const trace::Trace& trace,
   suite.windows.assign(windows.windows().begin(), windows.windows().end());
   suite.degraded_windows = windows.degraded_windows();
   suite.loads = compute_window_loads(trace, windows, threads);
-  suite.parallel = parallel_efficiency(windows, suite.loads, threads);
-  suite.balance = load_balance(windows, suite.loads, threads);
-  suite.communication =
-      communication_efficiency(windows, suite.loads, threads);
-  suite.sertrans = serialization_transfer(windows, suite.loads, threads);
+  const WindowLoads& loads = suite.loads;
+  auto ratio = [&](auto&& fn) {
+    return window_ratio(windows, loads, threads, fn);
+  };
+  suite.parallel = ratio([&](std::size_t w, trace::TimeNs span) {
+    return busy_avg(loads, w) / static_cast<double>(span);
+  });
+  suite.balance = ratio([&](std::size_t w, trace::TimeNs) {
+    return loads.busy_max[w] > 0
+               ? busy_avg(loads, w) / static_cast<double>(loads.busy_max[w])
+               : 1.0;
+  });
+  suite.communication = ratio([&](std::size_t w, trace::TimeNs span) {
+    return static_cast<double>(loads.busy_max[w]) / static_cast<double>(span);
+  });
+  suite.serialization = ratio([&](std::size_t w, trace::TimeNs) {
+    return loads.ideal_span[w] > 0
+               ? static_cast<double>(loads.busy_max[w]) /
+                     static_cast<double>(loads.ideal_span[w])
+               : 1.0;
+  });
+  suite.transfer = ratio([&](std::size_t w, trace::TimeNs span) {
+    return static_cast<double>(loads.ideal_span[w]) /
+           static_cast<double>(span);
+  });
   sp.attr("windows", windows.size());
   sp.attr("degraded_windows", suite.degraded_windows);
   return suite;
@@ -362,8 +317,8 @@ std::string efficiency_report_json(const trace::Trace& trace,
     write_summary(w, "parallel", suite.parallel.summary);
     write_summary(w, "load_balance", suite.balance.summary);
     write_summary(w, "communication", suite.communication.summary);
-    write_summary(w, "serialization", suite.sertrans.serialization_summary);
-    write_summary(w, "transfer", suite.sertrans.transfer_summary);
+    write_summary(w, "serialization", suite.serialization.summary);
+    write_summary(w, "transfer", suite.transfer.summary);
     w.end_object();
     w.key("windows");
     w.begin_array();
@@ -404,9 +359,9 @@ std::string efficiency_report_json(const trace::Trace& trace,
       w.key("communication");
       w.value(suite.communication.per_window[iz]);
       w.key("serialization");
-      w.value(suite.sertrans.serialization[iz]);
+      w.value(suite.serialization.per_window[iz]);
       w.key("transfer");
-      w.value(suite.sertrans.transfer[iz]);
+      w.value(suite.transfer.per_window[iz]);
       w.end_object();
     }
     w.end_array();

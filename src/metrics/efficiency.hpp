@@ -5,8 +5,8 @@
 ///
 /// The paper's payoff is that recovered logical structure (phases/steps)
 /// attributes performance sharper than wall-clock slicing; this suite
-/// makes that measurable. Four kernels compute, per window of a
-/// WindowSet (fixed-width time bins or recovered phases):
+/// makes that measurable. It computes, per window of a WindowSet
+/// (fixed-width time bins or recovered phases), five ratios:
 ///
 ///   parallel efficiency       busy_avg / span
 ///   load balance              busy_avg / busy_max
@@ -23,9 +23,9 @@
 /// Definitions, edge cases, and the export schema are documented in
 /// docs/METRICS.md.
 ///
-/// All kernels run on the shared work-stealing pool with index-owned
+/// The suite runs on the shared work-stealing pool with index-owned
 /// writes and fixed-order reductions — bit-identical results for any
-/// thread count — and carry the window quarantine provenance
+/// thread count — and carries the window quarantine provenance
 /// (degraded_windows) like the per-run metric kernels do.
 
 #include <cstdint>
@@ -43,7 +43,7 @@ class Flags;
 
 namespace logstruct::metrics {
 
-/// Shared per-window precompute the four kernels consume: per-processor
+/// Shared per-window precompute the five ratios read: per-processor
 /// busy time, dependency (message) counts and latency sums, and the
 /// zero-latency replay span. Computed once per WindowSet.
 struct WindowLoads {
@@ -73,65 +73,34 @@ struct WindowLoads {
 WindowLoads compute_window_loads(const trace::Trace& trace,
                                  const WindowSet& windows, int threads = 0);
 
-/// Summary shared by the kernels: worst and mean window, computed over
-/// non-empty windows only (empty bins report 0 and are excluded).
+/// Summary of one ratio: worst and mean window, computed over non-empty
+/// windows only (empty bins report 0 and are excluded).
 struct EffSummary {
   double min = 0;
   double mean = 0;
   std::int32_t min_window = -1;
 };
 
-struct ParallelEfficiency {
+/// One ratio per window, with its summary.
+struct WindowRatio {
   std::vector<double> per_window;
   EffSummary summary;
-  /// Windows quarantined by trace-level recovery (Window::degraded):
-  /// ratios there rest on repaired, not observed, dependencies.
-  std::int32_t degraded_windows = 0;
 };
 
-struct LoadBalance {
-  std::vector<double> per_window;
-  EffSummary summary;
-  std::int32_t degraded_windows = 0;
-};
-
-struct CommunicationEfficiency {
-  std::vector<double> per_window;
-  EffSummary summary;
-  std::int32_t degraded_windows = 0;
-};
-
-struct SerializationTransfer {
-  std::vector<double> serialization;
-  std::vector<double> transfer;
-  EffSummary serialization_summary;
-  EffSummary transfer_summary;
-  std::int32_t degraded_windows = 0;
-};
-
-ParallelEfficiency parallel_efficiency(const WindowSet& windows,
-                                       const WindowLoads& loads,
-                                       int threads = 0);
-LoadBalance load_balance(const WindowSet& windows, const WindowLoads& loads,
-                         int threads = 0);
-CommunicationEfficiency communication_efficiency(const WindowSet& windows,
-                                                 const WindowLoads& loads,
-                                                 int threads = 0);
-SerializationTransfer serialization_transfer(const WindowSet& windows,
-                                             const WindowLoads& loads,
-                                             int threads = 0);
-
-/// All four kernels over one shared WindowLoads precompute, plus the
+/// The five ratios over one shared WindowLoads precompute, plus the
 /// window metadata the exporters need.
 struct EfficiencySuite {
   WindowKind kind = WindowKind::TimeBin;
   trace::TimeNs bin_width_ns = 0;  ///< 0 for phase windows
   std::vector<Window> windows;
   WindowLoads loads;
-  ParallelEfficiency parallel;
-  LoadBalance balance;
-  CommunicationEfficiency communication;
-  SerializationTransfer sertrans;
+  WindowRatio parallel;
+  WindowRatio balance;
+  WindowRatio communication;
+  WindowRatio serialization;
+  WindowRatio transfer;
+  /// Windows quarantined by trace-level recovery (Window::degraded):
+  /// ratios there rest on repaired, not observed, dependencies.
   std::int32_t degraded_windows = 0;
 
   [[nodiscard]] std::int32_t num_windows() const {

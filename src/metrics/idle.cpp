@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "metrics/depview.hpp"
 #include "obs/obs.hpp"
+#include "trace/depview.hpp"
 
 namespace logstruct::metrics {
 
@@ -16,7 +16,7 @@ IdleExperienced idle_experienced(const trace::Trace& trace) {
   // When a block's trigger started: the time of its gating dependency per
   // the frozen table — matching send, fan-out origin, or the last send of
   // its collective (previously collective triggers stopped the walk).
-  IncomingDeps deps(trace);
+  trace::IncomingDeps deps(trace);
   auto trigger_time = [&](const trace::SerialBlock& blk) -> trace::TimeNs {
     if (blk.trigger == trace::kNone) return -1;
     trace::EventId s = deps.binding_sender(trace, blk.trigger);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#include "metrics/depview.hpp"
 #include "metrics/step_slots.hpp"
 #include "obs/obs.hpp"
+#include "trace/depview.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::metrics {
@@ -95,7 +95,7 @@ Lateness lateness(const trace::Trace& trace,
   // that out (index-owned slots); the scatter into chares stays serial.
   out.caused_by_chare.assign(static_cast<std::size_t>(trace.num_chares()),
                              0);
-  IncomingDeps deps(trace);
+  trace::IncomingDeps deps(trace);
   std::vector<trace::EventId> binding(
       static_cast<std::size_t>(trace.num_events()), trace::kNone);
   util::parallel_for(threads, n, [&](std::int64_t e) {

@@ -4,6 +4,7 @@
 
 #include "obs/obs.hpp"
 #include "order/stats.hpp"
+#include "util/csr.hpp"
 
 namespace logstruct::metrics {
 
@@ -12,40 +13,24 @@ void WindowSet::index_members(const trace::Trace& trace,
   const auto num_windows = windows_.size();
   const auto num_events = static_cast<std::size_t>(trace.num_events());
 
-  // Events per window: counting sort in event-id order, so each
-  // window's list comes out id-sorted (the fixed reduction order the
-  // efficiency kernels rely on).
-  event_begin_.assign(num_windows + 1, 0);
-  for (std::size_t e = 0; e < num_events; ++e)
-    ++event_begin_[static_cast<std::size_t>(window_of_event_[e]) + 1];
-  for (std::size_t w = 1; w < event_begin_.size(); ++w)
-    event_begin_[w] += event_begin_[w - 1];
-  events_.resize(num_events);
-  std::vector<std::int64_t> cursor(event_begin_.begin(),
-                                   event_begin_.end() - 1);
-  for (std::size_t e = 0; e < num_events; ++e) {
-    const auto w = static_cast<std::size_t>(window_of_event_[e]);
-    events_[static_cast<std::size_t>(cursor[w]++)] =
-        static_cast<trace::EventId>(e);
-  }
-
-  // Dependency rows land in the window of their receive, row-id sorted.
+  // Events per window in event-id order (the fixed reduction order the
+  // efficiency kernels rely on); dependency rows land in the window of
+  // their receive, row-id sorted.
+  util::csr_scatter(
+      num_windows,
+      [&](auto emit) {
+        for (std::size_t e = 0; e < num_events; ++e)
+          emit(window_of_event_[e], e);
+      },
+      event_begin_, events_);
   const auto recvs = trace.dep_recvs();
-  dep_begin_.assign(num_windows + 1, 0);
-  for (std::size_t r = 0; r < recvs.size(); ++r)
-    ++dep_begin_[static_cast<std::size_t>(
-                     window_of_event_[static_cast<std::size_t>(recvs[r])]) +
-                 1];
-  for (std::size_t w = 1; w < dep_begin_.size(); ++w)
-    dep_begin_[w] += dep_begin_[w - 1];
-  deps_.resize(recvs.size());
-  cursor.assign(dep_begin_.begin(), dep_begin_.end() - 1);
-  for (std::size_t r = 0; r < recvs.size(); ++r) {
-    const auto w = static_cast<std::size_t>(
-        window_of_event_[static_cast<std::size_t>(recvs[r])]);
-    deps_[static_cast<std::size_t>(cursor[w]++)] =
-        static_cast<std::int64_t>(r);
-  }
+  util::csr_scatter(
+      num_windows,
+      [&](auto emit) {
+        for (std::size_t r = 0; r < recvs.size(); ++r)
+          emit(window_of_event_[static_cast<std::size_t>(recvs[r])], r);
+      },
+      dep_begin_, deps_);
 
   // A time bin inherits the quarantine flag of any degraded chare whose
   // event it contains (phase windows carry the flag from PhaseResult).

@@ -7,6 +7,7 @@
 #include "obs/obs.hpp"
 #include "order/context.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::order {
@@ -29,7 +30,7 @@ PhaseReachability::PhaseReachability(const graph::Digraph& dag)
 
 CausalityOracle::CausalityOracle(const trace::Trace& trace,
                                  const CausalityOptions& opts)
-    : trace_(&trace) {
+    : trace_(&trace), deps_(trace) {
   OBS_SPAN(span, "order/causality/build");
   const auto n = static_cast<std::size_t>(trace.num_events());
   span.attr("events", trace.num_events());
@@ -54,62 +55,32 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
   for (std::size_t e = 0; e < n; ++e)
     if (chain_[e] < 0) chain_[e] = next_chain++;
 
-  // Reverse-CSR dependency view (the IncomingDeps layout): counting sort
-  // of the frozen SoA columns, chunk-streamed under the blocked backend.
-  pred_begin_.assign(n + 1, 0);
-  trace.for_each_dependency([&](trace::EventId, trace::EventId recv) {
-    ++pred_begin_[static_cast<std::size_t>(recv) + 1];
-  });
-  for (std::size_t i = 1; i < pred_begin_.size(); ++i)
-    pred_begin_[i] += pred_begin_[i - 1];
-  pred_senders_.resize(
-      static_cast<std::size_t>(trace.num_dependencies()));
-  {
-    std::vector<std::int64_t> cursor(pred_begin_.begin(),
-                                     pred_begin_.end() - 1);
-    trace.for_each_dependency([&](trace::EventId send,
-                                  trace::EventId recv) {
-      pred_senders_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(recv)]++)] = send;
-    });
-  }
-
   // Kahn levels: level(e) = 1 + max level over direct predecessors.
   // Serial — O(V + E) — so wave membership is trivially deterministic;
   // only the clock merges below fan out.
   level_.assign(n, 0);
   std::vector<std::int32_t> indeg(n, 0);
-  std::vector<std::int64_t> out_begin(n + 1, 0);
-  for (std::size_t e = 0; e < n; ++e) {
-    indeg[e] = static_cast<std::int32_t>(pred_begin_[e + 1] -
-                                         pred_begin_[e]) +
-               (chain_pred_[e] != trace::kNone ? 1 : 0);
-    for (std::int64_t i = pred_begin_[e];
-         i < pred_begin_[e + 1]; ++i)
-      ++out_begin[static_cast<std::size_t>(
-                      pred_senders_[static_cast<std::size_t>(i)]) +
-                  1];
-  }
-  for (std::size_t i = 1; i < out_begin.size(); ++i)
-    out_begin[i] += out_begin[i - 1];
-  std::vector<trace::EventId> out_succ(pred_senders_.size());
   std::vector<trace::EventId> chain_succ(n, trace::kNone);
-  {
-    std::vector<std::int64_t> cursor(out_begin.begin(),
-                                     out_begin.end() - 1);
-    for (std::size_t e = 0; e < n; ++e) {
-      if (chain_pred_[e] != trace::kNone)
-        chain_succ[static_cast<std::size_t>(chain_pred_[e])] =
-            static_cast<trace::EventId>(e);
-      for (std::int64_t i = pred_begin_[e];
-           i < pred_begin_[e + 1]; ++i) {
-        const auto s = static_cast<std::size_t>(
-            pred_senders_[static_cast<std::size_t>(i)]);
-        out_succ[static_cast<std::size_t>(cursor[s]++)] =
-            static_cast<trace::EventId>(e);
-      }
-    }
+  for (std::size_t e = 0; e < n; ++e) {
+    indeg[e] = static_cast<std::int32_t>(deps_.senders(
+                   static_cast<trace::EventId>(e)).size()) +
+               (chain_pred_[e] != trace::kNone ? 1 : 0);
+    if (chain_pred_[e] != trace::kNone)
+      chain_succ[static_cast<std::size_t>(chain_pred_[e])] =
+          static_cast<trace::EventId>(e);
   }
+  // Dependency successors: the view's rows turned around, each row in
+  // ascending receive id.
+  std::vector<std::int64_t> out_begin;
+  std::vector<trace::EventId> out_succ;
+  util::csr_scatter(
+      n,
+      [&](auto emit) {
+        for (std::size_t e = 0; e < n; ++e)
+          for (trace::EventId s : deps_.senders(static_cast<trace::EventId>(e)))
+            emit(s, e);
+      },
+      out_begin, out_succ);
   std::vector<trace::EventId> queue;
   queue.reserve(n);
   for (std::size_t e = 0; e < n; ++e)
@@ -150,21 +121,14 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
   // wave k has all predecessors in waves < k, so each clock is a pure
   // function of final predecessor clocks — index-owned writes, bit-
   // identical for any thread count.
-  std::vector<std::int64_t> wave_begin(
-      static_cast<std::size_t>(max_level_) + 2, 0);
-  for (std::size_t e = 0; e < n; ++e)
-    ++wave_begin[static_cast<std::size_t>(level_[e]) + 1];
-  for (std::size_t i = 1; i < wave_begin.size(); ++i)
-    wave_begin[i] += wave_begin[i - 1];
-  std::vector<trace::EventId> wave_events(n);
-  {
-    std::vector<std::int64_t> cursor(wave_begin.begin(),
-                                     wave_begin.end() - 1);
-    for (std::size_t e = 0; e < n; ++e)
-      wave_events[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(level_[e])]++)] =
-          static_cast<trace::EventId>(e);
-  }
+  std::vector<std::int64_t> wave_begin;
+  std::vector<trace::EventId> wave_events;
+  util::csr_scatter(
+      static_cast<std::size_t>(max_level_) + 1,
+      [&](auto emit) {
+        for (std::size_t e = 0; e < n; ++e) emit(level_[e], e);
+      },
+      wave_begin, wave_events);
 
   clocks_.assign(n, HbClock{});
   const int threads = util::resolve_threads(opts.threads);
@@ -186,10 +150,10 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
       }
       if (chain_pred_[ee] != trace::kNone)
         c.merge(clocks_[static_cast<std::size_t>(chain_pred_[ee])]);
-      for (std::int64_t d = pred_begin_[ee];
-           !c.saturated() && d < pred_begin_[ee + 1]; ++d)
-        c.merge(clocks_[static_cast<std::size_t>(
-            pred_senders_[static_cast<std::size_t>(d)])]);
+      for (trace::EventId s : deps_.senders(e)) {
+        if (c.saturated()) break;
+        c.merge(clocks_[static_cast<std::size_t>(s)]);
+      }
       if (!c.saturated()) c.raise(chain_[ee], pos_[ee] + 1);
       if (c.num_entries() > budget) c.saturate();
     });
@@ -204,9 +168,8 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
       clocks_.capacity() * sizeof(HbClock) +
       (chain_.capacity() + pos_.capacity() + level_.capacity()) *
           sizeof(std::int32_t) +
-      (chain_pred_.capacity() + pred_senders_.capacity()) *
-          sizeof(trace::EventId) +
-      pred_begin_.capacity() * sizeof(std::int64_t));
+      chain_pred_.capacity() * sizeof(trace::EventId)) +
+      deps_.memory_bytes();
   span.attr("saturated", saturated_);
   span.attr("clock_entries", total_entries_);
   OBS_COUNTER_ADD("order/causality/clock_builds", 1);
@@ -258,11 +221,8 @@ bool CausalityOracle::walk_hb(trace::EventId a, trace::EventId b) const {
     stack.pop_back();
     const auto xx = static_cast<std::size_t>(x);
     if (consider(chain_pred_[xx]) == 1) return true;
-    for (std::int64_t i = pred_begin_[xx]; i < pred_begin_[xx + 1];
-         ++i) {
-      if (consider(pred_senders_[static_cast<std::size_t>(i)]) == 1)
-        return true;
-    }
+    for (trace::EventId s : deps_.senders(x))
+      if (consider(s) == 1) return true;
   }
   return false;
 }

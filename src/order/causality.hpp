@@ -33,6 +33,7 @@
 #include "order/hbclock.hpp"
 #include "order/options.hpp"
 #include "order/stepping.hpp"
+#include "trace/depview.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/trace.hpp"
 
@@ -103,11 +104,8 @@ class CausalityOracle {
   }
   [[nodiscard]] std::int32_t max_level() const { return max_level_; }
 
-  /// Chain coordinates of an event (chain = serial block, or a synthetic
-  /// singleton chain for blockless events).
-  [[nodiscard]] std::int32_t chain_of(trace::EventId e) const {
-    return chain_[static_cast<std::size_t>(e)];
-  }
+  /// Position of an event in its chain (chain = serial block, or a
+  /// synthetic singleton chain for blockless events).
   [[nodiscard]] std::int32_t pos_in_chain(trace::EventId e) const {
     return pos_[static_cast<std::size_t>(e)];
   }
@@ -130,15 +128,14 @@ class CausalityOracle {
 
  private:
   /// Direct predecessors of e: intra-chain predecessor (implicit) plus
-  /// the incoming dependency senders [pred_begin_[e], pred_begin_[e+1]).
+  /// the incoming dependency senders deps_.senders(e).
   [[nodiscard]] bool walk_hb(trace::EventId a, trace::EventId b) const;
 
   const trace::Trace* trace_;
+  trace::IncomingDeps deps_;
   std::vector<std::int32_t> chain_;
   std::vector<std::int32_t> pos_;
   std::vector<trace::EventId> chain_pred_;  ///< kNone at chain heads
-  std::vector<std::int64_t> pred_begin_;    ///< CSR over pred_senders_
-  std::vector<trace::EventId> pred_senders_;
   std::vector<std::int32_t> level_;
   std::vector<HbClock> clocks_;
   std::int32_t max_level_ = 0;

@@ -5,6 +5,7 @@
 
 #include "graph/leaps.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 
 namespace logstruct::order {
 
@@ -66,17 +67,13 @@ const BlockUnits& OrderContext::units() {
   // so every row comes out in Trace::before order without a comparison.
   const std::vector<trace::BlockId>& block = event_rows().block;
   BlockUnits& u = units_.emplace();
-  u.begin.assign(static_cast<std::size_t>(trace_->num_blocks()) + 1, 0);
-  for (const trace::BlockId b : block)
-    if (b != trace::kNone) ++u.begin[static_cast<std::size_t>(b) + 1];
-  std::partial_sum(u.begin.begin(), u.begin.end(), u.begin.begin());
-  std::vector<std::int32_t> at(u.begin.begin(), u.begin.end() - 1);
-  u.flat.resize(static_cast<std::size_t>(u.begin.back()));
-  for (const trace::EventId e : by_time()) {
-    const trace::BlockId b = block[static_cast<std::size_t>(e)];
-    if (b != trace::kNone)
-      u.flat[static_cast<std::size_t>(at[static_cast<std::size_t>(b)]++)] = e;
-  }
+  util::csr_scatter(
+      static_cast<std::size_t>(trace_->num_blocks()),
+      [&](auto emit) {
+        for (const trace::EventId e : by_time())
+          emit(block[static_cast<std::size_t>(e)], e);
+      },
+      u.begin, u.flat);
   return u;
 }
 

@@ -1,10 +1,11 @@
 #include "order/partition_graph.hpp"
 
-#include <numeric>
+#include <utility>
 
 #include "graph/scc.hpp"
 #include "graph/union_find.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 
 namespace logstruct::order {
 
@@ -47,25 +48,17 @@ void PartitionGraph::finalize(std::span<const trace::EventId> by_time) {
 
 void PartitionGraph::build_membership() {
   const auto np = static_cast<std::size_t>(num_partitions());
-  // Stable counting scatter of items into CSR rows by partition: each row
-  // keeps the items' input order.
-  auto scatter = [np](const auto& items, auto part, auto value,
-                      std::vector<std::int32_t>& begin, auto& out) {
-    begin.assign(np + 1, 0);
-    for (const auto& x : items) ++begin[part(x) + 1];
-    std::partial_sum(begin.begin(), begin.end(), begin.begin());
-    std::vector<std::int32_t> at(begin.begin(), begin.end() - 1);
-    out.resize(items.size());
-    for (const auto& x : items)
-      out[static_cast<std::size_t>(at[part(x)]++)] = value(x);
-  };
   auto part_of = [this](trace::EventId e) {
     return static_cast<std::size_t>(part_of_[static_cast<std::size_t>(e)]);
   };
   // Events: scattering the time order leaves every row in Trace::before
   // order without a comparison.
-  scatter(by_time_, part_of, [](trace::EventId e) { return e; },
-          event_begin_, events_);
+  util::csr_scatter(
+      np,
+      [&](auto emit) {
+        for (trace::EventId e : by_time_) emit(part_of(e), e);
+      },
+      event_begin_, events_);
   // Chares: walk each chare's events in ascending chare order; the
   // last-chare stamp emits each (partition, chare) once, so every row
   // comes out sorted and unique.
@@ -77,8 +70,9 @@ void PartitionGraph::build_membership() {
       if (std::exchange(stamp[p], c) != c) hits.emplace_back(p, c);
     }
   }
-  scatter(hits, [](auto h) { return h.first; }, [](auto h) { return h.second; },
-          chare_begin_, chares_);
+  util::csr_scatter(
+      np, [&](auto emit) { for (auto [p, c] : hits) emit(p, c); },
+      chare_begin_, chares_);
 }
 
 void PartitionGraph::ensure_dag() const {

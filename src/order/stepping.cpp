@@ -14,6 +14,7 @@
 #include "order/pass_manager.hpp"
 #include "order/wclock.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 #include "util/scratch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -188,16 +189,11 @@ void stepping_pass(OrderContext& ctx) {
     s.units.clear();
     s.group_of.resize(events.size());
     s.seq_pred.resize(events.size());
-    s.indeg.assign(events.size(), 0);
-    // Shifted counts: row i counts at i + 2, so filling at i + 1 leaves
-    // succ_begin[i] at the start of row i.
-    s.succ_begin.assign(events.size() + 2, 0);
     std::int32_t groups = 0;
 
     // One sweep in time order: each event's unit, numbered at first
     // appearance, the unit sort keys, the unit's previous event (its
-    // sequence predecessor inside the unit) and the message edge counts
-    // (in-phase send -> receive, collective sends included).
+    // sequence predecessor inside the unit).
     for (std::int32_t i = 0; i < n; ++i) {
       const trace::EventId e = at(events, i);
       const bool recv = at(rows.kind, e) == trace::EventKind::Recv;
@@ -223,10 +219,6 @@ void stepping_pass(OrderContext& ctx) {
       at(s.seq_pred, i) = unit.first == i ? -1 : unit.last;
       unit.last = i;
       if (recv) unit.w = std::max(unit.w, at(out.w, e));
-      for_each_sender(i, [&](std::int32_t from) {
-        ++at(s.succ_begin, from + 2);
-        ++at(s.indeg, i);
-      });
     }
     for (UnitInfo& unit : s.units) {
       if (unit.invoker_unit < 0) continue;
@@ -239,14 +231,13 @@ void stepping_pass(OrderContext& ctx) {
     // group sorted by the unit order; events follow their unit's rank,
     // in time order within the unit, so a unit's first event follows
     // the last event of the unit sorted before it.
-    s.group_begin.assign(static_cast<std::size_t>(groups) + 2, 0);
-    for (const UnitInfo& unit : s.units) ++at(s.group_begin, unit.group + 2);
-    std::partial_sum(s.group_begin.begin(), s.group_begin.end(),
-                     s.group_begin.begin());
-    s.unit_order.resize(s.units.size());
-    for (std::size_t u = 0; u < s.units.size(); ++u)
-      at(s.unit_order, at(s.group_begin, s.units[u].group + 1)++) =
-          static_cast<std::int32_t>(u);
+    util::csr_scatter(
+        static_cast<std::size_t>(groups),
+        [&](auto emit) {
+          for (std::size_t u = 0; u < s.units.size(); ++u)
+            emit(s.units[u].group, u);
+        },
+        s.group_begin, s.unit_order);
     const UnitOrder unit_order(s.units, opts.step.reorder);
     for (std::int32_t g = 0; g < groups; ++g) {
       const auto lo = s.unit_order.begin() + at(s.group_begin, g);
@@ -256,23 +247,19 @@ void stepping_pass(OrderContext& ctx) {
         at(s.seq_pred, at(s.units, it[1]).first) = at(s.units, it[0]).last;
     }
 
-    // Kahn over sequence + message edges: each row holds its message
-    // successors in receive order, then its sequence successor.
-    for (std::int32_t i = 0; i < n; ++i) {
-      if (at(s.seq_pred, i) < 0) continue;
-      ++at(s.succ_begin, at(s.seq_pred, i) + 2);
-      ++at(s.indeg, i);
-    }
-    std::partial_sum(s.succ_begin.begin(), s.succ_begin.end(),
-                     s.succ_begin.begin());
-    s.succ.resize(static_cast<std::size_t>(s.succ_begin.back()));
-    for (std::int32_t i = 0; i < n; ++i)
-      for_each_sender(i, [&](std::int32_t from) {
-        at(s.succ, at(s.succ_begin, from + 1)++) = i;
-      });
-    for (std::int32_t i = 0; i < n; ++i)
-      if (at(s.seq_pred, i) >= 0)
-        at(s.succ, at(s.succ_begin, at(s.seq_pred, i) + 1)++) = i;
+    // Kahn over message + sequence edges (in-phase send -> receive,
+    // collective sends included): each row holds its message successors
+    // in receive order, then its sequence successor.
+    util::csr_scatter(
+        events.size(),
+        [&](auto emit) {
+          for (std::int32_t i = 0; i < n; ++i)
+            for_each_sender(i, [&](std::int32_t from) { emit(from, i); });
+          for (std::int32_t i = 0; i < n; ++i) emit(at(s.seq_pred, i), i);
+        },
+        s.succ_begin, s.succ);
+    s.indeg.assign(events.size(), 0);
+    for (const std::int32_t i : s.succ) ++at(s.indeg, i);
 
     // The one step rule (§3.2.2): one past the step of the event settled
     // last on the chare in this phase and of every in-phase send the

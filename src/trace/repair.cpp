@@ -6,6 +6,7 @@
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 
 namespace logstruct::trace {
 
@@ -297,19 +298,15 @@ void repair(RawTrace& raw, RecoveryReport& report) {
   // --- per-block event containment and block-end synthesis -------------
   {
     // CSR of event indices per block, in event order.
-    std::vector<std::int32_t> first(raw.blocks.size() + 1, 0);
-    for (const RawEvent& e : raw.events)
-      ++first[static_cast<std::size_t>(e.block) + 1];
-    for (std::size_t b = 0; b < raw.blocks.size(); ++b)
-      first[b + 1] += first[b];
-    std::vector<std::int32_t> events_of_block(raw.events.size());
-    {
-      std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
-      for (std::size_t i = 0; i < raw.events.size(); ++i)
-        events_of_block[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(raw.events[i].block)]++)] =
-            static_cast<std::int32_t>(i);
-    }
+    std::vector<std::int32_t> first;
+    std::vector<std::int32_t> events_of_block;
+    util::csr_scatter(
+        raw.blocks.size(),
+        [&](auto emit) {
+          for (std::size_t i = 0; i < raw.events.size(); ++i)
+            emit(raw.events[i].block, i);
+        },
+        first, events_of_block);
     for (std::size_t b = 0; b < raw.blocks.size(); ++b) {
       RawBlock& blk = raw.blocks[b];
       const std::span<const std::int32_t> evs(
@@ -355,18 +352,15 @@ void repair(RawTrace& raw, RecoveryReport& report) {
     // (begin, id) order already; only the runs that are not get sorted.
     std::int32_t max_proc = -1;
     for (const RawBlock& b : raw.blocks) max_proc = std::max(max_proc, b.proc);
-    std::vector<std::int32_t> first(static_cast<std::size_t>(max_proc) + 2, 0);
-    for (const RawBlock& b : raw.blocks)
-      ++first[static_cast<std::size_t>(b.proc) + 1];
-    for (std::size_t p = 1; p < first.size(); ++p) first[p] += first[p - 1];
-    std::vector<std::int32_t> of_proc(raw.blocks.size());
-    {
-      std::vector<std::int32_t> fill(first.begin(), first.end() - 1);
-      for (std::size_t i = 0; i < raw.blocks.size(); ++i)
-        of_proc[static_cast<std::size_t>(
-            fill[static_cast<std::size_t>(raw.blocks[i].proc)]++)] =
-            static_cast<std::int32_t>(i);
-    }
+    std::vector<std::int32_t> first;
+    std::vector<std::int32_t> of_proc;
+    util::csr_scatter(
+        static_cast<std::size_t>(max_proc) + 1,
+        [&](auto emit) {
+          for (std::size_t i = 0; i < raw.blocks.size(); ++i)
+            emit(raw.blocks[i].proc, i);
+        },
+        first, of_proc);
     const auto by_begin = [&](std::int32_t a, std::int32_t b) {
       const TimeNs ta = raw.blocks[static_cast<std::size_t>(a)].begin;
       const TimeNs tb = raw.blocks[static_cast<std::size_t>(b)].begin;

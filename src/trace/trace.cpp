@@ -6,6 +6,7 @@
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/csr.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::trace {
@@ -137,6 +138,8 @@ void Trace::freeze(int threads) {
 
   // Per-chare / per-PE block lists as flat CSR groupings: count, prefix
   // sum, then scatter in block-id order so each group starts id-sorted.
+  // Both groupings share each scan of the blocks (and below, of the
+  // events); util::csr_scatter, one key per call, would scan twice.
   chare_blocks_begin_.assign(num_chares + 1, 0);
   proc_blocks_begin_.assign(num_procs + 1, 0);
   for (const SerialBlock& b : blocks_) {
@@ -247,35 +250,34 @@ void Trace::freeze(int threads) {
   // fanout rows after — the historical enumeration order exactly.
   // dep_begin_ indexes the prefix CSR-style so receivers() is a span
   // lookup; collective cross-product rows follow.
-  dep_begin_.assign(num_events + 1, 0);
-  for (const Event& e : events_) {
-    if (e.kind == EventKind::Recv && e.partner != kNone)
-      ++dep_begin_[static_cast<std::size_t>(e.partner) + 1];
-  }
-  for (std::size_t i = 1; i <= num_events; ++i)
-    dep_begin_[i] += dep_begin_[i - 1];
+  util::csr_scatter(
+      num_events,
+      [&](auto emit) {
+        for (std::size_t r = 0; r < num_events; ++r) {
+          const Event& e = events_[r];
+          emit(e.kind == EventKind::Recv ? e.partner : kNone, r);
+        }
+      },
+      dep_begin_, dep_recv_);
 
   std::int64_t coll_rows = 0;
   for (const Collective& coll : collectives_)
     coll_rows += static_cast<std::int64_t>(coll.sends.size()) *
                  static_cast<std::int64_t>(coll.recvs.size());
   const auto p2p_rows = static_cast<std::int64_t>(dep_begin_[num_events]);
-  dep_send_.assign(static_cast<std::size_t>(p2p_rows + coll_rows), 0);
-  dep_recv_.assign(static_cast<std::size_t>(p2p_rows + coll_rows), 0);
-  dep_kind_.assign(static_cast<std::size_t>(p2p_rows + coll_rows),
-                   DepKind::Match);
-  {
-    std::vector<std::int32_t> cur(dep_begin_.begin(), dep_begin_.end() - 1);
-    for (std::size_t r = 0; r < num_events; ++r) {
-      const Event& e = events_[r];
-      if (e.kind != EventKind::Recv || e.partner == kNone) continue;
-      const auto s = static_cast<std::size_t>(e.partner);
-      const auto at = static_cast<std::size_t>(cur[s]++);
-      dep_send_[at] = e.partner;
-      dep_recv_[at] = static_cast<EventId>(r);
-      dep_kind_[at] = events_[s].partner == static_cast<EventId>(r)
-                          ? DepKind::Match
-                          : DepKind::Fanout;
+  const auto rows = static_cast<std::size_t>(p2p_rows + coll_rows);
+  // Reserving first keeps the table exact-size: growing by resize would
+  // over-allocate.
+  dep_recv_.reserve(rows);
+  dep_recv_.resize(rows);
+  dep_send_.resize(rows);
+  dep_kind_.resize(rows);
+  for (std::size_t s = 0; s < num_events; ++s) {
+    for (auto at = static_cast<std::size_t>(dep_begin_[s]);
+         at < static_cast<std::size_t>(dep_begin_[s + 1]); ++at) {
+      dep_send_[at] = static_cast<EventId>(s);
+      dep_kind_[at] = events_[s].partner == dep_recv_[at] ? DepKind::Match
+                                                          : DepKind::Fanout;
     }
   }
   // Collective cross-product rows follow the CSR prefix; serial, they

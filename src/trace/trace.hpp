@@ -214,11 +214,6 @@ class Trace {
   /// such dependencies are runtime partitions).
   [[nodiscard]] bool is_runtime_event(EventId id) const;
 
-  /// True iff the chare is a runtime chare.
-  [[nodiscard]] bool is_runtime_chare(ChareId id) const {
-    return chares_[static_cast<std::size_t>(id)].runtime;
-  }
-
   // --- recovery provenance ----------------------------------------------
   /// True iff trace-level recovery (trace::repair / a recovering reader)
   /// altered this chare's dependencies — dropped a partner, removed an

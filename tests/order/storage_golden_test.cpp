@@ -169,8 +169,8 @@ std::vector<std::uint64_t> metric_hashes(const trace::Trace& t,
   mix_all(f, eff.parallel.per_window);
   mix_all(f, eff.balance.per_window);
   mix_all(f, eff.communication.per_window);
-  mix_all(f, eff.sertrans.serialization);
-  mix_all(f, eff.sertrans.transfer);
+  mix_all(f, eff.serialization.per_window);
+  mix_all(f, eff.transfer.per_window);
   out.push_back(f.value());
   return out;
 }
