@@ -104,12 +104,6 @@ class CausalityOracle {
   }
   [[nodiscard]] std::int32_t max_level() const { return max_level_; }
 
-  /// Position of an event in its chain (chain = serial block, or a
-  /// synthetic singleton chain for blockless events).
-  [[nodiscard]] std::int32_t pos_in_chain(trace::EventId e) const {
-    return pos_[static_cast<std::size_t>(e)];
-  }
-
   [[nodiscard]] const HbClock& clock(trace::EventId e) const {
     return clocks_[static_cast<std::size_t>(e)];
   }

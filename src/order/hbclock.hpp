@@ -10,8 +10,8 @@
 /// not logical order. A clock entry therefore names a *chain* (a serial
 /// block, or a synthetic singleton chain for blockless events) and the
 /// length of the prefix of that chain known to have happened before:
-/// event `a` happened before `b` iff b's clock covers (chain(a),
-/// pos_in_chain(a)).
+/// event `a` happened before `b` iff b's clock covers a's chain up to
+/// and including a's position in it.
 ///
 /// Chare- or PE-indexed clocks would be smaller but inexact here (the
 /// ancestor set within a chare is not prefix-closed in time order), and an

@@ -1,6 +1,10 @@
 #include "trace/io.hpp"
 
+#include <charconv>
+#include <concepts>
+#include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "obs/obs.hpp"
 #include "trace/text_reader.hpp"
@@ -12,10 +16,52 @@ namespace {
 constexpr const char* kMagic = "lstrace";
 constexpr int kVersion = 1;
 
+/// The writer's output: fields formatted with std::to_chars into a flat
+/// buffer that goes to the stream by ostream::write a chunk at a time.
+/// Writes the same bytes `std::ostream <<` would for these field types.
+class TextOut {
+ public:
+  explicit TextOut(std::ostream& out) : out_(out) {}
+  TextOut(const TextOut&) = delete;
+  TextOut& operator=(const TextOut&) = delete;
+  ~TextOut() { flush(); }
+
+  template <std::integral T>
+    requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+  TextOut& operator<<(T v) {
+    if (len_ + 24 > sizeof buf_) flush();  // 24: any 64-bit integer
+    len_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + len_, buf_ + sizeof buf_, v).ptr - buf_);
+    return *this;
+  }
+  TextOut& operator<<(char c) { return *this << std::string_view(&c, 1); }
+  TextOut& operator<<(std::string_view s) {
+    if (len_ + s.size() > sizeof buf_) flush();
+    if (s.size() > sizeof buf_) {
+      out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    } else {
+      std::memcpy(buf_ + len_, s.data(), s.size());
+      len_ += s.size();
+    }
+    return *this;
+  }
+
+  void flush() {
+    out_.write(buf_, static_cast<std::streamsize>(len_));
+    len_ = 0;
+  }
+
+ private:
+  std::ostream& out_;
+  std::size_t len_ = 0;
+  char buf_[1 << 16];
+};
+
 }  // namespace
 
-void write_trace(const Trace& trace, std::ostream& out) {
+void write_trace(const Trace& trace, std::ostream& stream) {
   OBS_SPAN(span, "trace/write");
+  TextOut out(stream);
   span.attr("events", trace.num_events());
   out << kMagic << ' ' << kVersion << '\n';
   out << "procs " << trace.num_procs() << '\n';
@@ -71,92 +117,139 @@ void write_trace(const Trace& trace, std::ostream& out) {
 
 namespace {
 
-/// The one .lstrace parser: every line that parses becomes a RawTrace
-/// record under the id the file claimed; garbled lines, unknown tags and
-/// a missing end marker become diagnostics. Returns the bytes consumed.
-std::size_t parse_lstrace(std::string_view text, RawTrace& raw,
-                          RecoveryReport& report) {
-  detail::LineCursor cur(text);
-  if (!cur.next_line()) {
-    report.add(DiagCode::BadHeader, Severity::Fatal, "empty stream");
-    return text.size();
+/// Block and event lines in `lines`, added to `blocks` / `events`: the
+/// parser sizes its column form from them.
+void count_rows(std::string_view lines, std::size_t& blocks,
+                std::size_t& events) {
+  for (std::size_t at = 0; at < lines.size();) {
+    blocks += lines.compare(at, 6, "block ") == 0;
+    events += lines.compare(at, 6, "event ") == 0;
+    const auto* nl = static_cast<const char*>(
+        std::memchr(lines.data() + at, '\n', lines.size() - at));
+    at = nl ? static_cast<std::size_t>(nl - lines.data()) + 1 : lines.size();
   }
-  const std::string_view magic = cur.word();
-  int version = 0;
-  cur >> version;
-  if (magic != kMagic || cur.fail() || version != kVersion) {
-    report.add(DiagCode::BadHeader, Severity::Fatal,
-               "not an lstrace stream (or unsupported version)", -1, 1);
-    return text.size();
+}
+
+/// The one .lstrace parser, fed whole lines a chunk at a time: every line
+/// that parses becomes a RawTrace record under the id the file claimed,
+/// blocks and events in the column form (RawTrace::add_block /
+/// add_event); garbled lines, unknown tags and a missing end marker
+/// become diagnostics.
+class LstraceParser {
+ public:
+  LstraceParser(RawTrace& raw, RecoveryReport& report, std::size_t blocks,
+                std::size_t events)
+      : raw_(raw), report_(report) {
+    raw_.columnar = true;
+    raw_.block_rows.reserve(blocks);
+    raw_.event_rows.reserve(events);
   }
 
-  bool saw_end = false;
-  while (!saw_end && cur.next_line()) {
-    if (cur.blank_line()) continue;
-    const std::string_view tag = cur.word();
+  void feed(std::string_view lines) {
+    bytes_ += lines.size();
+    cur_.reset(lines);
+    while (!done_ && cur_.next_line()) {
+      if (!header_) {
+        header_ = true;
+        const std::string_view magic = cur_.word();
+        int version = 0;
+        cur_ >> version;
+        if (magic != kMagic || cur_.fail() || version != kVersion) {
+          report_.add(DiagCode::BadHeader, Severity::Fatal,
+                      "not an lstrace stream (or unsupported version)", -1,
+                      1);
+          done_ = true;
+        }
+        continue;
+      }
+      if (cur_.blank_line()) continue;
+      line();
+    }
+  }
+
+  /// Ends the stream; returns the bytes fed.
+  std::size_t finish() {
+    if (!header_)
+      report_.add(DiagCode::BadHeader, Severity::Fatal, "empty stream");
+    else if (!done_)
+      report_.add(DiagCode::TruncatedFile, Severity::Warning,
+                  "stream ended before the end marker", -1, cur_.lineno());
+    return bytes_;
+  }
+
+ private:
+  void line() {
+    const std::string_view tag = cur_.word();
     bool garbled = false;
     if (tag == "event") {
       RawEvent e;
       char kind = 0;
-      cur >> e.id >> kind >> e.time >> e.block >> e.partner;
+      cur_ >> e.id >> kind >> e.time >> e.block >> e.partner;
       e.kind = kind == 'S' ? EventKind::Send : EventKind::Recv;
-      garbled = cur.fail() || (kind != 'S' && kind != 'R');
-      if (!garbled) raw.events.push_back(e);
+      garbled = cur_.fail() || (kind != 'S' && kind != 'R');
+      if (!garbled) raw_.add_event(e);
     } else if (tag == "block") {
       RawBlock b;
       garbled =
-          (cur >> b.id >> b.chare >> b.proc >> b.entry >> b.begin >> b.end)
+          (cur_ >> b.id >> b.chare >> b.proc >> b.entry >> b.begin >> b.end)
               .fail();
-      if (!garbled) raw.blocks.push_back(b);
+      if (!garbled) raw_.add_block(b);
     } else if (tag == "idle") {
       IdleSpan s;
-      garbled = (cur >> s.proc >> s.begin >> s.end).fail();
-      if (!garbled) raw.idles.push_back(s);
+      garbled = (cur_ >> s.proc >> s.begin >> s.end).fail();
+      if (!garbled) raw_.idles.push_back(s);
     } else if (tag == "procs") {
       std::int32_t n = 0;
-      garbled = (cur >> n).fail() || n < 0;
-      if (!garbled) raw.num_procs = n;
+      garbled = (cur_ >> n).fail() || n < 0;
+      if (!garbled) raw_.num_procs = n;
     } else if (tag == "array") {
-      garbled = !detail::read_array(cur, raw);
+      garbled = !detail::read_array(cur_, raw_);
     } else if (tag == "chare") {
-      garbled = !detail::read_chare(cur, raw);
+      garbled = !detail::read_chare(cur_, raw_);
     } else if (tag == "entry") {
-      garbled = !detail::read_entry(cur, raw);
+      garbled = !detail::read_entry(cur_, raw_);
     } else if (tag == "coll") {
       RawCollective coll;
-      garbled = cur.list(coll.sends).list(coll.recvs).fail();
-      if (!garbled) raw.collectives.push_back(std::move(coll));
+      garbled = cur_.list(coll.sends).list(coll.recvs).fail();
+      if (!garbled) raw_.collectives.push_back(std::move(coll));
     } else if (tag == "degraded") {
       std::vector<std::int64_t> ids;
-      garbled = cur.list(ids).fail();
+      garbled = cur_.list(ids).fail();
       if (!garbled)
-        raw.degraded_chares.insert(raw.degraded_chares.end(), ids.begin(),
-                                   ids.end());
+        raw_.degraded_chares.insert(raw_.degraded_chares.end(),
+                                    ids.begin(), ids.end());
     } else if (tag == "end") {
-      saw_end = true;
+      done_ = true;
     } else {
-      report.add(DiagCode::UnknownRecord, Severity::Warning,
-                 "unknown record '" + std::string(tag) + "' skipped", -1,
-                 cur.lineno());
+      report_.add(DiagCode::UnknownRecord, Severity::Warning,
+                  "unknown record '" + std::string(tag) + "' skipped", -1,
+                  cur_.lineno());
     }
     if (garbled)
-      report.add(DiagCode::ParseError, Severity::Warning,
-                 "garbled " + std::string(tag) + " record skipped", -1,
-                 cur.lineno());
+      report_.add(DiagCode::ParseError, Severity::Warning,
+                  "garbled " + std::string(tag) + " record skipped", -1,
+                  cur_.lineno());
   }
-  if (!saw_end)
-    report.add(DiagCode::TruncatedFile, Severity::Warning,
-               "stream ended before the end marker", -1, cur.lineno());
-  return text.size();
-}
+
+  RawTrace& raw_;
+  RecoveryReport& report_;
+  detail::LineCursor cur_{{}};
+  bool header_ = false;
+  bool done_ = false;  ///< end marker seen, or the header was bad
+  std::size_t bytes_ = 0;
+};
 
 Trace read_lstrace(std::istream& in, const ReadOptions& options,
                    RecoveryReport& report) {
-  return detail::read_text(options, report,
-                           [&](RawTrace& raw, RecoveryReport& r) {
-                             return parse_lstrace(detail::read_all(in), raw,
-                                                  r);
-                           });
+  return detail::read_text(
+      options, report, [&](RawTrace& raw, RecoveryReport& r) {
+        const std::string text = detail::read_all(in);
+        std::size_t blocks = 0, events = 0;
+        count_rows(text, blocks, events);
+        LstraceParser parser(raw, r, blocks, events);
+        parser.feed(text);
+        return parser.finish();
+      });
 }
 
 }  // namespace
@@ -195,13 +288,20 @@ Trace load_trace(const std::string& path, const ReadOptions& options,
                  RecoveryReport& report) {
   return detail::read_text(
       options, report, [&](RawTrace& raw, RecoveryReport& r) {
-        std::string text;
-        if (!detail::read_file(path, &text)) {
+        // Two streamed passes instead of one whole-file buffer: the first
+        // counts the rows to size the column form, the second parses.
+        std::size_t blocks = 0, events = 0;
+        if (!detail::read_lines(path, [&](std::string_view lines) {
+              count_rows(lines, blocks, events);
+            })) {
           r.add(DiagCode::IoError, Severity::Fatal,
                 "cannot open trace file: " + path);
           return std::size_t{0};
         }
-        return parse_lstrace(text, raw, r);
+        LstraceParser parser(raw, r, blocks, events);
+        detail::read_lines(path,
+                           [&](std::string_view lines) { parser.feed(lines); });
+        return parser.finish();
       });
 }
 

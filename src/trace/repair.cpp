@@ -1,6 +1,8 @@
 #include "trace/repair.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <sstream>
 
@@ -124,10 +126,146 @@ std::vector<Info> densify_meta(std::vector<RawRecord<Info>>& recs,
   return out;
 }
 
+bool fits_id(std::int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
+
+bool in_range(std::int64_t v, std::size_t n) {
+  return v >= 0 && static_cast<std::uint64_t>(v) < n;
+}
+
+bool sane_time(TimeNs t) { return t >= -kTimeCap && t <= kTimeCap; }
+
+/// True when the column form of `raw` already holds everything the
+/// salvage passes guarantee, so they would change nothing and report
+/// nothing. One pass over each table, no copies; any doubt answers
+/// false and the passes decide.
+bool verify_columns(const RawTrace& raw) {
+  const auto dense = [](const auto& recs) {
+    for (std::size_t i = 0; i < recs.size(); ++i)
+      if (recs[i].id != static_cast<std::int64_t>(i)) return false;
+    return true;
+  };
+  if (!dense(raw.arrays) || !dense(raw.chares) || !dense(raw.entries))
+    return false;
+  if (raw.num_procs < 0 || raw.num_procs > kMaxProcs) return false;
+  const std::size_t procs = static_cast<std::size_t>(raw.num_procs);
+  for (const RawRecord<ChareInfo>& c : raw.chares)
+    if (c.info.array != kNone && !in_range(c.info.array, raw.arrays.size()))
+      return false;
+  for (const RawRecord<EntryInfo>& e : raw.entries) {
+    if (e.info.sdag_serial < -1) return false;
+    for (EntryId w : e.info.when_entries)
+      if (!in_range(w, raw.entries.size())) return false;
+  }
+
+  // A PE's blocks, in id order, must each begin at or after the end of
+  // the one before: then id order is the (begin, id) order the overlap
+  // pass sweeps, and no two overlap.
+  std::vector<TimeNs> last_end(procs, -kTimeCap);
+  for (const SerialBlock& b : raw.block_rows) {
+    if (!in_range(b.chare, raw.chares.size()) ||
+        !in_range(b.entry, raw.entries.size()) || !in_range(b.proc, procs) ||
+        !sane_time(b.begin) || !sane_time(b.end) || b.end < b.begin)
+      return false;
+    TimeNs& last = last_end[static_cast<std::size_t>(b.proc)];
+    if (b.begin < last) return false;
+    last = b.end;
+  }
+
+  const std::vector<Event>& events = raw.event_rows;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    if (!in_range(e.block, raw.block_rows.size()) || !sane_time(e.time))
+      return false;
+    const SerialBlock& blk = raw.block_rows[static_cast<std::size_t>(e.block)];
+    if (e.time < blk.begin || e.time > blk.end) return false;
+    if (e.kind != EventKind::Recv || e.partner == kNone) continue;
+    if (!in_range(e.partner, events.size()) ||
+        e.partner == static_cast<EventId>(i))
+      return false;
+    const Event& s = events[static_cast<std::size_t>(e.partner)];
+    if (s.kind != EventKind::Send || s.time > e.time) return false;
+  }
+
+  // Idle spans: non-empty, and per PE in file order disjoint and rising,
+  // so the (proc, begin) order the idle pass sweeps finds nothing.
+  std::fill(last_end.begin(), last_end.end(), -kTimeCap);
+  for (const IdleSpan& s : raw.idles) {
+    if (!in_range(s.proc, procs) || !sane_time(s.begin) ||
+        !sane_time(s.end) || s.end <= s.begin)
+      return false;
+    TimeNs& last = last_end[static_cast<std::size_t>(s.proc)];
+    if (s.begin < last) return false;
+    last = s.end;
+  }
+
+  const auto members_ok = [&](const std::vector<std::int64_t>& ids,
+                              EventKind want) {
+    for (std::int64_t m : ids)
+      if (!in_range(m, events.size()) ||
+          events[static_cast<std::size_t>(m)].kind != want)
+        return false;
+    return true;
+  };
+  for (const RawCollective& c : raw.collectives)
+    if ((c.sends.empty() && c.recvs.empty()) ||
+        !members_ok(c.sends, EventKind::Send) ||
+        !members_ok(c.recvs, EventKind::Recv))
+      return false;
+  for (std::int64_t c : raw.degraded_chares)
+    if (!in_range(c, raw.chares.size())) return false;
+  return true;
+}
+
 }  // namespace
+
+void RawTrace::add_block(const RawBlock& b) {
+  if (columnar && b.id == static_cast<std::int64_t>(block_rows.size()) &&
+      b.has_end && fits_id(b.chare) && fits_id(b.entry)) {
+    block_rows.push_back({static_cast<ChareId>(b.chare), b.proc,
+                          static_cast<EntryId>(b.entry), b.begin, b.end});
+    return;
+  }
+  lift();
+  blocks.push_back(b);
+}
+
+void RawTrace::add_event(const RawEvent& e) {
+  if (columnar && e.id == static_cast<std::int64_t>(event_rows.size()) &&
+      fits_id(e.block) && fits_id(e.partner)) {
+    event_rows.push_back({e.kind, e.time, kNone, kNone,
+                          static_cast<BlockId>(e.block),
+                          static_cast<EventId>(e.partner)});
+    return;
+  }
+  lift();
+  events.push_back(e);
+}
+
+void RawTrace::lift() {
+  if (!columnar) return;
+  columnar = false;
+  blocks.reserve(block_rows.size());
+  for (std::size_t i = 0; i < block_rows.size(); ++i) {
+    const SerialBlock& b = block_rows[i];
+    blocks.push_back({static_cast<std::int64_t>(i), b.chare, b.proc, b.entry,
+                      b.begin, b.end, true});
+  }
+  events.reserve(event_rows.size());
+  for (std::size_t i = 0; i < event_rows.size(); ++i) {
+    const Event& e = event_rows[i];
+    events.push_back(
+        {static_cast<std::int64_t>(i), e.kind, e.time, e.block, e.partner});
+  }
+  block_rows = {};
+  event_rows = {};
+}
 
 void repair(RawTrace& raw, RecoveryReport& report) {
   OBS_SPAN_ANON("trace/repair");
+  const bool clean = raw.columnar && verify_columns(raw);
+  OBS_COUNTER_ADD("trace/repair/salvaged", clean ? 0 : 1);
+  if (clean) return;
+  raw.lift();
   std::int64_t clamped = 0;
 
   // --- metadata tables: dedup, then densify with stubs -----------------
@@ -339,13 +477,15 @@ void repair(RawTrace& raw, RecoveryReport& report) {
   // --- per-proc block overlap resolution --------------------------------
   // A perturbed begin/end line (or a synthesized end) can make two
   // serial blocks on one PE overlap, which no real execution produces.
-  // Sweep each PE's blocks in the (begin, id) order Trace::freeze uses
-  // and push an overlapping begin up to its predecessor's end. A clamp
-  // can change the sort order, so repeat until a sweep finds nothing;
-  // every clamp strictly increases a begin bounded by the max end, so
-  // this terminates. Runs after end synthesis (which can extend spans)
-  // and re-contains events itself — the block-level diagnostic covers
-  // the events dragged along with the span.
+  // One sweep per PE in (begin, id) order pushes an overlapping begin up
+  // to M, the running maximum end of the blocks already swept. Begin
+  // ties go by id, as Trace::freeze orders them: a block that would end
+  // at or before M becomes the empty span [M, M], so it waits until the
+  // next block that begins at or before M has a higher id (or begins
+  // after M) and then goes in ahead of it. Then the sweep's order is the
+  // freeze's and nothing is left for a second sweep. Runs after end
+  // synthesis (which can extend spans) and re-contains events itself —
+  // the block-level diagnostic covers the events dragged along.
   {
     // Blocks grouped by proc with a counting scatter in index order. A
     // per-PE log lists its blocks in time order, so a run is usually in
@@ -368,34 +508,56 @@ void repair(RawTrace& raw, RecoveryReport& report) {
     };
     std::int64_t sorted_runs = 0;
     bool moved_any = false;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t p = 0; p + 1 < first.size(); ++p) {
-        const std::span<std::int32_t> run(
-            of_proc.data() + first[p],
-            static_cast<std::size_t>(first[p + 1] - first[p]));
-        if (!std::is_sorted(run.begin(), run.end(), by_begin)) {
-          std::sort(run.begin(), run.end(), by_begin);
-          ++sorted_runs;
-        }
-        for (std::size_t i = 1; i < run.size(); ++i) {
-          const RawBlock& prev =
-              raw.blocks[static_cast<std::size_t>(run[i - 1])];
-          RawBlock& cur = raw.blocks[static_cast<std::size_t>(run[i])];
-          if (cur.begin >= prev.end) continue;
+    std::vector<std::int32_t> waiting;  // min-heap by id
+    std::vector<std::int32_t> ready;
+    for (std::size_t p = 0; p + 1 < first.size(); ++p) {
+      const std::span<std::int32_t> run(
+          of_proc.data() + first[p],
+          static_cast<std::size_t>(first[p + 1] - first[p]));
+      if (!std::is_sorted(run.begin(), run.end(), by_begin)) {
+        std::sort(run.begin(), run.end(), by_begin);
+        ++sorted_runs;
+      }
+      const RawBlock* prev = nullptr;  // the last block swept; ends at M
+      const auto sweep = [&](std::int32_t b) {
+        RawBlock& cur = raw.blocks[static_cast<std::size_t>(b)];
+        if (prev != nullptr && cur.begin < prev->end) {
           report.add(DiagCode::ClampedTimestamp, Severity::Warning,
                      cat("block ", cur.id, " began at t=", cur.begin,
-                         " inside block ", prev.id, " on proc ", cur.proc,
-                         "; begin clamped to t=", prev.end));
-          cur.begin = prev.end;
+                         " inside block ", prev->id, " on proc ", cur.proc,
+                         "; begin clamped to t=", prev->end));
+          cur.begin = prev->end;
           if (cur.end < cur.begin) cur.end = cur.begin;
-          changed = true;
           moved_any = true;
         }
+        prev = &cur;
+      };
+      std::size_t next = 0;
+      while (next < run.size() || !waiting.empty()) {
+        while (next < run.size() && prev != nullptr &&
+               raw.blocks[static_cast<std::size_t>(run[next])].end <=
+                   prev->end) {
+          waiting.push_back(run[next++]);
+          std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+        }
+        const bool tie =
+            next < run.size() && prev != nullptr &&
+            raw.blocks[static_cast<std::size_t>(run[next])].begin <=
+                prev->end;
+        ready.clear();
+        while (!waiting.empty() && (!tie || waiting.front() < run[next])) {
+          std::pop_heap(waiting.begin(), waiting.end(), std::greater<>());
+          ready.push_back(waiting.back());
+          waiting.pop_back();
+        }
+        std::sort(ready.begin(), ready.end(), by_begin);
+        for (std::int32_t b : ready) sweep(b);
+        if (next < run.size()) sweep(run[next++]);
       }
     }
+    OBS_COUNTER_ADD("trace/repair/overlap_sweeps", 1);
     OBS_COUNTER_ADD("trace/repair/sorted_proc_runs", sorted_runs);
+    OBS_COUNTER_ADD("trace/repair/overlap_sweeps", 1);
     if (moved_any) {
       for (RawEvent& e : raw.events) {
         const RawBlock& blk = raw.blocks[static_cast<std::size_t>(e.block)];
@@ -570,52 +732,56 @@ Trace build_trace(RawTrace&& raw, int threads) {
   trace.entries_.reserve(raw.entries.size());
   for (auto& r : raw.entries) trace.entries_.push_back(std::move(r.info));
 
-  trace.blocks_.reserve(raw.blocks.size());
-  for (const RawBlock& b : raw.blocks) {
-    LS_CHECK_MSG(b.chare >= 0 && static_cast<std::size_t>(b.chare) <
-                                     trace.chares_.size(),
-                 "build_trace: unrepaired chare reference");
-    LS_CHECK_MSG(b.entry >= 0 && static_cast<std::size_t>(b.entry) <
-                                     trace.entries_.size(),
-                 "build_trace: unrepaired entry reference");
-    SerialBlock blk;
-    blk.chare = static_cast<ChareId>(b.chare);
-    blk.proc = b.proc;
-    blk.entry = static_cast<EntryId>(b.entry);
-    blk.begin = b.begin;
-    blk.end = b.end;
-    trace.blocks_.push_back(std::move(blk));
+  if (raw.columnar) {
+    trace.blocks_ = std::move(raw.block_rows);
+    trace.events_ = std::move(raw.event_rows);
+  } else {
+    trace.blocks_.reserve(raw.blocks.size());
+    for (const RawBlock& b : raw.blocks) {
+      LS_CHECK_MSG(b.chare >= 0 && static_cast<std::size_t>(b.chare) <
+                                       trace.chares_.size(),
+                   "build_trace: unrepaired chare reference");
+      LS_CHECK_MSG(b.entry >= 0 && static_cast<std::size_t>(b.entry) <
+                                       trace.entries_.size(),
+                   "build_trace: unrepaired entry reference");
+      SerialBlock blk;
+      blk.chare = static_cast<ChareId>(b.chare);
+      blk.proc = b.proc;
+      blk.entry = static_cast<EntryId>(b.entry);
+      blk.begin = b.begin;
+      blk.end = b.end;
+      trace.blocks_.push_back(blk);
+    }
+    trace.events_.reserve(raw.events.size());
+    for (const RawEvent& re : raw.events) {
+      LS_CHECK_MSG(re.block >= 0 && static_cast<std::size_t>(re.block) <
+                                        trace.blocks_.size(),
+                   "build_trace: unrepaired block reference");
+      Event e;
+      e.kind = re.kind;
+      e.time = re.time;
+      e.block = static_cast<BlockId>(re.block);
+      e.partner = static_cast<EventId>(re.partner);
+      trace.events_.push_back(e);
+    }
   }
 
-  trace.events_.reserve(raw.events.size());
-  for (std::size_t i = 0; i < raw.events.size(); ++i) {
-    const RawEvent& re = raw.events[i];
-    LS_CHECK_MSG(re.block >= 0 && static_cast<std::size_t>(re.block) <
-                                      trace.blocks_.size(),
-                 "build_trace: unrepaired block reference");
-    SerialBlock& blk = trace.blocks_[static_cast<std::size_t>(re.block)];
-    Event e;
-    e.kind = re.kind;
-    e.time = re.time;
-    e.block = static_cast<BlockId>(re.block);
+  // Each event takes its chare and proc from its block; a send's partner
+  // is rebuilt below. The trigger is each block's first receive in
+  // (time, id) order — the same event the historical stable-sort-by-time
+  // pass picked, found here with a single argmin scan (the freeze sorts
+  // the within-block event lists itself).
+  for (std::size_t i = 0; i < trace.events_.size(); ++i) {
+    Event& e = trace.events_[i];
+    SerialBlock& blk = trace.blocks_[static_cast<std::size_t>(e.block)];
     e.chare = blk.chare;
     e.proc = blk.proc;
-    e.partner =
-        re.partner == kNone ? kNone : static_cast<EventId>(re.partner);
-    trace.events_.push_back(e);
-  }
-
-  // The trigger is each block's first receive in (time, id) order — the
-  // same event the historical stable-sort-by-time pass picked, found
-  // here with a single argmin scan (the freeze sorts the within-block
-  // event lists itself).
-  for (std::size_t i = 0; i < trace.events_.size(); ++i) {
-    const Event& e = trace.events_[i];
-    if (e.kind != EventKind::Recv) continue;
-    SerialBlock& blk = trace.blocks_[static_cast<std::size_t>(e.block)];
+    if (e.kind != EventKind::Recv) {
+      e.partner = kNone;
+      continue;
+    }
     if (blk.trigger == kNone ||
-        e.time <
-            trace.events_[static_cast<std::size_t>(blk.trigger)].time)
+        e.time < trace.events_[static_cast<std::size_t>(blk.trigger)].time)
       blk.trigger = static_cast<EventId>(i);
   }
 

@@ -28,7 +28,9 @@
 /// RecoveryReport::export_counters, in the `trace/recovery/*` obs
 /// counters). For well-formed input repair() is the identity and records
 /// nothing, which is what lets a strict read succeed; build_trace() then
-/// freezes exactly the Trace that was written.
+/// freezes exactly the Trace that was written. A clean .lstrace never
+/// reaches the fixes: repair() verifies its column form in place and
+/// build_trace() moves the rows (docs/ROBUSTNESS.md, "Checks first").
 
 #include <cstdint>
 #include <vector>
@@ -73,7 +75,16 @@ struct RawCollective {
   std::vector<std::int64_t> recvs;
 };
 
-/// The mutable pre-freeze representation both recovering readers fill.
+/// The mutable pre-freeze representation every reader fills.
+///
+/// Blocks and events come in one of two forms. A reader that calls
+/// add_block() / add_event() (the .lstrace parser) fills the column form:
+/// `block_rows` and `event_rows`, in the layout Trace::freeze consumes,
+/// for as long as each record's claimed id is its position and its
+/// references fit 32 bits. The first record that does not lift()s the
+/// rows into `blocks` and `events`, which then take every later record,
+/// so a lifted RawTrace holds exactly what a reader pushing straight
+/// into `blocks` and `events` (Projections, the blocked salvage) would.
 struct RawTrace {
   std::int32_t num_procs = 0;
   std::vector<RawRecord<ArrayInfo>> arrays;
@@ -85,16 +96,34 @@ struct RawTrace {
   std::vector<RawCollective> collectives;
   /// Chares flagged degraded by the reader (repair() adds its own).
   std::vector<std::int64_t> degraded_chares;
+
+  /// The column form; an event row's chare and proc are left for
+  /// build_trace() to copy from its block. Used while `columnar`.
+  bool columnar = false;
+  std::vector<SerialBlock> block_rows;
+  std::vector<Event> event_rows;
+
+  /// Append one record as read: to the rows while it fits them,
+  /// otherwise (after lift()) to `blocks` / `events`.
+  void add_block(const RawBlock& b);
+  void add_event(const RawEvent& e);
+  /// Move the rows into `blocks` and `events` (claimed id = position)
+  /// and leave the column form; a no-op when not `columnar`.
+  void lift();
 };
 
-/// Repair `raw` in place until it satisfies every structural rule
-/// trace::validate() checks, recording one diagnostic per fix. Safe on
-/// arbitrary salvage; a no-op (zero fixes) on well-formed input.
+/// Make `raw` satisfy every structural rule trace::validate() checks.
+/// Checks first: column-form input is verified in place, one pass over
+/// each table, and when it holds nothing is copied or reported. Anything
+/// else (or any failed check) is lifted and runs the salvage passes,
+/// which record one diagnostic per fix. Safe on arbitrary salvage; a
+/// no-op (zero fixes) on well-formed input.
 void repair(RawTrace& raw, RecoveryReport& report);
 
-/// Freeze a *repaired* RawTrace into a Trace. Precondition: repair() ran
-/// (or the raw data came from a well-formed file); violations of the
-/// structural rules here are programming errors, not input errors.
+/// Freeze a *repaired* RawTrace into a Trace; the column form's rows are
+/// moved, not copied. Precondition: repair() ran (or the raw data came
+/// from a well-formed file); violations of the structural rules here are
+/// programming errors, not input errors.
 /// `threads` fans out the freeze (0 = default parallelism).
 Trace build_trace(RawTrace&& raw, int threads = 0);
 

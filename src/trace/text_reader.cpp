@@ -1,5 +1,6 @@
 #include "trace/text_reader.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -78,6 +79,28 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
+bool read_lines(const std::string& path,
+                const std::function<void(std::string_view)>& visit) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) return false;
+  std::string buf(std::size_t{1} << 20, '\0');
+  std::size_t have = 0;  // the carried-over start of a line
+  while (f) {
+    if (have == buf.size()) buf.resize(2 * buf.size());  // a long line
+    f.read(buf.data() + have, static_cast<std::streamsize>(buf.size() - have));
+    const std::size_t end = have + static_cast<std::size_t>(f.gcount());
+    // Past the last '\n'; 0 (npos + 1) while no line has ended yet.
+    const std::size_t cut = std::string_view(buf.data(), end).rfind('\n') + 1;
+    if (cut > 0) {
+      visit({buf.data(), cut});
+      std::memmove(buf.data(), buf.data() + cut, end - cut);
+    }
+    have = end - cut;
+  }
+  if (have > 0) visit({buf.data(), have});
+  return true;
+}
+
 Trace read_text(
     const ReadOptions& options, RecoveryReport& report,
     const std::function<std::size_t(RawTrace&, RecoveryReport&)>& parse) {
@@ -90,6 +113,8 @@ Trace read_text(
     OBS_SPAN_ANON("trace/parse");
     bytes = parse(raw, report);
   }
+  // Salvage whatever a parse diagnostic touched.
+  if (report.total() != before) raw.lift();
   repair(raw, report);
   const bool rejected = !options.recover && report.total() != before;
   Trace trace = build_trace(rejected ? RawTrace{} : std::move(raw), 0);

@@ -4,10 +4,12 @@
 /// Internal plumbing shared by the two text readers (io.cpp for
 /// .lstrace, projections.cpp for Projections logs).
 ///
-/// Each format has exactly one parser. It fills a RawTrace from a
-/// whole-file buffer through LineCursor and never throws on malformed
-/// content; read_text() then runs repair() and build_trace(). The two
-/// read modes differ only in what a diagnostic means:
+/// Each format has exactly one parser. It fills a RawTrace from whole
+/// lines through LineCursor (a whole-file buffer, or for .lstrace files
+/// the runs of lines read_lines streams) and never throws on malformed
+/// content; read_text() lifts the RawTrace out of its column form when
+/// the parse reported anything, then runs repair() and build_trace().
+/// The two read modes differ only in what a diagnostic means:
 ///  - recovering: diagnostics describe what was salvaged and fixed;
 ///  - strict: any diagnostic rejects the input (empty Trace, Fatal
 ///    report), and the report-less overloads raise the first one as a
@@ -41,6 +43,12 @@ inline constexpr std::int64_t kMaxListLen = 1 << 20;
 class LineCursor {
  public:
   explicit LineCursor(std::string_view text) : text_(text) {}
+
+  /// Continue on the next buffer; line numbers keep counting.
+  void reset(std::string_view text) {
+    text_ = text;
+    next_ = 0;
+  }
 
   /// Advance to the next line (the last may lack its '\n'); false once
   /// the buffer is exhausted. Clears the failure state.
@@ -158,6 +166,12 @@ std::string read_all(std::istream& in);
 
 /// The whole file at `path` into `out`; false when it cannot be opened.
 bool read_file(const std::string& path, std::string* out);
+
+/// The file at `path` through one reused buffer: `visit` gets it as
+/// runs of whole lines (only the file's last line may lack its '\n').
+/// False when it cannot be opened.
+bool read_lines(const std::string& path,
+                const std::function<void(std::string_view)>& visit);
 
 /// One read of either format under a `trace/read` span: `parse` fills a
 /// RawTrace (reporting reader diagnostics) and returns the bytes it

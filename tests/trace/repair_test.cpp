@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "trace/diagnostics.hpp"
 #include "trace/validate.hpp"
 
@@ -217,6 +218,40 @@ TEST(Repair, ClampsOverlappingBlocksOnOneProc) {
   const std::vector<TimeNs> times = {150, 180, 150, 200, 10};
   for (std::size_t e = 0; e < times.size(); ++e)
     EXPECT_EQ(raw.events[e].time, times[e]) << "event " << e;
+  EXPECT_TRUE(validate(build_trace(std::move(raw), 1)).empty());
+}
+
+TEST(Repair, StrayEmptyBlockResolvedInOneSweep) {
+  // One PE, k abutting blocks [10i, 10i + 10] and an empty block with id
+  // k at [1, 1]. Clamped to block 0's end it ties with block 1's begin
+  // and block 1 has the lower id, so it waits for every later block: one
+  // sweep moves it to the end, where a sweep per position once moved it
+  // one block at a time with a diagnostic each.
+  constexpr std::int64_t k = 100000;
+  RawTrace raw;
+  raw.num_procs = 1;
+  raw.chares.push_back({0, ChareInfo{"c0", kNone, -1, 0, false}});
+  raw.entries.push_back({0, EntryInfo{"e0", false, -1, {}}});
+  for (std::int64_t i = 0; i < k; ++i)
+    raw.blocks.push_back({i, 0, 0, 0, 10 * i, 10 * i + 10, true});
+  raw.blocks.push_back({k, 0, 0, 0, 1, 1, true});
+  RecoveryReport report;
+#if LOGSTRUCT_OBS
+  obs::Counter& sweeps =
+      obs::Registry::global().counter("trace/repair/overlap_sweeps");
+  const std::int64_t sweeps0 = sweeps.value();
+#endif
+  repair(raw, report);
+#if LOGSTRUCT_OBS
+  EXPECT_LE(sweeps.value() - sweeps0, 2);
+#endif
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.to_string();
+  EXPECT_EQ(report.diagnostics()[0].code, DiagCode::ClampedTimestamp);
+  EXPECT_EQ(report.diagnostics()[0].detail,
+            "block 100000 began at t=1 inside block 99999 on proc 0; begin "
+            "clamped to t=1000000");
+  EXPECT_EQ(raw.blocks.back().begin, 10 * k);
+  EXPECT_EQ(raw.blocks.back().end, 10 * k);
   EXPECT_TRUE(validate(build_trace(std::move(raw), 1)).empty());
 }
 
