@@ -21,15 +21,22 @@
 #include "sim/taskdag/taskdag.hpp"
 #include "graph/leaps.hpp"
 #include "graph/scc.hpp"
+#include "metrics/critical_path.hpp"
+#include "metrics/duration.hpp"
 #include "metrics/efficiency.hpp"
+#include "metrics/idle.hpp"
+#include "metrics/imbalance.hpp"
+#include "metrics/lateness.hpp"
 #include "metrics/windows.hpp"
 #include "obs/memstats.hpp"
 #include "obs/pipeline.hpp"
 #include "order/initial.hpp"
+#include "trace/depview.hpp"
 #include "trace/io.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
+#include "trace/subblock.hpp"
 #include "order/causality.hpp"
 #include "order/context.hpp"
 #include "order/merges.hpp"
@@ -256,6 +263,78 @@ void BM_JacobiSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSimulation)->Arg(2)->Arg(8);
 
+/// Opens a workload's peak-RSS window and returns the RSS it starts from.
+/// The heap's free pages go back to the system first, so the growth the
+/// window measures is the workload's own, not a matter of how much of the
+/// earlier workloads' freed heap it happened to reuse.
+std::int64_t start_rss_window() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  obs::reset_peak_rss();
+  return obs::current_rss_kb();
+}
+
+/// A harness-timed layer: its wall time, allocations and block-cache
+/// traffic since `since`.
+order::PassRecord layer_record(const char* name, double seconds,
+                               const obs::AllocScope& allocs,
+                               const trace::storage::BlockCache::Stats& since) {
+  const trace::storage::BlockCache::Stats now =
+      trace::storage::BlockCache::global().stats();
+  order::PassRecord rec;
+  rec.name = name;
+  rec.seconds = seconds;
+  rec.alloc_bytes = allocs.delta().bytes;
+  rec.cache_lookups = static_cast<std::int64_t>(now.hits + now.misses -
+                                                since.hits - since.misses);
+  rec.cache_misses = static_cast<std::int64_t>(now.misses - since.misses);
+  rec.ran = true;
+  return rec;
+}
+
+/// The metrics layer over one extracted structure, as passes in the
+/// order an analysis runs it: the trace's metric frame (its sub-block
+/// frame and dependency view, built once and read by every kernel), then
+/// each metric kernel, the efficiency suite over the phase windows last.
+void add_metric_passes(const trace::Trace& t,
+                       const order::LogicalStructure& ls,
+                       std::vector<order::PassRecord>& passes) {
+  auto timed = [&passes](const char* name, auto&& run) {
+    const obs::AllocScope allocs;
+    const trace::storage::BlockCache::Stats since =
+        trace::storage::BlockCache::global().stats();
+    util::Stopwatch sw;
+    run();
+    passes.push_back(layer_record(name, sw.seconds(), allocs, since));
+  };
+  timed("trace/metric_frame", [&] {
+    benchmark::DoNotOptimize(t.subblock_frame().duration.data());
+    benchmark::DoNotOptimize(&t.incoming_deps());
+  });
+  timed("metrics/idle_experienced", [&] {
+    benchmark::DoNotOptimize(metrics::idle_experienced(t).per_event.data());
+  });
+  timed("metrics/differential_duration", [&] {
+    benchmark::DoNotOptimize(
+        metrics::differential_duration(t, ls, 1).max_value);
+  });
+  timed("metrics/imbalance", [&] {
+    benchmark::DoNotOptimize(metrics::imbalance(t, ls, 1).per_event.data());
+  });
+  timed("metrics/lateness", [&] {
+    benchmark::DoNotOptimize(metrics::lateness(t, ls, false, 1).mean);
+  });
+  timed("metrics/critical_path", [&] {
+    benchmark::DoNotOptimize(metrics::critical_path(t, ls, 1).length_ns);
+  });
+  timed("metrics/efficiency_suite", [&] {
+    const metrics::WindowSet ws = metrics::WindowSet::phases(t, ls.phases);
+    benchmark::DoNotOptimize(
+        metrics::efficiency_suite(t, ws, 1).parallel.summary.mean);
+  });
+}
+
 /// Per-pass wall-time + allocation trajectory over the LULESH grids the
 /// BM_* suite uses (grid g => g^3 chares), written as
 /// BENCH_pipeline.json (schema logstruct-bench-pipeline/v6; override
@@ -354,14 +433,15 @@ void emit_pipeline_trajectory() {
   }
 
   // Storage-backend sweep: one large LULESH run per backend, covering
-  // the full lifecycle (simulate + freeze + column sweep + extraction)
-  // so the mem backend's resident columns and the blocked backend's
+  // the full lifecycle (simulate + freeze + column sweep + extraction +
+  // metrics) so the mem backend's resident columns and the blocked backend's
   // bounded cache both show up in the per-workload peak_rss_kb. The
   // gate (tools/bench_gate.py) tracks that number per workload across
   // PRs; the blocked rows must stay materially below the mem row. Each
   // row records the lifecycle's layers: `sim/lulesh` (simulation and
   // freeze), `trace/structure_hash` (the column sweep), every pass of
-  // the extraction, and the whole as `storage/lifecycle`.
+  // the extraction, the metrics layer (add_metric_passes), and the whole
+  // as `storage/lifecycle`.
   {
     struct StorageCase {
       const char* name;
@@ -382,25 +462,12 @@ void emit_pipeline_trajectory() {
       trace::storage::ScopedStorageOptions scope(sopts);
       trace::storage::BlockCache& cache = trace::storage::BlockCache::global();
       cache.reset_stats();
-      obs::reset_peak_rss();
-      const std::int64_t rss_start = obs::current_rss_kb();
+      const std::int64_t rss_start = start_rss_window();
       bench::PipelineWorkload w;
-      // A harness-timed layer from `since` to now, with its allocations
-      // and block-cache traffic.
-      auto add_layer = [&w, &cache](const char* name, double seconds,
-                                    const obs::AllocScope& allocs,
-                                    const trace::storage::BlockCache::Stats&
-                                        since) {
-        const trace::storage::BlockCache::Stats now = cache.stats();
-        order::PassRecord rec;
-        rec.name = name;
-        rec.seconds = seconds;
-        rec.alloc_bytes = allocs.delta().bytes;
-        rec.cache_lookups = static_cast<std::int64_t>(
-            now.hits + now.misses - since.hits - since.misses);
-        rec.cache_misses = static_cast<std::int64_t>(now.misses - since.misses);
-        rec.ran = true;
-        w.passes.push_back(std::move(rec));
+      auto add_layer = [&w](const char* name, double seconds,
+                            const obs::AllocScope& allocs,
+                            const trace::storage::BlockCache::Stats& since) {
+        w.passes.push_back(layer_record(name, seconds, allocs, since));
       };
       const obs::AllocScope allocs;
       util::Stopwatch sw;
@@ -424,6 +491,7 @@ void emit_pipeline_trajectory() {
       order::run_partition_pipeline(ctx, nullptr, &w.passes);
       order::run_stepping_pipeline(ctx, &w.passes);
       benchmark::DoNotOptimize(ctx.structure.max_step);
+      add_metric_passes(t, ctx.structure, w.passes);
 
       w.name = std::string("lulesh-large/storage=") + c.name;
       w.events = t.num_events();
@@ -444,11 +512,12 @@ void emit_pipeline_trajectory() {
   }
   // The `.lstrace` ingest path end to end (ROADMAP "One ingest pass"):
   // LULESH 10^3 x 40 (~1M events) written with save_trace, read back
-  // with load_trace, extracted and run through the efficiency suite.
+  // with load_trace, extracted and run through the metrics layer.
   // The write and read layers are the spans the library opens
   // (`trace/write`, `trace/read` and its children `trace/parse`,
   // `trace/repair`, `trace/freeze`), folded from the tracer; the
-  // extraction records every order pass and the suite is a pseudo-pass.
+  // extraction records every order pass and the metrics layer its own
+  // (add_metric_passes).
   {
     const std::string path =
         (std::filesystem::temp_directory_path() /
@@ -468,30 +537,15 @@ void emit_pipeline_trajectory() {
         std::abort();
       }
     }
-    obs::reset_peak_rss();
-    const std::int64_t rss_start = obs::current_rss_kb();
+    const std::int64_t rss_start = start_rss_window();
     util::Stopwatch sw;
     const trace::Trace t = trace::load_trace(path);
     std::filesystem::remove(path);
     order::OrderContext ctx(t, order::Options::charm());
     order::run_partition_pipeline(ctx, nullptr, &w.passes);
     order::run_stepping_pipeline(ctx, &w.passes);
-    {
-      const obs::AllocScope suite_allocs;
-      util::Stopwatch suite_sw;
-      const metrics::WindowSet ws =
-          metrics::WindowSet::phases(t, ctx.structure.phases);
-      const metrics::EfficiencySuite suite =
-          metrics::efficiency_suite(t, ws, 1);
-      benchmark::DoNotOptimize(suite.parallel.summary.mean);
-      order::PassRecord rec;
-      rec.name = "metrics/efficiency_suite";
-      rec.seconds = suite_sw.seconds();
-      rec.alloc_bytes = suite_allocs.delta().bytes;
-      rec.ran = true;
-      w.passes.push_back(std::move(rec));
-    }
-    w.total_seconds = sw.seconds();  // read, extraction and suite
+    add_metric_passes(t, ctx.structure, w.passes);
+    w.total_seconds = sw.seconds();  // read, extraction and metrics
     const std::int64_t grown = obs::peak_rss_kb() - rss_start;
     w.peak_rss_kb = grown > 0 ? grown : 0;
     std::vector<order::PassRecord> io_layers;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 
-#include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
 #include "trace/depview.hpp"
+#include "trace/subblock.hpp"
 
 namespace logstruct::metrics {
 
 CriticalPath critical_path(const trace::Trace& trace,
-                           const order::LogicalStructure& ls, int threads) {
+                           const order::LogicalStructure& ls,
+                           int /*threads*/) {
   OBS_SPAN_ANON("metrics/critical_path");
   CriticalPath out;
   out.degraded_phases = ls.phases.degraded_phases;
@@ -28,15 +29,20 @@ CriticalPath critical_path(const trace::Trace& trace,
   // so it only counts when the path continues along the chare (or ends
   // here), never when it leaves through the event's outgoing message (the
   // sender keeps computing while the message flies).
-  const BlockGaps gaps = block_gaps(trace, threads);
-  const std::vector<trace::TimeNs>& dur = gaps.gap;
-  // The tail after e: its block's trailing span if e is the block's last
-  // event, else 0.
-  auto tail = [&gaps](trace::EventId e, trace::BlockId block) {
-    if (block == trace::kNone) return trace::TimeNs{0};
-    const BlockGaps::Tail& t = gaps.tail[static_cast<std::size_t>(block)];
-    return t.last == e ? t.span : 0;
-  };
+  const trace::SubblockFrame& frame = trace.subblock_frame();
+
+  // Every event's time, chare and block, from one sequential scan.
+  std::vector<trace::TimeNs> slack(n);
+  std::vector<trace::ChareId> chare(n);
+  std::vector<trace::BlockId> block(n);
+  trace.events().for_each_chunk(
+      [&](const trace::Event* ev, std::size_t k, std::size_t base) {
+        for (std::size_t i = 0; i < k; ++i) {
+          slack[base + i] = ev[i].time;
+          chare[base + i] = ev[i].chare;
+          block[base + i] = ev[i].block;
+        }
+      });
 
   // Longest distance ending at each event. Process in physical-time order
   // (a valid topological order of both edge families: matching sends
@@ -44,13 +50,17 @@ CriticalPath critical_path(const trace::Trace& trace,
   // moves receives earlier — so use the happened-before edges in their
   // PHYSICAL direction: prior event in the chare's physical order, and
   // the matching send).
-  const std::vector<trace::EventId> order = trace.events_by_time();
-
+  //
   // dist_at: longest chain arriving at the event's own timestamp (used by
   // outgoing message edges). dist_at + trailing tail is the full distance
   // (used by chare-order continuation and as the final path length); it
   // is kept only for each chare's last event and for the best event.
-  std::vector<trace::TimeNs> dist_at(n, 0);
+  // slack[e] holds e's time until the walk reaches e and dist_at - time
+  // from then on, so a sender's chain reaches e at slack[s] + time =
+  // dist_at[s] + latency with one array instead of two. A sender the walk
+  // has not reached yet (a time tie broken by id, or a skewed clock)
+  // contributes its latency alone, its dist_at still being 0.
+  std::vector<bool> reached(n, false);
   std::vector<trace::EventId> pred(n, trace::kNone);
   std::vector<trace::EventId> last_on_chare(
       static_cast<std::size_t>(trace.num_chares()), trace::kNone);
@@ -58,34 +68,37 @@ CriticalPath critical_path(const trace::Trace& trace,
       static_cast<std::size_t>(trace.num_chares()), 0);
 
   // All dependency edges come from the frozen table's reverse view:
-  // matches and fan-out copies (what ev.partner used to give) plus every
-  // send of a collective, so the path no longer breaks at reductions.
-  trace::IncomingDeps deps(trace);
+  // matches and fan-out copies plus every send of a collective, so the
+  // path does not break at reductions.
+  const trace::IncomingDeps& deps = trace.incoming_deps();
 
   trace::EventId best = trace::kNone;
   trace::TimeNs best_full = 0;
-  for (trace::EventId e : order) {
-    const trace::Event& ev = trace.event(e);
+  for (const trace::EventId e : trace.by_time()) {
+    const auto ez = static_cast<std::size_t>(e);
     trace::TimeNs incoming = 0;
     trace::EventId from = trace::kNone;
 
-    const auto c = static_cast<std::size_t>(ev.chare);
+    const auto c = static_cast<std::size_t>(chare[ez]);
     if (last_on_chare[c] != trace::kNone) {
       incoming = full_on_chare[c];
       from = last_on_chare[c];
     }
+    const trace::TimeNs time = slack[ez];
     for (trace::EventId s : deps.senders(e)) {
-      trace::TimeNs latency = ev.time - trace.event(s).time;
-      trace::TimeNs via = dist_at[static_cast<std::size_t>(s)] + latency;
+      const auto sz = static_cast<std::size_t>(s);
+      const trace::TimeNs via =
+          reached[sz] ? slack[sz] + time : time - slack[sz];
       if (via > incoming) {
         incoming = via;
         from = s;
       }
     }
-    const trace::TimeNs at = incoming + dur[static_cast<std::size_t>(e)];
-    const trace::TimeNs full = at + tail(e, ev.block);
-    dist_at[static_cast<std::size_t>(e)] = at;
-    pred[static_cast<std::size_t>(e)] = from;
+    const trace::TimeNs at = incoming + frame.gap(e, block[ez]);
+    const trace::TimeNs full = at + frame.tail_after(e, block[ez]);
+    slack[ez] = at - time;
+    reached[ez] = true;
+    pred[ez] = from;
     last_on_chare[c] = e;
     full_on_chare[c] = full;
     if (best == trace::kNone || full > best_full) {
@@ -106,20 +119,21 @@ CriticalPath critical_path(const trace::Trace& trace,
 
   out.chare_share.assign(static_cast<std::size_t>(trace.num_chares()), 0);
   for (std::size_t i = 0; i < out.events.size(); ++i) {
-    trace::EventId e = out.events[i];
-    trace::TimeNs share = dur[static_cast<std::size_t>(e)];
+    const trace::EventId e = out.events[i];
+    const auto ez = static_cast<std::size_t>(e);
+    trace::TimeNs share = frame.gap(e, block[ez]);
     // The tail counted toward the path only where the path kept following
     // the chare (or ended).
     bool left_by_message = false;
-    if (i + 1 < out.events.size() &&
-        trace.event(out.events[i + 1]).kind == trace::EventKind::Recv) {
-      auto senders = deps.senders(out.events[i + 1]);
+    if (i + 1 < out.events.size()) {
+      const trace::EventId next = out.events[i + 1];
+      auto senders = deps.senders(next);
       left_by_message =
-          std::find(senders.begin(), senders.end(), e) != senders.end();
+          std::find(senders.begin(), senders.end(), e) != senders.end() &&
+          trace.event(next).kind == trace::EventKind::Recv;
     }
-    const trace::Event ev = trace.event(e);
-    if (!left_by_message) share += tail(e, ev.block);
-    out.chare_share[static_cast<std::size_t>(ev.chare)] += share;
+    if (!left_by_message) share += frame.tail_after(e, block[ez]);
+    out.chare_share[static_cast<std::size_t>(chare[ez])] += share;
   }
   return out;
 }

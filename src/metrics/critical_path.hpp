@@ -37,9 +37,10 @@ struct CriticalPath {
 /// row of the trace's dependency table — matches, fan-out copies, and
 /// collective closures (so the path follows reductions instead of
 /// breaking at them). Deterministic tie-breaking.
-/// `threads` fans the per-block duration/tail precompute out over the
-/// shared pool (0 = util::default_parallelism()); the longest-path core
-/// is inherently sequential and unaffected. Bit-identical for any count.
+/// Reads the trace's time order, sub-block frame and dependency view,
+/// each built once per trace. The longest-path walk is inherently
+/// sequential, so `threads` (kept for the kernels' common signature) has
+/// no effect; the result is the same for any count.
 CriticalPath critical_path(const trace::Trace& trace,
                            const order::LogicalStructure& ls,
                            int threads = 0);

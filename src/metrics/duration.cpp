@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "metrics/step_slots.hpp"
-#include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
+#include "trace/subblock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::metrics {
@@ -17,7 +17,7 @@ DifferentialDuration differential_duration(
   DifferentialDuration out;
   out.degraded_phases = ls.phases.degraded_phases;
   out.per_event.assign(static_cast<std::size_t>(trace.num_events()), 0);
-  std::vector<trace::TimeNs> dur = subblock_durations(trace);
+  const std::vector<trace::TimeNs>& dur = trace.subblock_frame().duration;
 
   // (phase, step) -> fastest sub-block duration.
   const StepSlots slot(ls, /*by_phase=*/true);

@@ -4,12 +4,12 @@
 #include <fstream>
 #include <utility>
 
-#include "metrics/subblock.hpp"
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "trace/depview.hpp"
+#include "trace/subblock.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,21 +81,26 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   loads.busy_max.assign(num_windows, 0);
   loads.ideal_span.assign(num_windows, 0);
 
-  const std::vector<trace::TimeNs> dur = subblock_durations(trace);
+  const std::vector<trace::TimeNs>& dur = trace.subblock_frame().duration;
 
-  // Every event's proc and time, from one sequential event scan.
-  std::vector<trace::ProcId> proc(num_events);
+  // Which processors each window's events ran on, flattened like busy.
+  std::vector<std::uint8_t> touched(num_windows * num_procs, 0);
+
+  // Every event's time, from one sequential event scan. An event without
+  // a block is in no processor's list below, so the scan marks its
+  // processor (its sub-block duration is 0, so it adds no busy time).
   std::vector<trace::TimeNs> time(num_events);
   trace.events().for_each_chunk(
       [&](const trace::Event* ev, std::size_t n, std::size_t base) {
         for (std::size_t i = 0; i < n; ++i) {
-          proc[base + i] = ev[i].proc;
           time[base + i] = ev[i].time;
+          const auto p = static_cast<std::size_t>(ev[i].proc);
+          if (ev[i].block != trace::kNone || p >= num_procs) continue;
+          const auto w = static_cast<std::size_t>(
+              windows.window_of(static_cast<trace::EventId>(base + i)));
+          touched[w * num_procs + p] = 1;
         }
       });
-  auto proc_of = [&](trace::EventId e) {
-    return static_cast<std::size_t>(proc[static_cast<std::size_t>(e)]);
-  };
 
   // Per-window predecessor in per-processor execution order (blocks on
   // a proc run serially in begin-time order, events within a block in
@@ -106,7 +111,9 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   // processors — which also guarantees ideal_span >= busy_max, so
   // serialization <= 1 and comm = serialization x transfer holds
   // exactly. One walk of every proc's list builds all the chains: each
-  // window keeps its last event, stamped with the proc that set it.
+  // window keeps its last event, stamped with the proc that set it. The
+  // same walk sums each window's per-proc busy time (integer sums, so
+  // the order does not matter).
   std::vector<trace::EventId> prev_in_window(num_events, trace::kNone);
   {
     std::vector<trace::EventId> last(num_windows, trace::kNone);
@@ -119,22 +126,26 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
             prev_in_window[static_cast<std::size_t>(e)] = last[w];
           last[w] = e;
           last_proc[w] = p;
+          const std::size_t at = w * num_procs + static_cast<std::size_t>(p);
+          loads.busy[at] += dur[static_cast<std::size_t>(e)];
+          touched[at] = 1;
         }
   }
 
-  trace::IncomingDeps deps(trace);
+  const trace::IncomingDeps& deps = trace.incoming_deps();
 
-  // Transfer wait: one pass over the message rows, each summed into the
-  // window of its receive (the rows WindowSet::deps_of lists).
+  // Messages and transfer wait: one pass over the dependency rows, each
+  // counted and summed into the window of its receive.
   const auto dep_sends = trace.dep_sends();
   const auto dep_recvs = trace.dep_recvs();
   for (std::size_t r = 0; r < dep_sends.size(); ++r) {
     const auto recv = static_cast<std::size_t>(dep_recvs[r]);
     const trace::TimeNs latency =
         time[recv] - time[static_cast<std::size_t>(dep_sends[r])];
-    loads.transfer_wait[static_cast<std::size_t>(windows.window_of(
-        static_cast<trace::EventId>(recv)))] +=
-        std::max<trace::TimeNs>(0, latency);
+    const auto w = static_cast<std::size_t>(
+        windows.window_of(static_cast<trace::EventId>(recv)));
+    ++loads.messages[w];
+    loads.transfer_wait[w] += std::max<trace::TimeNs>(0, latency);
   }
 
   // Zero-latency replay scratch, shared across windows: every window
@@ -154,21 +165,14 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
         const auto events = windows.events_of(w);
         loads.events[wz] = static_cast<std::int32_t>(events.size());
 
-        // Per-proc busy time, accumulated in ascending event id order.
-        trace::TimeNs* busy = loads.busy.data() + wz * num_procs;
-        for (trace::EventId e : events)
-          busy[proc_of(e)] += dur[static_cast<std::size_t>(e)];
-        std::vector<std::uint8_t> touched(num_procs, 0);
-        for (trace::EventId e : events) touched[proc_of(e)] = 1;
+        const trace::TimeNs* busy = loads.busy.data() + wz * num_procs;
+        const std::uint8_t* on = touched.data() + wz * num_procs;
         for (std::size_t p = 0; p < num_procs; ++p) {
-          if (!touched[p]) continue;
+          if (!on[p]) continue;
           ++loads.procs_active[wz];
           loads.busy_sum[wz] += busy[p];
           loads.busy_max[wz] = std::max(loads.busy_max[wz], busy[p]);
         }
-
-        loads.messages[wz] =
-            static_cast<std::int64_t>(windows.deps_of(w).size());
 
         // Zero-latency replay: longest chain of sub-block compute over
         // per-proc serialization order and in-window dependencies.

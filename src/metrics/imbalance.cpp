@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <limits>
 
-#include "metrics/subblock.hpp"
 #include "obs/obs.hpp"
+#include "trace/subblock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace logstruct::metrics {
@@ -17,7 +17,7 @@ Imbalance imbalance(const trace::Trace& trace,
   const std::size_t phases =
       static_cast<std::size_t>(ls.num_phases());
   const std::size_t procs = static_cast<std::size_t>(trace.num_procs());
-  std::vector<trace::TimeNs> dur = subblock_durations(trace);
+  const std::vector<trace::TimeNs>& dur = trace.subblock_frame().duration;
 
   std::vector<std::vector<trace::TimeNs>> load(
       phases, std::vector<trace::TimeNs>(procs, -1));

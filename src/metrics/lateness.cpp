@@ -95,7 +95,7 @@ Lateness lateness(const trace::Trace& trace,
   // that out (index-owned slots); the scatter into chares stays serial.
   out.caused_by_chare.assign(static_cast<std::size_t>(trace.num_chares()),
                              0);
-  trace::IncomingDeps deps(trace);
+  const trace::IncomingDeps& deps = trace.incoming_deps();
   std::vector<trace::EventId> binding(
       static_cast<std::size_t>(trace.num_events()), trace::kNone);
   util::parallel_for(threads, n, [&](std::int64_t e) {

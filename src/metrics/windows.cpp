@@ -14,8 +14,7 @@ void WindowSet::index_members(const trace::Trace& trace,
   const auto num_events = static_cast<std::size_t>(trace.num_events());
 
   // Events per window in event-id order (the fixed reduction order the
-  // efficiency kernels rely on); dependency rows land in the window of
-  // their receive, row-id sorted.
+  // efficiency kernels rely on).
   util::csr_scatter(
       num_windows,
       [&](auto emit) {
@@ -23,14 +22,6 @@ void WindowSet::index_members(const trace::Trace& trace,
           emit(window_of_event_[e], e);
       },
       event_begin_, events_);
-  const auto recvs = trace.dep_recvs();
-  util::csr_scatter(
-      num_windows,
-      [&](auto emit) {
-        for (std::size_t r = 0; r < recvs.size(); ++r)
-          emit(window_of_event_[static_cast<std::size_t>(recvs[r])], r);
-      },
-      dep_begin_, deps_);
 
   // A time bin inherits the quarantine flag of any degraded chare whose
   // event it contains (phase windows carry the flag from PhaseResult).

@@ -5,16 +5,15 @@
 ///
 /// A WindowSet partitions a trace's events into disjoint windows — either
 /// fixed-width wall-clock time bins or the recovered phases of a
-/// PhaseResult — and precomputes, per window, a CSR view of (a) the
-/// events it owns and (b) the rows of the frozen dependency table whose
-/// *receive* lands in it. The time-resolved efficiency kernels
+/// PhaseResult — and precomputes, per window, a CSR view of the events
+/// it owns (a message belongs to the window of its receive, which
+/// window_of() gives). The time-resolved efficiency kernels
 /// (metrics/efficiency.hpp) iterate these views instead of re-scanning
 /// the whole trace per window; the side-by-side bin-vs-phase comparison
 /// (examples/efficiency_compare.cpp) is the paper's attribution claim
-/// made runnable. Construction is O(events + dependencies) with
-/// counting sorts; per-window event order is ascending event id, so
-/// fixed-order reductions over a window are bit-identical for any
-/// thread count. See docs/METRICS.md for the window semantics.
+/// made runnable. Construction is O(events) with a counting sort;
+/// per-window event order is ascending event id, so fixed-order
+/// reductions over a window are bit-identical for any thread count. See docs/METRICS.md for the window semantics.
 
 #include <cstdint>
 #include <span>
@@ -75,13 +74,6 @@ class WindowSet {
     return csr_span(event_begin_, events_, w);
   }
 
-  /// Rows of the trace's dependency table whose receive is in window w,
-  /// ascending row index. Row r reads back through
-  /// Trace::dep_sends()[r] / dep_recvs()[r] / dep_kinds()[r].
-  [[nodiscard]] std::span<const std::int64_t> deps_of(std::int32_t w) const {
-    return csr_span(dep_begin_, deps_, w);
-  }
-
   /// Window owning event e (every event belongs to exactly one window).
   [[nodiscard]] std::int32_t window_of(trace::EventId e) const {
     return window_of_event_[static_cast<std::size_t>(e)];
@@ -99,8 +91,8 @@ class WindowSet {
   [[nodiscard]] trace::TimeNs bin_width() const { return bin_width_; }
 
   // --- iteration --------------------------------------------------------
-  /// One window plus its event/dependency views; what the sliced-window
-  /// iterator yields.
+  /// One window plus its event view; what the sliced-window iterator
+  /// yields.
   struct View {
     const WindowSet* set = nullptr;
     std::int32_t index = 0;
@@ -110,9 +102,6 @@ class WindowSet {
     }
     [[nodiscard]] std::span<const trace::EventId> events() const {
       return set->events_of(index);
-    }
-    [[nodiscard]] std::span<const std::int64_t> deps() const {
-      return set->deps_of(index);
     }
   };
 
@@ -151,7 +140,8 @@ class WindowSet {
     return std::span<const T>(flat).subspan(b, e - b);
   }
 
-  /// Fill events_/deps_/degraded from window_of_event_ (counting sorts).
+  /// Fill events_ and the degraded flags from window_of_event_ (a
+  /// counting sort).
   void index_members(const trace::Trace& trace, bool flag_degraded_chares);
 
   WindowKind kind_ = WindowKind::TimeBin;
@@ -160,8 +150,6 @@ class WindowSet {
   std::vector<std::int32_t> window_of_event_;
   std::vector<std::int64_t> event_begin_;  ///< CSR over events_
   std::vector<trace::EventId> events_;
-  std::vector<std::int64_t> dep_begin_;  ///< CSR over deps_
-  std::vector<std::int64_t> deps_;
   std::int32_t degraded_windows_ = 0;
 };
 

@@ -30,7 +30,7 @@ PhaseReachability::PhaseReachability(const graph::Digraph& dag)
 
 CausalityOracle::CausalityOracle(const trace::Trace& trace,
                                  const CausalityOptions& opts)
-    : trace_(&trace), deps_(trace) {
+    : trace_(&trace), deps_(&trace.incoming_deps()) {
   OBS_SPAN(span, "order/causality/build");
   const auto n = static_cast<std::size_t>(trace.num_events());
   span.attr("events", trace.num_events());
@@ -62,7 +62,7 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
   std::vector<std::int32_t> indeg(n, 0);
   std::vector<trace::EventId> chain_succ(n, trace::kNone);
   for (std::size_t e = 0; e < n; ++e) {
-    indeg[e] = static_cast<std::int32_t>(deps_.senders(
+    indeg[e] = static_cast<std::int32_t>(deps_->senders(
                    static_cast<trace::EventId>(e)).size()) +
                (chain_pred_[e] != trace::kNone ? 1 : 0);
     if (chain_pred_[e] != trace::kNone)
@@ -77,7 +77,8 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
       n,
       [&](auto emit) {
         for (std::size_t e = 0; e < n; ++e)
-          for (trace::EventId s : deps_.senders(static_cast<trace::EventId>(e)))
+          for (trace::EventId s :
+               deps_->senders(static_cast<trace::EventId>(e)))
             emit(s, e);
       },
       out_begin, out_succ);
@@ -150,7 +151,7 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
       }
       if (chain_pred_[ee] != trace::kNone)
         c.merge(clocks_[static_cast<std::size_t>(chain_pred_[ee])]);
-      for (trace::EventId s : deps_.senders(e)) {
+      for (trace::EventId s : deps_->senders(e)) {
         if (c.saturated()) break;
         c.merge(clocks_[static_cast<std::size_t>(s)]);
       }
@@ -168,8 +169,7 @@ CausalityOracle::CausalityOracle(const trace::Trace& trace,
       clocks_.capacity() * sizeof(HbClock) +
       (chain_.capacity() + pos_.capacity() + level_.capacity()) *
           sizeof(std::int32_t) +
-      chain_pred_.capacity() * sizeof(trace::EventId)) +
-      deps_.memory_bytes();
+      chain_pred_.capacity() * sizeof(trace::EventId));
   span.attr("saturated", saturated_);
   span.attr("clock_entries", total_entries_);
   OBS_COUNTER_ADD("order/causality/clock_builds", 1);
@@ -221,7 +221,7 @@ bool CausalityOracle::walk_hb(trace::EventId a, trace::EventId b) const {
     stack.pop_back();
     const auto xx = static_cast<std::size_t>(x);
     if (consider(chain_pred_[xx]) == 1) return true;
-    for (trace::EventId s : deps_.senders(x))
+    for (trace::EventId s : deps_->senders(x))
       if (consider(s) == 1) return true;
   }
   return false;

@@ -122,11 +122,11 @@ class CausalityOracle {
 
  private:
   /// Direct predecessors of e: intra-chain predecessor (implicit) plus
-  /// the incoming dependency senders deps_.senders(e).
+  /// the incoming dependency senders deps_->senders(e).
   [[nodiscard]] bool walk_hb(trace::EventId a, trace::EventId b) const;
 
   const trace::Trace* trace_;
-  trace::IncomingDeps deps_;
+  const trace::IncomingDeps* deps_;  ///< the trace's own view
   std::vector<std::int32_t> chain_;
   std::vector<std::int32_t> pos_;
   std::vector<trace::EventId> chain_pred_;  ///< kNone at chain heads

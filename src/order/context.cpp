@@ -51,11 +51,6 @@ const std::vector<std::vector<graph::NodeId>>& OrderContext::leap_groups() {
   return groups_;
 }
 
-const std::vector<trace::EventId>& OrderContext::by_time() {
-  if (!by_time_) by_time_ = trace_->events_by_time();
-  return *by_time_;
-}
-
 const trace::SdagRelations& OrderContext::sdag() {
   if (!sdag_) sdag_ = trace::sdag_relations(*trace_);
   return *sdag_;

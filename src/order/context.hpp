@@ -6,24 +6,24 @@
 /// The OrderContext owns the PartitionGraph and caches the derived
 /// values passes keep re-deriving: leaps and leap groups, keyed on the
 /// graph's structural epoch so a cache entry survives exactly as long as
-/// no pass mutates the graph, and the trace-derived inputs (time order,
-/// SDAG relations, serial block units, event rows), built once per
-/// analysis. It also holds arena-style scratch buffers (cleared, never
-/// freed, between passes) and the pipeline products (PhaseResult,
-/// LogicalStructure).
+/// no pass mutates the graph, and the trace-derived inputs (SDAG
+/// relations, serial block units, event rows), built once per analysis;
+/// the time order is the trace's own. It also holds arena-style scratch
+/// buffers (cleared, never freed, between passes) and the pipeline
+/// products (PhaseResult, LogicalStructure).
 ///
 /// Ownership: set_pg() moves a graph into the context (the "initial"
 /// pass does this, and so do tests and benches that start from a
 /// hand-built graph); the context owns it until release_pg(), which
 /// run_stepping_pipeline calls once the phases are final. A
-/// graph built by build_initial_partitions(ctx) views ctx.by_time(), so
-/// it must not outlive the context.
+/// graph built by build_initial_partitions(ctx) views ctx.by_time(), the
+/// trace's own time order, so it must not outlive the trace.
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
-///  - by_time(), sdag(), units(), unit_of_block() and event_rows()
-///    depend only on the immutable trace, so each is computed at most
-///    once per context.
+///  - sdag(), units(), unit_of_block() and event_rows() depend only on
+///    the immutable trace, so each is computed at most once per context;
+///    by_time() forwards to the trace, which builds it once per trace.
 
 #include <cstdint>
 #include <optional>
@@ -73,8 +73,11 @@ class OrderContext {
   [[nodiscard]] const std::vector<std::vector<graph::NodeId>>& leap_groups();
 
   // --- trace-derived inputs (the trace is immutable: never invalidate) --
-  /// Every event in Trace::before order (Trace::events_by_time()).
-  [[nodiscard]] const std::vector<trace::EventId>& by_time();
+  /// Every event in Trace::before order: Trace::by_time(), which the
+  /// trace builds once and shares with the metric kernels.
+  [[nodiscard]] const std::vector<trace::EventId>& by_time() const {
+    return trace_->by_time();
+  }
 
   /// SDAG serial numbers, absorption and serial adjacency (§2.1).
   [[nodiscard]] const trace::SdagRelations& sdag();
@@ -126,7 +129,6 @@ class OrderContext {
   std::vector<std::vector<graph::NodeId>> groups_;
   std::uint64_t groups_epoch_ = 0;
 
-  std::optional<std::vector<trace::EventId>> by_time_;
   std::optional<trace::SdagRelations> sdag_;
   std::optional<BlockUnits> units_;
   std::vector<trace::BlockId> identity_units_;

@@ -37,8 +37,9 @@ std::vector<std::uint8_t> runtime_event_flags(
 /// EDGES here, read from ctx.sdag() (paper Fig. 3 draws the
 /// when-relationship as a chare happened-before edge); the event-level
 /// merge of a when-execution into its serial only applies to the ordering
-/// stage (§3.2). The graph is finalized with ctx.by_time(), which it
-/// views, so it must not outlive ctx. The build is sequential.
+/// stage (§3.2). The graph is finalized with ctx.by_time(), the trace's
+/// time order, which it views, so it must not outlive the trace. The
+/// build is sequential.
 PartitionGraph build_initial_partitions(OrderContext& ctx);
 
 }  // namespace logstruct::order

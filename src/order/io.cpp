@@ -107,7 +107,7 @@ LogicalStructure read_structure(std::istream& in,
 
   // Re-derive trace-dependent views; visiting events in time order leaves
   // every phase's event list in Trace::before order.
-  for (trace::EventId e : trace.events_by_time()) {
+  for (trace::EventId e : trace.by_time()) {
     auto ph = static_cast<std::size_t>(
         ls.phases.phase_of_event[static_cast<std::size_t>(e)]);
     ls.global_step[static_cast<std::size_t>(e)] =

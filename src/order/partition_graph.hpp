@@ -9,8 +9,8 @@
 /// in place), and collapse any strongly connected components ("cycle
 /// merge") so the graph is a DAG again.
 ///
-/// finalize() is handed the trace's time order (Trace::events_by_time(),
-/// owned by the caller: OrderContext::by_time() in the pipeline), and it
+/// finalize() is handed the trace's time order (Trace::by_time(), which
+/// OrderContext::by_time() forwards in the pipeline), and it
 /// and every merge rebuild the event and chare lists from part_of() with
 /// one builder — a counting scatter of that order plus one walk of the
 /// per-chare event lists — so no merge compares timestamps. The edge list

@@ -65,16 +65,22 @@ EventId TraceBuilder::add_event(BlockId block, EventKind kind, TimeNs t) {
   e.proc = blk.proc;
   e.block = block;
   trace_.events_.push_back(e);
-  return static_cast<EventId>(trace_.events_.size() - 1);
+  const auto id = static_cast<EventId>(trace_.events_.size() - 1);
+  // The block's trigger is its first receive in (time, id) order,
+  // collective members included: the rule build_trace applies when it
+  // reads a trace back, so a save/load round trip keeps the trigger.
+  if (kind == EventKind::Recv &&
+      (blk.trigger == kNone ||
+       t < trace_.events_[static_cast<std::size_t>(blk.trigger)].time))
+    blk.trigger = id;
+  return id;
 }
 
 EventId TraceBuilder::add_recv(BlockId block, TimeNs t, EventId send) {
+  // The first receive awakens the block (add_event makes it the
+  // trigger); further receives are additional satisfied dependencies
+  // (multi-dependency task models; Charm++ blocks only ever have one).
   EventId id = add_event(block, EventKind::Recv, t);
-  SerialBlock& blk = trace_.blocks_[static_cast<std::size_t>(block)];
-  // The first receive awakens the block; further receives are additional
-  // satisfied dependencies (multi-dependency task models; Charm++ blocks
-  // only ever have one).
-  if (blk.trigger == kNone) blk.trigger = id;
   if (send != kNone) {
     LS_CHECK(send >= 0 &&
              static_cast<std::size_t>(send) < trace_.events_.size());

@@ -5,7 +5,8 @@
 /// receiving event, the span of events it depends on (its matching send,
 /// fan-out origin, or every send of its collective). Built in
 /// O(events + dependencies) straight off the SoA columns — one counting
-/// scatter into a CSR, no per-event allocation.
+/// scatter into a CSR, no per-event allocation. Trace::incoming_deps()
+/// builds one per trace and shares it with every reader.
 
 #include <cstdint>
 #include <span>
@@ -52,12 +53,6 @@ class IncomingDeps {
       }
     }
     return best;
-  }
-
-  /// Heap bytes held by the view.
-  [[nodiscard]] std::int64_t memory_bytes() const {
-    return static_cast<std::int64_t>(begin_.capacity() * sizeof(begin_[0]) +
-                                     senders_.capacity() * sizeof(EventId));
   }
 
  private:

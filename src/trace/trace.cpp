@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "trace/depview.hpp"
+#include "trace/subblock.hpp"
 #include "util/check.hpp"
 #include "util/csr.hpp"
 #include "util/thread_pool.hpp"
@@ -55,18 +59,84 @@ template storage::PinnedSpan<std::int32_t> Trace::pin_blocked(
     const storage::BlockedColumn<std::int32_t>& col, std::int64_t lo,
     std::int64_t hi);
 
-std::vector<EventId> Trace::events_by_time() const {
-  std::vector<std::pair<TimeNs, EventId>> keys(
-      static_cast<std::size_t>(num_events()));
-  events().for_each_chunk(
-      [&keys](const Event* ev, std::size_t n, std::size_t base) {
-        for (std::size_t i = 0; i < n; ++i)
-          keys[base + i] = {ev[i].time, static_cast<EventId>(base + i)};
-      });
-  std::sort(keys.begin(), keys.end());
-  std::vector<EventId> order(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].second;
-  return order;
+struct Trace::Derived {
+  std::once_flag by_time_once;
+  std::vector<EventId> by_time;
+  std::once_flag frame_once;
+  SubblockFrame frame;
+  std::once_flag deps_once;
+  std::optional<IncomingDeps> deps;
+};
+
+Trace::Trace() : derived_(std::make_shared<Derived>()) {}
+
+const std::vector<EventId>& Trace::by_time() const {
+  Derived& d = *derived_;
+  std::call_once(d.by_time_once, [&] {
+    OBS_SPAN_ANON("trace/by_time");
+    std::vector<std::pair<TimeNs, EventId>> keys(
+        static_cast<std::size_t>(num_events()));
+    events().for_each_chunk(
+        [&keys](const Event* ev, std::size_t n, std::size_t base) {
+          for (std::size_t i = 0; i < n; ++i)
+            keys[base + i] = {ev[i].time, static_cast<EventId>(base + i)};
+        });
+    std::sort(keys.begin(), keys.end());
+    d.by_time.resize(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      d.by_time[i] = keys[i].second;
+    OBS_COUNTER_INC("trace/by_time/sorts");
+  });
+  return d.by_time;
+}
+
+const SubblockFrame& Trace::subblock_frame() const {
+  Derived& d = *derived_;
+  std::call_once(d.frame_once, [&] {
+    OBS_SPAN_ANON("trace/subblock_frame");
+    SubblockFrame& f = d.frame;
+    // duration holds each event's time until its block's walk below
+    // turns it into the gap; an event without a block keeps 0.
+    f.duration.resize(static_cast<std::size_t>(num_events()));
+    events().for_each_chunk(
+        [&](const Event* ev, std::size_t k, std::size_t base) {
+          for (std::size_t i = 0; i < k; ++i)
+            f.duration[base + i] = ev[i].block == kNone ? 0 : ev[i].time;
+        });
+    f.role.assign(f.duration.size(), 0);
+    f.tail.assign(static_cast<std::size_t>(num_blocks()), 0);
+    blocks().for_each_chunk([&](const SerialBlock* blk, std::size_t k,
+                                std::size_t base) {
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto bev = events_of_block(static_cast<BlockId>(base + i));
+        if (bev.empty()) continue;
+        TimeNs prev = blk[i].begin;
+        bool trigger_in_block = false;
+        for (const EventId e : bev) {
+          const TimeNs t = f.duration[static_cast<std::size_t>(e)];
+          f.duration[static_cast<std::size_t>(e)] = t - prev;
+          prev = t;
+          trigger_in_block |= e == blk[i].trigger;
+        }
+        const TimeNs span = blk[i].end - prev;
+        f.tail[base + i] = span;
+        f.role[static_cast<std::size_t>(bev.back())] |= SubblockFrame::kLast;
+        if (span <= 0) continue;
+        const auto owner = static_cast<std::size_t>(
+            trigger_in_block ? blk[i].trigger : bev.back());
+        f.duration[owner] += span;
+        f.role[owner] |= SubblockFrame::kOwner;
+      }
+    });
+    OBS_COUNTER_INC("trace/subblock_frame/builds");
+  });
+  return d.frame;
+}
+
+const IncomingDeps& Trace::incoming_deps() const {
+  Derived& d = *derived_;
+  std::call_once(d.deps_once, [&] { d.deps.emplace(*this); });
+  return *d.deps;
 }
 
 storage::PinnedSpan<EventId> Trace::fanout(EventId send) const {
@@ -118,6 +188,7 @@ void Trace::freeze(int threads) {
   span.attr("backend", static_cast<std::int64_t>(backend));
   span.attr("events", static_cast<std::int64_t>(events_.size()));
   threads = util::resolve_threads(threads);
+  derived_ = std::make_shared<Derived>();
 
   // Caches shared by both backends, computed from the staging vectors.
   end_time_ = 0;

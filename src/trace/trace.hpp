@@ -19,8 +19,16 @@
 /// columns, storage::PinnedSpan for contiguous ranges, records by value.
 /// Both backends produce bit-identical logical content — the golden
 /// structure-hash suite runs the matrix.
+///
+/// A frozen trace also memoizes the read-only views every analysis
+/// derives from it — the time order, the sub-block frame and the
+/// incoming-dependency view — each built at most once, on first use,
+/// under its own once-flag, so concurrent readers share one build.
+/// Copies share the memo (their content is the same); freeze() starts a
+/// fresh one.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,7 +42,9 @@ namespace logstruct::trace {
 
 class TraceBuilder;
 class Trace;
+class IncomingDeps;
 struct RawTrace;
+struct SubblockFrame;
 
 /// Declared here for friendship; see skew.hpp / repair.hpp.
 Trace apply_clock_skew(const Trace& trace, std::span<const TimeNs> delta);
@@ -53,7 +63,7 @@ std::uint64_t trace_structure_hash(const Trace& trace);
 
 class Trace {
  public:
-  Trace() = default;
+  Trace();
 
   // --- table access ---------------------------------------------------
   [[nodiscard]] storage::ColumnView<Event> events() const {
@@ -101,9 +111,17 @@ class Trace {
     const TimeNs tb = event_time(b);
     return ta != tb ? ta < tb : a < b;
   }
+
+  // --- derived views: built once per trace on first use, then shared ---
   /// Every event id in before() order, from one sequential read of the
   /// event column and an in-RAM sort of (time, id) keys.
-  [[nodiscard]] std::vector<EventId> events_by_time() const;
+  [[nodiscard]] const std::vector<EventId>& by_time() const;
+  /// The sub-block decomposition (trace/subblock.hpp), from one Events
+  /// and one Blocks column scan that walks each block's event list.
+  [[nodiscard]] const SubblockFrame& subblock_frame() const;
+  /// Each receive's senders (trace/depview.hpp), from one pass over the
+  /// dependency table.
+  [[nodiscard]] const IncomingDeps& incoming_deps() const;
   [[nodiscard]] const ChareInfo& chare(ChareId id) const {
     return chares_[static_cast<std::size_t>(id)];
   }
@@ -337,6 +355,11 @@ class Trace {
   /// Blocked backend; nullptr under mem. Shared: copies of a Trace
   /// reference the same immutable store.
   std::shared_ptr<storage::BlockedTraceData> blocked_;
+
+  /// The derived views' memo (trace.cpp); shared by copies, replaced by
+  /// freeze().
+  struct Derived;
+  std::shared_ptr<Derived> derived_;
 };
 
 }  // namespace logstruct::trace

@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "metrics/subblock.hpp"
+#include "trace/subblock.hpp"
 #include "metrics/windows.hpp"
 #include "order/stepping.hpp"
 #include "trace/builder.hpp"
@@ -140,7 +140,7 @@ WindowLoads sorted_chain_loads(const trace::Trace& trace,
   loads.busy_sum.assign(num_windows, 0);
   loads.busy_max.assign(num_windows, 0);
   loads.ideal_span.assign(num_windows, 0);
-  const std::vector<trace::TimeNs> dur = subblock_durations(trace);
+  const std::vector<trace::TimeNs>& dur = trace.subblock_frame().duration;
 
   // (proc << 32 | rank in the proc's execution order) per event.
   std::vector<std::int64_t> proc_rank(num_events, 0);
@@ -166,9 +166,9 @@ WindowLoads sorted_chain_loads(const trace::Trace& trace,
   for (std::size_t r = 0; r < dep_sends.size(); ++r) {
     const trace::TimeNs latency =
         trace.event(dep_recvs[r]).time - trace.event(dep_sends[r]).time;
-    loads.transfer_wait[static_cast<std::size_t>(
-        windows.window_of(dep_recvs[r]))] +=
-        std::max<trace::TimeNs>(0, latency);
+    const auto w = static_cast<std::size_t>(windows.window_of(dep_recvs[r]));
+    ++loads.messages[w];
+    loads.transfer_wait[w] += std::max<trace::TimeNs>(0, latency);
   }
 
   std::vector<trace::TimeNs> finish(num_events, 0);
@@ -190,7 +190,6 @@ WindowLoads sorted_chain_loads(const trace::Trace& trace,
       loads.busy_sum[wz] += busy[p];
       loads.busy_max[wz] = std::max(loads.busy_max[wz], busy[p]);
     }
-    loads.messages[wz] = static_cast<std::int64_t>(windows.deps_of(w).size());
 
     std::vector<trace::EventId> order(events.begin(), events.end());
     std::sort(order.begin(), order.end(),
@@ -298,9 +297,11 @@ TEST(EfficiencyWindows, TimeBinsPartitionEvents) {
   }
   EXPECT_EQ(covered, t.num_events());
 
-  std::int64_t deps = 0;
-  for (const auto view : set) deps += view.deps().size();
-  EXPECT_EQ(deps, t.num_dependencies());
+  // Every message is counted once, in the window of its receive.
+  std::int64_t messages = 0;
+  for (const std::int64_t m : compute_window_loads(t, set, 1).messages)
+    messages += m;
+  EXPECT_EQ(messages, t.num_dependencies());
 }
 
 TEST(EfficiencyWindows, DegradedQuarantine) {

@@ -5,9 +5,9 @@
 #include "metrics/duration.hpp"
 #include "metrics/idle.hpp"
 #include "metrics/imbalance.hpp"
-#include "metrics/subblock.hpp"
 #include "order/stepping.hpp"
 #include "trace/builder.hpp"
+#include "trace/subblock.hpp"
 
 namespace logstruct::metrics {
 namespace {
@@ -33,7 +33,7 @@ TEST(SubBlocks, DivisionPerFigure13) {
   tb.end_block(b, 100);
   trace::Trace t = tb.finish(2);
 
-  auto dur = subblock_durations(t);
+  const auto& dur = t.subblock_frame().duration;
   // recv: [10,10] = 0 plus leftover [70,100] = 30 (recv is the trigger).
   EXPECT_EQ(dur[static_cast<std::size_t>(r)], 30);
   EXPECT_EQ(dur[static_cast<std::size_t>(s1)], 30);  // [10,40]
@@ -50,7 +50,7 @@ TEST(SubBlocks, LeftoverToLastEventWithoutTrigger) {
   tb.end_block(b, 80);
   trace::Trace t = tb.finish(1);
 
-  auto dur = subblock_durations(t);
+  const auto& dur = t.subblock_frame().duration;
   EXPECT_EQ(dur[static_cast<std::size_t>(s1)], 20);       // [0,20]
   EXPECT_EQ(dur[static_cast<std::size_t>(s2)], 30 + 30);  // [20,50]+leftover
 }
@@ -62,7 +62,7 @@ TEST(SubBlocks, TotalMatchesBlockSpans) {
   cfg.num_pes = 4;
   cfg.iterations = 2;
   trace::Trace t = apps::run_jacobi2d(cfg);
-  auto dur = subblock_durations(t);
+  const auto& dur = t.subblock_frame().duration;
   trace::TimeNs total = 0;
   for (auto d : dur) {
     EXPECT_GE(d, 0);

@@ -34,7 +34,7 @@ Fixture make_four_events() {
     tb.end_block(b, i * 10 + 5);
   }
   f.trace = tb.finish(1);
-  f.by_time = f.trace.events_by_time();
+  f.by_time = f.trace.by_time();
   return f;
 }
 
@@ -267,7 +267,7 @@ TEST(PartitionGraph, MergesMatchBruteForceOnBothBackends) {
       const trace::Trace& tr = traces[t];
       ASSERT_EQ(tr.storage_backend(), kind);
       util::Rng rng(0xD1FFULL + t);
-      const std::vector<trace::EventId> by_time = tr.events_by_time();
+      const std::vector<trace::EventId> by_time = tr.by_time();
       PartitionGraph pg(tr);
       std::vector<PartId> init_part(
           static_cast<std::size_t>(tr.num_events()), -1);
@@ -360,7 +360,7 @@ TEST(PartitionGraph, RelabelDoesNoByTimeLookupsOnBlocked) {
       (static_cast<std::size_t>(tr.num_events()) * sizeof(trace::EventId) +
        4095) / 4096;
 
-  const std::vector<trace::EventId> by_time = tr.events_by_time();
+  const std::vector<trace::EventId> by_time = tr.by_time();
   PartitionGraph pg(tr);
   for (trace::EventId e = 0; e < tr.num_events(); ++e)
     pg.add_partition({&e, 1}, false);

@@ -30,7 +30,6 @@
 #include "metrics/idle.hpp"
 #include "metrics/imbalance.hpp"
 #include "metrics/lateness.hpp"
-#include "metrics/subblock.hpp"
 #include "metrics/windows.hpp"
 #include "order/context.hpp"
 #include "order/phases.hpp"
@@ -39,6 +38,7 @@
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
+#include "trace/subblock.hpp"
 #include "util/crc32c.hpp"
 #include "golden_fixtures.hpp"
 
@@ -126,7 +126,7 @@ std::vector<std::uint64_t> metric_hashes(const trace::Trace& t,
                                          const LogicalStructure& ls) {
   std::vector<std::uint64_t> out;
   Fnv f;
-  mix_all(f, metrics::subblock_durations(t));
+  mix_all(f, t.subblock_frame().duration);
   out.push_back(f.value());
   f = {};
   const metrics::IdleExperienced idle = metrics::idle_experienced(t);
@@ -183,17 +183,20 @@ std::uint64_t blocks_4k(std::int64_t n, std::size_t elem) {
 
 /// Every metric output is bit-identical on the mem backend and on a
 /// blocked backend with 4 KiB blocks and a budget of two blocks per cache
-/// shard. On that tight cache subblock_durations and critical_path
-/// together miss at most once per column block they read, plus a slack
-/// of 4: the columns their walk reads side by side keep one cursor each
-/// and spread over the cache shards instead of evicting each other.
-/// differential_duration, imbalance and efficiency_suite go to the cache
-/// at most once per column block per pass they make, plus the same
-/// slack: events_of_block serves its range through the column's cursor,
-/// and the efficiency suite reads procs and times from flat arrays, so
-/// none of them pays a lookup per serial block or per message.
+/// shard. On that tight cache each derived view and kernel goes to the
+/// cache at most once per column block per scan it makes, plus a slack
+/// of 4: the sub-block frame scans Events once and Blocks once, walking
+/// each block's event list (BlockEvBegin and BlockEvents) as it goes, and
+/// a kernel that runs after a view exists makes no lookup for it. So
+/// differential_duration, which reads only the frame, stays within the
+/// slack; the critical path adds one Events scan and the dependency
+/// view's DepSend and DepRecv scans; imbalance reads the procs in two
+/// passes over Events; the efficiency suite adds one Events scan, the
+/// proc lists (each proc's walk passes over BlockEvBegin and BlockEvents
+/// once) and one pass over DepSend and DepRecv for the messages.
 TEST(StorageGolden, MetricsMatchAcrossBackends) {
   ScopedDefaultParallelism serial(1);
+  constexpr std::uint64_t kSlack = 4;
   for (const Golden& g : kGoldens) {
     SCOPED_TRACE(g.name);
     std::vector<std::uint64_t> mem_hashes;
@@ -213,32 +216,14 @@ TEST(StorageGolden, MetricsMatchAcrossBackends) {
     ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
     const LogicalStructure ls = extract_structure(t, g.opts());
 
-    // The gap walk reads Blocks, BlockEvBegin, BlockEvents and Events;
-    // the critical path adds DepSend and DepRecv for its senders.
-    const std::uint64_t walk =
-        blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock)) +
-        blocks_4k(t.num_blocks() + 1, sizeof(std::int64_t)) +
-        blocks_4k(t.num_events(), sizeof(trace::EventId)) +
-        blocks_4k(t.num_events(), sizeof(trace::Event));
-    const std::uint64_t deps =
-        2 * blocks_4k(t.num_dependencies(), sizeof(trace::EventId));
-    BlockCache::global().reset_stats();
-    (void)metrics::subblock_durations(t);
-    (void)metrics::critical_path(t, ls, 1);
-    EXPECT_LE(BlockCache::global().stats().misses, walk + deps + 4)
-        << "walk blocks " << walk << ", dependency blocks " << deps;
-
-    // subblock_durations: the gap walk plus a second Blocks pass for the
-    // triggers. imbalance adds two passes over Events for the procs. The
-    // efficiency suite adds one Events scan, the proc lists (each proc's
-    // walk passes over BlockEvBegin and BlockEvents once), two passes
-    // over DepSend and three over DepRecv.
     const std::uint64_t events_col =
         blocks_4k(t.num_events(), sizeof(trace::Event));
+    const std::uint64_t block_walk =
+        blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock)) +
+        blocks_4k(t.num_blocks() + 1, sizeof(std::int64_t)) +
+        blocks_4k(t.num_events(), sizeof(trace::EventId));
     const std::uint64_t dep_col =
         blocks_4k(t.num_dependencies(), sizeof(trace::EventId));
-    const std::uint64_t subblock =
-        walk + blocks_4k(t.num_blocks(), sizeof(trace::SerialBlock));
     const std::uint64_t proc_walk =
         blocks_4k(t.num_blocks(), sizeof(trace::BlockId)) +
         static_cast<std::uint64_t>(t.num_procs()) *
@@ -250,17 +235,31 @@ TEST(StorageGolden, MetricsMatchAcrossBackends) {
       const BlockCache::Stats s = BlockCache::global().stats();
       return s.hits + s.misses;
     };
+    BlockCache::global().reset_stats();
     std::uint64_t before = lookups();
+    (void)t.subblock_frame();
+    EXPECT_LE(lookups() - before, events_col + block_walk + kSlack)
+        << "sub-block frame";
+    before = lookups();
+    (void)metrics::critical_path(t, ls, 1);
+    EXPECT_LE(lookups() - before, events_col + 2 * dep_col + kSlack)
+        << "critical_path";
+    // Together they still miss at most once per block of the columns
+    // they read, the bound the gap walk and the critical path kept
+    // before the frame.
+    EXPECT_LE(BlockCache::global().stats().misses,
+              events_col + block_walk + 2 * dep_col + kSlack)
+        << "frame and critical_path misses";
+    before = lookups();
     (void)metrics::differential_duration(t, ls, 1);
-    EXPECT_LE(lookups() - before, subblock + 4) << "differential_duration";
+    EXPECT_LE(lookups() - before, kSlack) << "differential_duration";
     before = lookups();
     (void)metrics::imbalance(t, ls, 1);
-    EXPECT_LE(lookups() - before, subblock + 2 * events_col + 4)
-        << "imbalance";
+    EXPECT_LE(lookups() - before, 2 * events_col + kSlack) << "imbalance";
     before = lookups();
     (void)metrics::efficiency_suite(t, windows, 1);
     EXPECT_LE(lookups() - before,
-              subblock + events_col + proc_walk + 5 * dep_col + 4)
+              events_col + proc_walk + 2 * dep_col + kSlack)
         << "efficiency_suite";
 
     EXPECT_EQ(metric_hashes(t, ls), mem_hashes);

@@ -116,6 +116,22 @@ TEST(Ingest, CleanReadMatchesSalvageOnEveryGolden) {
   std::remove(path.c_str());
 }
 
+/// The builder and the reader pick the same trigger for every block (its
+/// first receive in (time, id) order, collective members included), so
+/// a save/load round trip keeps the whole trace, triggers included.
+TEST(Ingest, RoundTripKeepsTraceStructureHashOnEveryGolden) {
+  const std::string path = ::testing::TempDir() + "/roundtrip_golden.lstrace";
+  for (const auto& g : order::golden::kGoldens) {
+    SCOPED_TRACE(g.name);
+    const Trace t = g.make();
+    ASSERT_TRUE(save_trace(t, path));
+    const Trace back = load_trace(path);
+    EXPECT_EQ(storage::trace_structure_hash(back),
+              storage::trace_structure_hash(t));
+  }
+  std::remove(path.c_str());
+}
+
 /// A small clean trace touching every table the verifier checks: two
 /// PEs, a matched pair per block boundary, a block with no events, an
 /// entry with a when-list, idles, a collective and a degraded flag. Each
